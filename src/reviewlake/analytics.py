@@ -30,31 +30,6 @@ BUCKET_WIDTH = 50
 BUCKET_CAP = 2000
 
 
-class LengthBucket(NamedTuple):
-    """A review-length histogram bin: [lower, upper) characters.
-
-    Bins are contiguous from 0 in steps of 50; the last one starts at 2000
-    and is open-ended (upper is None).
-    """
-
-    lower: int
-    upper: int | None
-
-
-def bucket_for(length: int) -> LengthBucket:
-    if length >= BUCKET_CAP:
-        return LengthBucket(BUCKET_CAP, None)
-    lower = (length // BUCKET_WIDTH) * BUCKET_WIDTH
-    return LengthBucket(lower, lower + BUCKET_WIDTH)
-
-
-def all_buckets() -> tuple[LengthBucket, ...]:
-    ladder = tuple(
-        LengthBucket(lo, lo + BUCKET_WIDTH) for lo in range(0, BUCKET_CAP, BUCKET_WIDTH)
-    )
-    return ladder + (LengthBucket(BUCKET_CAP, None),)
-
-
 class ProfileRow(NamedTuple):
     source: str
     sentiment: int
@@ -62,8 +37,8 @@ class ProfileRow(NamedTuple):
     upvotes: int
 
 
-# Key extractors are module-level named functions so specs stay importable
-# in forked workers and picklable if anything ever ships them around.
+# Key extractors are module-level named functions, so profiles and
+# tracebacks name the view they belong to.
 
 
 def _key_year_source(r):

@@ -207,7 +207,10 @@ def parse_upvotes(raw: str) -> int:
         return 0
     if not (raw.isascii() and raw.isdecimal()):
         raise CleanRejection("bad_upvotes", raw)
-    return int(raw, 10)
+    try:
+        return int(raw, 10)
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise CleanRejection("bad_upvotes", raw) from None
 
 
 # ---------------------------------------------------------------------------

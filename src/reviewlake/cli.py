@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, field
 
-from reviewlake import analytics, clean, fixtures, ingest, report, store
+from reviewlake import analytics, clean, ingest, report, store
 from reviewlake.errors import (
     ConfigurationError,
     CorruptLakeError,
@@ -198,6 +197,7 @@ def _ingest_source(job: tuple[str, str, str | None]) -> tuple[str, int, int, dic
 def cmd_ingest(cfg: RunConfig) -> int:
     if not cfg.sources:
         raise ConfigurationError("no sources configured; provide a config file with a sources list")
+    created_at = store.lake_timestamp()
     stops = clean.resolve_stoplist(cfg.stoplist_path)
     jobs = [(s.source, s.path, s.mapping_path) for s in sorted(cfg.sources, key=lambda s: s.source)]
     writer = store.LakeWriter(cfg.lake_dir)
@@ -225,7 +225,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
                 with open(part, "r", encoding="utf-8") as fh:
                     merged.write(fh.read())
                 os.remove(part)
-        manifest = store.LakeManifest(store.lake_timestamp(), per_source, record_files, stops.checksum)
+        manifest = store.LakeManifest(created_at, per_source, record_files, stops.checksum)
         writer.write_manifest(manifest)
         writer.commit()
     except BaseException:
@@ -236,6 +236,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def _fork_context():
+    import multiprocessing  # only a multi-worker ingest pays for the import
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:
@@ -290,6 +292,8 @@ def cmd_report(cfg: RunConfig) -> int:
 
 
 def cmd_gen_fixtures(cfg: RunConfig, seed: int, profile: str, rows: int) -> int:
+    from reviewlake import fixtures  # the generator is not loaded by the other commands
+
     truth = fixtures.generate(cfg.out_dir, seed=seed, profile=profile, rows_per_source=rows)
     for source in sorted(truth["per_source"]):
         t = truth["per_source"][source]
@@ -321,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("report", parents=[shared], help="emit all tables plus charts")
     g = sub.add_parser("gen-fixtures", parents=[shared], help="write synthetic source files with ground truth")
     g.add_argument("--rows", type=int, default=1000, help="rows per source")
-    g.add_argument("--profile", choices=fixtures.PROFILES, default="paper_shaped")
+    g.add_argument("--profile", default="paper_shaped", help="uniform or paper_shaped")
     return p
 
 

@@ -41,7 +41,7 @@ class QueryTypeError(ReviewLakeError):
 
     # Defaults keep the exception picklable: unpickling rebuilds from
     # self.args (the message alone) and restores the rest from __dict__,
-    # which is how it crosses back from pool workers.
+    # which is how it crosses back from a forked aggregation child.
     def __init__(self, message: str, *, partition: int = -1, position: int = -1):
         super().__init__(message)
         self.partition = partition

@@ -14,7 +14,6 @@ import io
 import json
 from dataclasses import dataclass
 from math import isfinite
-from xml.sax.saxutils import escape
 
 from reviewlake.errors import ConfigurationError
 from reviewlake.model import AggTable
@@ -105,7 +104,10 @@ class ChartSpec:
 
 
 def _esc(s) -> str:
-    return escape(str(s), {'"': "&quot;"})
+    """Escape text for SVG content and double-quoted attributes."""
+    return (
+        str(s).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+    )
 
 
 def chart_svg(spec: ChartSpec, table: AggTable) -> str:

@@ -63,12 +63,26 @@ class LakeManifest:
 
 
 def lake_timestamp() -> str:
-    """Manifest timestamp; SOURCE_DATE_EPOCH pins it for reproducible runs."""
+    """Manifest timestamp; SOURCE_DATE_EPOCH pins it for reproducible runs.
+
+    The variable must be unset, empty, or ASCII digits naming a second that
+    ``datetime`` can represent (year 9999 at most); anything else is a
+    ConfigurationError. Ingest calls this before it reads a row.
+    """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    when = int(epoch) if epoch else None
-    now = _dt.datetime.now(_dt.timezone.utc) if when is None else _dt.datetime.fromtimestamp(
-        when, _dt.timezone.utc
-    )
+    if not epoch:
+        return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    now = None
+    if epoch.isascii() and epoch.isdecimal():
+        try:
+            now = _dt.datetime.fromtimestamp(int(epoch), _dt.timezone.utc)
+        except (ValueError, OverflowError, OSError):
+            pass
+    if now is None:
+        raise ConfigurationError(
+            "SOURCE_DATE_EPOCH must be empty or decimal seconds since 1970 up to year 9999, "
+            f"got {epoch[:40]!r}"
+        )
     return now.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 

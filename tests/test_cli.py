@@ -4,11 +4,14 @@ gen-fixtures -> ingest -> query -> report chain on a small corpus."""
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from reviewlake import clean, cli
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 def sha_tree(d):
     out = {}
@@ -189,3 +192,90 @@ def test_mean_upvotes_outside_float_range_is_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "mean_upvotes of group" in err and "outside the float range" in err
+
+
+def test_upvote_count_past_int_conversion_limit_is_a_reject(tmp_path, capsys):
+    src = tmp_path / "steam.csv"
+    src.write_text(
+        "app_name,timestamp_created,voted_up,votes_up,review\n"
+        f"Game,1600000000,true,{'9' * 5000},great fun game\n"
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sources": [{"source": "steam", "path": str(src)}]}))
+    lake = tmp_path / "lake"
+    assert cli.run(["ingest", "--config", str(cfg), "--lake", str(lake)]) == 0
+    manifest = json.loads((lake / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["per_source"]["steam"]["accepted"] == 0
+    assert manifest["per_source"]["steam"]["rejected_by_reason"] == {"bad_upvotes": 1}
+
+
+@pytest.mark.parametrize("epoch", ["abc", "-1", "99999999999999999999"])
+def test_bad_source_date_epoch_is_exit_2_before_any_lake(data_dir, tmp_path, monkeypatch, capsys, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+
+    def no_rows_read(job):
+        raise AssertionError("a source was read before the environment was checked")
+
+    monkeypatch.setattr(cli, "_ingest_source", no_rows_read)
+    out = tmp_path / "lakes"
+    out.mkdir()
+    rc = cli.run(["ingest", "--config", str(data_dir / "config.json"), "--lake", str(out / "lake")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SOURCE_DATE_EPOCH") and err.count("\n") == 1
+    assert os.listdir(out) == []  # neither the lake nor a .lake-tmp-* staging directory
+
+
+def test_unknown_fixture_profile_is_exit_2(tmp_path, capsys):
+    assert cli.run(["gen-fixtures", "--out", str(tmp_path / "d"), "--profile", "weird"]) == 2
+    assert "error: unknown profile 'weird'" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+_STARTUP_CHECK = """
+import sys
+from reviewlake import cli
+heavy = ("xml.sax", "urllib.request", "email", "ssl", "multiprocessing", "reviewlake.fixtures")
+assert not [m for m in heavy if m in sys.modules], [m for m in heavy if m in sys.modules]
+rc = cli.run(["report", "--lake", sys.argv[1], "--out", sys.argv[2], "--threads", "1"])
+assert rc == 0, rc
+assert "multiprocessing" not in sys.modules
+print("ok")
+"""
+
+
+def test_startup_skips_heavy_imports(lake_dir, tmp_path):
+    # a fresh interpreter, since this one has imported everything already
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_CHECK, str(lake_dir), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("ok\n")
+
+
+_DEAD_WORKER = """
+import os, sys
+from reviewlake import analytics, cli
+parent, real_key = os.getpid(), analytics._key_year_source
+
+def key(r):
+    if os.getpid() != parent:
+        os._exit(3)  # a child that dies without sending its partial
+    return real_key(r)
+
+analytics._key_year_source = key
+sys.exit(cli.run(["query", "per_year", "--lake", sys.argv[1], "--out", sys.argv[2],
+                  "--threads", "3", "--partitions", "3"]))
+"""
+
+
+def test_worker_that_exits_without_a_result_is_exit_1(lake_dir, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEAD_WORKER, str(lake_dir), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: aggregation worker for partitions [1] exited with status 3 without a result\n"
