@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from oracles import oracle_aggregate
 from reviewlake import engine
 from reviewlake.engine import AggSpec, Metric, PartitionedDataset, from_records, group_aggregate, union
-from reviewlake.errors import ConfigurationError, QueryTypeError, ReviewLakeError, SchemaError
+from reviewlake.errors import ConfigurationError, QueryTypeError, SchemaError
 
 Rec = collections.namedtuple("Rec", "k v w")
 
@@ -343,24 +343,48 @@ def test_error_of_lowest_failing_partition_for_any_worker_count(workers):
     assert (ei.value.partition, ei.value.position) == (2, 4)
 
 
-class _TwoArgError(Exception):
+def _run_isolated(script, *args):
+    """Run a check in a fresh interpreter with a timeout, so a fan-out that
+    waits forever on a lost worker fails the test instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=90, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+_UNPICKLABLE_CHECK = """
+from reviewlake.engine import AggSpec, Metric, from_records, group_aggregate
+from reviewlake.errors import ReviewLakeError
+
+class TwoArgError(Exception):
     def __init__(self, left, right):  # unpickling calls this with the message alone
         super().__init__(f"{left} and {right}")
 
-
-def _key_raising_at_one(r):
+def key(r):
     if r["v"] == 1:
-        raise _TwoArgError("left", "right")
+        raise TwoArgError("left", "right")
     return r["k"]
+
+ds = from_records([{"k": 0, "v": i} for i in range(4)], 2)  # v=1 is in partition 1
+spec = AggSpec("t", ("k",), key, (Metric("count"),))
+for workers, want, message in ((1, TwoArgError, "left and right"),
+                               (2, ReviewLakeError, "TwoArgError: left and right")):
+    try:
+        group_aggregate(ds, spec, workers)
+    except want as exc:
+        assert str(exc) == message, exc
+    else:
+        raise AssertionError("no error")
+print("ok")
+"""
 
 
 def test_unpicklable_worker_exception_keeps_type_and_message():
-    ds = from_records([{"k": 0, "v": i} for i in range(4)], 2)  # v=1 is in partition 1
-    spec = AggSpec("t", ("k",), _key_raising_at_one, (Metric("count"),))
-    with pytest.raises(_TwoArgError, match="left and right"):
-        group_aggregate(ds, spec, workers=1)
-    with pytest.raises(ReviewLakeError, match="^_TwoArgError: left and right$"):
-        group_aggregate(ds, spec, workers=2)
+    _run_isolated(_UNPICKLABLE_CHECK)
 
 
 _REAPING_CHECK = """
@@ -408,14 +432,7 @@ print("ok")
 
 
 def test_children_are_reaped_on_every_path(tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", _REAPING_CHECK, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=90, check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ok\n"
+    _run_isolated(_REAPING_CHECK, str(tmp_path))
     assert len(os.listdir(tmp_path)) == 2
 
 
