@@ -197,20 +197,24 @@ def normalize_date(raw: str, formats: tuple[str, ...]) -> _dt.date:
     raise CleanRejection("bad_date", raw)
 
 
+# The lowest digit limit an interpreter can set for int/str conversion
+# (sys.int_info.str_digits_check_threshold). A count within it parses here,
+# and is written to and read back from the lake, whatever PYTHONINTMAXSTRDIGITS says.
+UPVOTE_MAX_DIGITS = 640
+
+
 def parse_upvotes(raw: str) -> int:
     """Decimal upvote count; an empty string means zero engagement.
 
-    Strictly ASCII digits: int() alone would wave through signs,
-    surrounding whitespace, underscores, and non-ASCII digits.
+    Strictly ASCII digits, at most UPVOTE_MAX_DIGITS of them: int() alone
+    would wave through signs, surrounding whitespace, underscores, and
+    non-ASCII digits.
     """
     if raw == "":
         return 0
-    if not (raw.isascii() and raw.isdecimal()):
+    if not (raw.isascii() and raw.isdecimal()) or len(raw) > UPVOTE_MAX_DIGITS:
         raise CleanRejection("bad_upvotes", raw)
-    try:
-        return int(raw, 10)
-    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-        raise CleanRejection("bad_upvotes", raw) from None
+    return int(raw, 10)
 
 
 # ---------------------------------------------------------------------------

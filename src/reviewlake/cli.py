@@ -267,7 +267,7 @@ def cmd_query(cfg: RunConfig, ids: list[str]) -> int:
     ds = store.read_lake(cfg.lake_dir, partitions=cfg.resolved_partitions())
     os.makedirs(cfg.out_dir, exist_ok=True)
     for qid in ids:
-        table = _QUERY_FNS[qid](ds, workers=cfg.threads)
+        table = _QUERY_FNS[qid](ds)
         path = report.emit_table(table, cfg.fmt, os.path.join(cfg.out_dir, f"{qid}.{cfg.fmt}"))
         print(f"{qid}: {len(table.rows)} rows -> {path}")
         for note in table.notes:
@@ -278,7 +278,7 @@ def cmd_query(cfg: RunConfig, ids: list[str]) -> int:
 def cmd_report(cfg: RunConfig) -> int:
     ds = store.read_lake(cfg.lake_dir, partitions=cfg.resolved_partitions())
     os.makedirs(cfg.out_dir, exist_ok=True)
-    tables = analytics.run_all(ds, workers=cfg.threads)
+    tables = analytics.run_all(ds)
     specs = report.default_chart_specs()
     for qid, table in tables.items():
         tpath = report.emit_table(table, cfg.fmt, os.path.join(cfg.out_dir, f"{qid}.{cfg.fmt}"))
@@ -314,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", help="output directory (overrides config)")
     shared.add_argument("--format", choices=report.TABLE_FORMATS, help="table format")
     shared.add_argument("--partitions", type=int, help="dataset partition count")
-    shared.add_argument("--threads", type=int, help="worker process count")
+    shared.add_argument("--threads", type=int, help="ingest worker process count")
     shared.add_argument("--seed", type=int, default=1, help="fixture generator seed")
 
     p = argparse.ArgumentParser(prog="reviewlake", description="review ETL and analytics")
@@ -325,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("report", parents=[shared], help="emit all tables plus charts")
     g = sub.add_parser("gen-fixtures", parents=[shared], help="write synthetic source files with ground truth")
     g.add_argument("--rows", type=int, default=1000, help="rows per source")
-    g.add_argument("--profile", default="paper_shaped", help="uniform or paper_shaped")
+    g.add_argument("--profile", default="paper_shaped", help="fixture profile, checked by the generator")
     return p
 
 

@@ -39,9 +39,9 @@ class CorruptLakeError(ReviewLakeError):
 class QueryTypeError(ReviewLakeError):
     """A metric field held a non-numeric value; carries row provenance."""
 
-    # Defaults keep the exception picklable: unpickling rebuilds from
-    # self.args (the message alone) and restores the rest from __dict__,
-    # which is how it crosses back from a forked aggregation child.
+    # Defaults keep the exception picklable, like every error here:
+    # unpickling rebuilds from self.args (the message alone) and restores
+    # the rest from __dict__.
     def __init__(self, message: str, *, partition: int = -1, position: int = -1):
         super().__init__(message)
         self.partition = partition

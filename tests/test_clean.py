@@ -3,6 +3,7 @@
 import random
 import re
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +174,21 @@ def test_upvotes_paths():
         with pytest.raises(CleanRejection) as ei:
             parse_upvotes(bad)
         assert ei.value.reason == "bad_upvotes"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+def test_upvote_digit_cap_ignores_the_interpreter_limit(limit):
+    # 0 turns int()'s digit limit off, 640 is the lowest it can be set to
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert parse_upvotes("9" * clean.UPVOTE_MAX_DIGITS) == 10**clean.UPVOTE_MAX_DIGITS - 1
+        with pytest.raises(CleanRejection) as ei:
+            parse_upvotes("9" * (clean.UPVOTE_MAX_DIGITS + 1))
+        assert ei.value.reason == "bad_upvotes"
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,13 @@ the acceptance suite runs the thousand-dataset version.
 
 import collections
 import math
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_aggregate
-from reviewlake import engine
 from reviewlake.engine import AggSpec, Metric, PartitionedDataset, from_records, group_aggregate, union
 from reviewlake.errors import ConfigurationError, QueryTypeError, SchemaError
 
@@ -332,8 +328,7 @@ def test_workers_propagate_type_errors():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_error_of_lowest_failing_partition_for_any_worker_count(workers):
-    # five partitions; workers=2 folds partition 2 in the caller and 3 in a
-    # child, workers=3 folds partition 3 in the caller and 2 in a child
+    # five partitions, two failing: the serial fold stops at partition 2
     recs = [{"k": i % 3, "v": float(i)} for i in range(60)]
     recs[13] = {"k": 1, "v": "x"}  # partition 3, position 2
     recs[22] = {"k": 1, "v": math.nan}  # partition 2, position 4
@@ -341,99 +336,6 @@ def test_error_of_lowest_failing_partition_for_any_worker_count(workers):
         group_aggregate(from_records(recs, 5), _spec([Metric("sum", "v")]), workers=workers)
     assert str(ei.value) == "metric field 'v' is non-finite (nan)"
     assert (ei.value.partition, ei.value.position) == (2, 4)
-
-
-def _run_isolated(script, *args):
-    """Run a check in a fresh interpreter with a timeout, so a fan-out that
-    waits forever on a lost worker fails the test instead of stalling the suite."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        env=env, capture_output=True, text=True, timeout=90, check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ok\n"
-
-
-_UNPICKLABLE_CHECK = """
-from reviewlake.engine import AggSpec, Metric, from_records, group_aggregate
-from reviewlake.errors import ReviewLakeError
-
-class TwoArgError(Exception):
-    def __init__(self, left, right):  # unpickling calls this with the message alone
-        super().__init__(f"{left} and {right}")
-
-def key(r):
-    if r["v"] == 1:
-        raise TwoArgError("left", "right")
-    return r["k"]
-
-ds = from_records([{"k": 0, "v": i} for i in range(4)], 2)  # v=1 is in partition 1
-spec = AggSpec("t", ("k",), key, (Metric("count"),))
-for workers, want, message in ((1, TwoArgError, "left and right"),
-                               (2, ReviewLakeError, "TwoArgError: left and right")):
-    try:
-        group_aggregate(ds, spec, workers)
-    except want as exc:
-        assert str(exc) == message, exc
-    else:
-        raise AssertionError("no error")
-print("ok")
-"""
-
-
-def test_unpicklable_worker_exception_keeps_type_and_message():
-    _run_isolated(_UNPICKLABLE_CHECK)
-
-
-_REAPING_CHECK = """
-import os, sys, time
-from reviewlake.engine import AggSpec, Metric, from_records, group_aggregate
-from reviewlake.errors import QueryTypeError
-
-def no_children_left():
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-recs = [{"k": i % 4, "v": i} for i in range(400)]
-count = AggSpec("t", ("k",), lambda r: r["k"], (Metric("count"),))
-assert group_aggregate(from_records(recs, 3), count, 3).rows == group_aggregate(from_records(recs, 3), count).rows
-assert no_children_left()
-try:
-    group_aggregate(from_records(recs[:-1] + [{"k": 0, "v": None}], 3), AggSpec("t", ("k",), lambda r: r["k"], (Metric("sum", "v"),)), 3)
-except QueryTypeError:
-    pass
-assert no_children_left()
-
-# the caller is interrupted while two children are still folding
-parent, pid_dir = os.getpid(), sys.argv[1]
-def key(r):
-    if os.getpid() == parent:
-        deadline = time.monotonic() + 10
-        while len(os.listdir(pid_dir)) < 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        raise KeyboardInterrupt
-    open(os.path.join(pid_dir, str(os.getpid())), "w").close()
-    time.sleep(20)  # unless killed, then leave without folding the rest
-    os._exit(0)
-t0 = time.monotonic()
-try:
-    group_aggregate(from_records(recs, 3), AggSpec("t", ("k",), key, (Metric("count"),)), 3)
-except KeyboardInterrupt:
-    pass
-assert sorted(os.listdir(pid_dir)) and no_children_left()
-assert time.monotonic() - t0 < 15
-print("ok")
-"""
-
-
-def test_children_are_reaped_on_every_path(tmp_path):
-    _run_isolated(_REAPING_CHECK, str(tmp_path))
-    assert len(os.listdir(tmp_path)) == 2
 
 
 _HUGE_PAIR = [("a", 8.988465674311579e307), ("a", 8.98846567431158e307)]  # sum > float max
