@@ -14,7 +14,7 @@ from reviewlake.model import (
     UnifiedReview,
     SOURCES,
 )
-from reviewlake.engine import AggSpec, Metric, PartitionedDataset, group_aggregate, union
+from reviewlake.engine import AggSpec, Metric, PartitionedDataset, group_aggregate
 
 __version__ = "0.1.0"
 
@@ -29,5 +29,4 @@ __all__ = [
     "UnifiedDraft",
     "UnifiedReview",
     "group_aggregate",
-    "union",
 ]

@@ -2,8 +2,8 @@
 
 Each query is a pure function of the record multiset: grouping and metric
 arithmetic go through the engine, so results are independent of partition
-layout and worker count. Calendar fields come from the package's own civil
-calendar, not the platform's locale machinery.
+layout. Calendar fields come from the package's own civil calendar, not the
+platform's locale machinery.
 
 Query ids, in canonical order: per_year, yoy, per_weekday, per_month,
 length_upvotes, sentiment_profile.
@@ -71,27 +71,27 @@ def _to_profile_row(r):
     return ProfileRow(r.source, r.sentiment, len(r.review_text), r.upvotes)
 
 
-def reviews_per_year(ds: PartitionedDataset, workers: int = 1) -> AggTable:
+def reviews_per_year(ds: PartitionedDataset) -> AggTable:
     """Review counts grouped by (year, source)."""
     spec = AggSpec("per_year", ("year", "source"), _key_year_source, (Metric("count"),))
-    return group_aggregate(ds, spec, workers)
+    return group_aggregate(ds, spec)
 
 
-def reviews_per_weekday(ds: PartitionedDataset, workers: int = 1) -> AggTable:
+def reviews_per_weekday(ds: PartitionedDataset) -> AggTable:
     """Counts by ISO weekday (Monday=1) and source, with the day name."""
     spec = AggSpec("per_weekday", ("weekday", "source"), _key_weekday_source, (Metric("count"),))
-    base = group_aggregate(ds, spec, workers)
+    base = group_aggregate(ds, spec)
     rows = [(wd, civil.WEEKDAY_NAMES[wd - 1], src, n) for wd, src, n in base.rows]
     return AggTable("per_weekday", ("weekday", "weekday_name", "source", "count"), rows)
 
 
-def reviews_per_month(ds: PartitionedDataset, workers: int = 1) -> AggTable:
+def reviews_per_month(ds: PartitionedDataset) -> AggTable:
     """Counts by calendar month (1-12) and source."""
     spec = AggSpec("per_month", ("month", "source"), _key_month_source, (Metric("count"),))
-    return group_aggregate(ds, spec, workers)
+    return group_aggregate(ds, spec)
 
 
-def length_upvote_profile(ds: PartitionedDataset, workers: int = 1) -> AggTable:
+def length_upvote_profile(ds: PartitionedDataset) -> AggTable:
     """Review count and mean upvotes per 50-character length bucket.
 
     The bucket column holds the bin's inclusive lower bound; lengths of
@@ -100,11 +100,11 @@ def length_upvote_profile(ds: PartitionedDataset, workers: int = 1) -> AggTable:
     spec = AggSpec(
         "length_upvotes", ("bucket",), _key_bucket, (Metric("count"), Metric("mean", "upvotes"))
     )
-    base = group_aggregate(ds, spec, workers)
+    base = group_aggregate(ds, spec)
     return AggTable("length_upvotes", ("bucket", "review_count", "mean_upvotes"), base.rows)
 
 
-def sentiment_profile(ds: PartitionedDataset, workers: int = 1) -> AggTable:
+def sentiment_profile(ds: PartitionedDataset) -> AggTable:
     """Mean cleaned-text length, mean upvotes, and count per (source, sentiment)."""
     projected = ds.map(_to_profile_row)
     spec = AggSpec(
@@ -113,10 +113,10 @@ def sentiment_profile(ds: PartitionedDataset, workers: int = 1) -> AggTable:
         _key_source_sentiment,
         (Metric("mean", "length"), Metric("mean", "upvotes"), Metric("count")),
     )
-    return group_aggregate(projected, spec, workers)
+    return group_aggregate(projected, spec)
 
 
-def yoy_percent_change(ds: PartitionedDataset, workers: int = 1) -> AggTable:
+def yoy_percent_change(ds: PartitionedDataset) -> AggTable:
     """Year-over-year percent change in review counts per source.
 
     For every pair of numerically consecutive years a source appears in,
@@ -131,7 +131,7 @@ def yoy_percent_change(ds: PartitionedDataset, workers: int = 1) -> AggTable:
     spec = AggSpec(
         "yoy_base", ("source", "year", "sentiment"), _key_source_year_sentiment, (Metric("count"),)
     )
-    base = group_aggregate(ds, spec, workers)
+    base = group_aggregate(ds, spec)
     by_class: dict[tuple[str, int, int], int] = {}
     totals: dict[tuple[str, int], int] = {}
     years: dict[str, set[int]] = {}
@@ -177,13 +177,13 @@ def _median(xs: list[float]) -> float:
     return (ordered[h - 1] + ordered[h]) / 2
 
 
-def run_all(ds: PartitionedDataset, workers: int = 1) -> dict[str, AggTable]:
+def run_all(ds: PartitionedDataset) -> dict[str, AggTable]:
     """All six views, keyed by query id, in canonical order."""
     return {
-        "per_year": reviews_per_year(ds, workers),
-        "yoy": yoy_percent_change(ds, workers),
-        "per_weekday": reviews_per_weekday(ds, workers),
-        "per_month": reviews_per_month(ds, workers),
-        "length_upvotes": length_upvote_profile(ds, workers),
-        "sentiment_profile": sentiment_profile(ds, workers),
+        "per_year": reviews_per_year(ds),
+        "yoy": yoy_percent_change(ds),
+        "per_weekday": reviews_per_weekday(ds),
+        "per_month": reviews_per_month(ds),
+        "length_upvotes": length_upvote_profile(ds),
+        "sentiment_profile": sentiment_profile(ds),
     }

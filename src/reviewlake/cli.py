@@ -19,16 +19,8 @@ import sys
 from dataclasses import dataclass, field
 
 from reviewlake import analytics, clean, ingest, report, store
-from reviewlake.errors import (
-    ConfigurationError,
-    CorruptLakeError,
-    CsvParseError,
-    MappingFileError,
-    QueryTypeError,
-    ReviewLakeError,
-    SchemaError,
-)
-from reviewlake.model import SOURCES, RawRecord, RejectRecord
+from reviewlake.errors import ConfigurationError, MappingFileError, ReviewLakeError
+from reviewlake.model import SOURCES
 
 
 @dataclass
@@ -58,7 +50,7 @@ class RunConfig:
 
 _CONFIG_KEYS = {
     "sources", "lake_dir", "out_dir", "partitions", "threads",
-    "format", "stoplist", "neutral_policy",
+    "format", "stoplist",
 }
 
 
@@ -73,11 +65,6 @@ def load_config_file(path: str) -> RunConfig:
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ConfigurationError(f"config {path}: unknown keys {sorted(unknown)}")
-    # the neutral handling is fixed; a config may state it but not change it
-    if doc.get("neutral_policy", "drop") != "drop":
-        raise ConfigurationError(
-            f"config {path}: neutral_policy must be \"drop\", got {doc['neutral_policy']!r}"
-        )
     base = os.path.dirname(os.path.abspath(path))
 
     def rel(p: str) -> str:
@@ -145,53 +132,20 @@ def resolve_config(args) -> RunConfig:
 _WORK: dict = {}  # worker state shared into forked children
 
 
-def _parser_for(path: str, fh, source: str, delimiter: str, stats: dict):
-    if path.endswith((".jsonl", ".ndjson")):
-        return ingest.parse_jsonl(fh, source=source, stats=stats)
-    return ingest.parse_csv(fh, delimiter=delimiter, source=source, stats=stats)
-
-
-def _ingest_source(job: tuple[str, str, str | None]) -> tuple[str, int, int, dict]:
+def _ingest_source(job: tuple[str, str, str | None]) -> tuple[str, store.SourceStats]:
     """Parse, adapt, and clean one source file into the staging directory.
 
-    Runs in the parent or in a forked worker; everything it needs beyond
-    the job tuple is reachable through the module global set just before
-    the pool starts.
+    Runs in the parent or in a forked worker; the lake writer and the
+    stoplist come from the module global set just before the pool starts.
     """
     source, path, mapping_path = job
-    tmp_dir = _WORK["tmp"]
-    stops = _WORK["stops"]
     mapping = ingest.load_mapping(mapping_path) if mapping_path else ingest.default_mapping(source)
     if mapping.source != source:
         raise MappingFileError(f"mapping {mapping_path} is for {mapping.source!r}, not {source!r}")
-    stats: dict = {}
-    accepted = 0
-    reasons: dict[str, int] = {}
-    cleaner = clean.clean_review
-    adapt = ingest.adapt
-    to_json = store.review_to_json
-    rj_json = store.reject_to_json
-    with open(path, "rb") as fh, open(
-        os.path.join(tmp_dir, f"{source}.jsonl"), "w", encoding="utf-8", newline="\n"
-    ) as out, open(
-        os.path.join(tmp_dir, f"rejects-{source}.part"), "w", encoding="utf-8", newline="\n"
-    ) as rej:
-        for item in _parser_for(path, fh, source, mapping.delimiter, stats):
-            if item.__class__ is RawRecord:
-                item = adapt(item, mapping)
-                if item.__class__ is not RejectRecord:
-                    item = cleaner(item, stops, mapping)
-            if item.__class__ is RejectRecord:
-                reasons[item.reason] = reasons.get(item.reason, 0) + 1
-                rej.write(rj_json(item))
-                rej.write("\n")
-            else:
-                accepted += 1
-                out.write(to_json(item))
-                out.write("\n")
-    if accepted == 0:
-        os.remove(os.path.join(tmp_dir, f"{source}.jsonl"))
-    return source, accepted, stats.get("blank_lines", 0), reasons
+    counts: dict = {}
+    stats = _WORK["writer"].stage(source, ingest.iter_source(path, mapping, _WORK["stops"], counts))
+    stats.blank_lines = counts.get("blank_lines", 0)
+    return source, stats
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -202,7 +156,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     jobs = [(s.source, s.path, s.mapping_path) for s in sorted(cfg.sources, key=lambda s: s.source)]
     writer = store.LakeWriter(cfg.lake_dir)
     try:
-        _WORK["tmp"] = writer.tmp
+        _WORK["writer"] = writer
         _WORK["stops"] = stops
         results = None
         if cfg.threads > 1 and len(jobs) > 1:
@@ -212,25 +166,12 @@ def cmd_ingest(cfg: RunConfig) -> int:
                     results = pool.map(_ingest_source, jobs)
         if results is None:
             results = [_ingest_source(j) for j in jobs]
-        _WORK.clear()
-
-        per_source: dict[str, store.SourceStats] = {}
-        record_files = []
-        with open(os.path.join(writer.tmp, store.REJECTS_NAME), "w", encoding="utf-8", newline="\n") as merged:
-            for source, accepted, blanks, reasons in results:
-                per_source[source] = store.SourceStats(accepted, blanks, reasons)
-                if accepted:
-                    record_files.append(f"{source}.jsonl")
-                part = os.path.join(writer.tmp, f"rejects-{source}.part")
-                with open(part, "r", encoding="utf-8") as fh:
-                    merged.write(fh.read())
-                os.remove(part)
-        manifest = store.LakeManifest(created_at, per_source, record_files, stops.checksum)
-        writer.write_manifest(manifest)
-        writer.commit()
+        manifest = writer.commit(dict(results), created_at, stops.checksum)
     except BaseException:
         writer.abort()
         raise
+    finally:
+        _WORK.clear()
     print(store.manifest_to_json(manifest), end="")
     return 0
 
@@ -315,7 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=report.TABLE_FORMATS, help="table format")
     shared.add_argument("--partitions", type=int, help="dataset partition count")
     shared.add_argument("--threads", type=int, help="ingest worker process count")
-    shared.add_argument("--seed", type=int, default=1, help="fixture generator seed")
 
     p = argparse.ArgumentParser(prog="reviewlake", description="review ETL and analytics")
     sub = p.add_subparsers(dest="command", required=True)
@@ -324,6 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("ids", nargs="*", metavar="query", help=f"one of {', '.join(analytics.QUERY_IDS)} (default: all)")
     sub.add_parser("report", parents=[shared], help="emit all tables plus charts")
     g = sub.add_parser("gen-fixtures", parents=[shared], help="write synthetic source files with ground truth")
+    g.add_argument("--seed", type=int, default=1, help="fixture generator seed")
     g.add_argument("--rows", type=int, default=1000, help="rows per source")
     g.add_argument("--profile", default="paper_shaped", help="fixture profile, checked by the generator")
     return p
@@ -343,9 +284,6 @@ def run(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MappingFileError, CsvParseError, CorruptLakeError, SchemaError, QueryTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ReviewLakeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

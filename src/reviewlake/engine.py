@@ -3,8 +3,7 @@
 Records live in N round-robin partitions. Transformations are pure and
 element-wise; aggregation folds each partition separately and merges the
 partials single-threaded, so results are byte-identical for any partition
-count and any worker count. Exactness rules that make the merge truly
-order-independent:
+count. Exactness rules that make the merge truly order-independent:
 
 * integer sums stay integers; float contributions accumulate as
   :class:`fractions.Fraction`, which is associative, and collapse to a
@@ -21,9 +20,8 @@ order-independent:
   normalized to 0.0, and bool is not a number here
 
 Every aggregation folds its partitions in the calling process, in
-partition order, so an error is always the lowest failing partition's.
-``workers`` is accepted and changes nothing: a fan-out of forked folds per
-view measured slower than this fold on 20k rows.
+partition order, so an error is always the lowest failing partition's. A
+fan-out of forked folds per view measured slower than this fold on 20k rows.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ from math import isfinite
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, NamedTuple
 
-from reviewlake.errors import ConfigurationError, QueryTypeError, SchemaError
-from reviewlake.model import AggTable, RejectRecord
+from reviewlake.errors import ConfigurationError, QueryTypeError
+from reviewlake.model import AggTable
 
 METRIC_KINDS = ("count", "sum", "min", "max", "mean", "median")
 
@@ -112,25 +110,6 @@ class PartitionedDataset:
         with gc_paused():
             return PartitionedDataset([f(r) for r in part] for part in self.partitions)
 
-    def filter_map(self, f) -> tuple["PartitionedDataset", list[RejectRecord]]:
-        """Apply a fallible transform; rows it rejects come back separately.
-
-        ``f`` returns either the transformed record or a RejectRecord.
-        Conservation holds: kept + rejected == input count.
-        """
-        kept_parts = []
-        rejects: list[RejectRecord] = []
-        for part in self.partitions:
-            kept = []
-            for rec in part:
-                out = f(rec)
-                if isinstance(out, RejectRecord):
-                    rejects.append(out)
-                else:
-                    kept.append(out)
-            kept_parts.append(kept)
-        return PartitionedDataset(kept_parts), rejects
-
     def to_list(self) -> list:
         """Insertion order, undone round-robin: row j of partition p was index j*N+p."""
         parts = self.partitions
@@ -144,59 +123,9 @@ class PartitionedDataset:
                     append(part[j])
         return out
 
-    def group_aggregate(self, spec: AggSpec, workers: int = 1) -> AggTable:
-        return _aggregate(self, spec)
-
 
 def from_records(records, partition_count: int) -> PartitionedDataset:
     return PartitionedDataset.from_records(records, partition_count)
-
-
-def union(datasets) -> PartitionedDataset:
-    """Pool several datasets into one; every input record appears exactly once.
-
-    Partition lists are adopted as-is (cheap, layout does not affect query
-    results). Record shapes must agree, judged by the leading record of each
-    dataset: NamedTuple field names, dict keys, or tuple arity.
-    """
-    datasets = list(datasets)
-    if not datasets:
-        raise ConfigurationError("union of zero datasets")
-    shape = None
-    parts: list = []
-    for ds in datasets:
-        sig = _shape_signature(ds)
-        if sig is not None:
-            if shape is None:
-                shape = sig
-            elif sig != shape:
-                raise SchemaError(f"union of mixed record shapes: {shape} vs {sig}")
-        parts.extend(ds.partitions)
-    return PartitionedDataset(parts)
-
-
-def _shape_signature(ds: PartitionedDataset):
-    for part in ds.partitions:
-        if part:
-            rec = part[0]
-            fields = getattr(rec, "_fields", None)
-            if fields is not None:
-                return ("fields",) + tuple(fields)
-            if isinstance(rec, dict):
-                return ("dict",) + tuple(sorted(rec))
-            if isinstance(rec, tuple):
-                return ("tuple", len(rec))
-            return ("type", rec.__class__.__name__)
-    return None  # empty dataset matches anything
-
-
-def group_aggregate(ds: PartitionedDataset, spec: AggSpec, workers: int = 1) -> AggTable:
-    """Group records by key and compute the spec's metrics exactly.
-
-    Output rows are sorted ascending by group key. ``workers`` does not
-    change the fold or its result (see the module docstring).
-    """
-    return _aggregate(ds, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +343,11 @@ def _finalize(groups: dict, spec: AggSpec, compiled) -> AggTable:
     return AggTable(spec.name, columns, rows)
 
 
-def _aggregate(ds: PartitionedDataset, spec: AggSpec) -> AggTable:
+def group_aggregate(ds: PartitionedDataset, spec: AggSpec) -> AggTable:
+    """Group records by key and compute the spec's metrics exactly.
+
+    Output rows are sorted ascending by group key.
+    """
     compiled = _compile_metrics(spec.metrics)
     keyf = spec.key_extractor
     merged: dict = {}

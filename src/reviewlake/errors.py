@@ -16,10 +16,6 @@ class ConfigurationError(ReviewLakeError):
     """Invalid configuration or usage (bad flag value, malformed run config)."""
 
 
-class SchemaError(ReviewLakeError):
-    """Datasets with incompatible record shapes were combined."""
-
-
 class MappingFileError(ReviewLakeError):
     """A source mapping file is unreadable or structurally invalid."""
 

@@ -1,4 +1,6 @@
-"""Streaming source-export parsers and the per-source column adapters.
+"""Streaming source-export parsers, the per-source column adapters, and
+:func:`iter_source`, the one loop that turns a source file into cleaned
+reviews and rejects.
 
 The CSV reader works on raw bytes in bounded memory: a quote-aware scan
 finds record boundaries (quoted fields may hold delimiters, doubled-quote
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
+from reviewlake import clean
 from reviewlake.clean import DATE_FORMAT_IDS, SENTIMENT_SCHEMES
 from reviewlake.errors import ConfigurationError, CsvParseError, MappingFileError
 from reviewlake.model import RawRecord, RejectRecord, SOURCES, UnifiedDraft
@@ -422,3 +425,32 @@ def adapt(record: RawRecord, mapping: SourceMapping) -> UnifiedDraft | RejectRec
         unified = next(u for u, v in zip(_REQUIRED, (name, date, sentiment, text)) if not v)
         return RejectRecord(record.source, record.row_number, "null_field", unified)
     return UnifiedDraft(name, date, sentiment, upvotes, text, record.source, record.row_number)
+
+
+# ---------------------------------------------------------------------------
+# one source file, row by row
+# ---------------------------------------------------------------------------
+
+
+def iter_source(path: str, mapping: SourceMapping, stops, stats: dict | None = None):
+    """Parse, adapt and clean one source file; one item per parsed row.
+
+    Yields a UnifiedReview for each accepted row and a RejectRecord for
+    each rejected one, in file order. A ``.jsonl`` or ``.ndjson`` file is
+    JSON lines; anything else is CSV with the mapping's delimiter. Blank
+    lines are counted under "blank_lines" in the optional stats dict.
+    """
+    source = mapping.source
+    adapt_ = adapt
+    cleaner = clean.clean_review
+    with open(path, "rb") as fh:
+        if path.endswith((".jsonl", ".ndjson")):
+            items = parse_jsonl(fh, source=source, stats=stats)
+        else:
+            items = parse_csv(fh, delimiter=mapping.delimiter, source=source, stats=stats)
+        for item in items:
+            if item.__class__ is RawRecord:
+                item = adapt_(item, mapping)
+                if item.__class__ is not RejectRecord:
+                    item = cleaner(item, stops, mapping)
+            yield item

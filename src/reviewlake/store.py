@@ -2,9 +2,10 @@
 distributed store at desk scale.
 
 Layout inside a lake directory: ``manifest.json``, one ``<source>.jsonl``
-per source that contributed accepted records, and ``rejects.jsonl``. Writes
-build the whole lake in a hidden temp directory next to the target and
-rename it into place, so readers never observe a partial lake. Reads
+per source that contributed accepted records, and ``rejects.jsonl``.
+:class:`LakeWriter` is the only writer: it builds the whole lake in a
+hidden temp directory next to the target, fsyncs it, and renames it into
+place, so readers never observe a partial lake, even after a crash. Reads
 revalidate every record against the unified-schema invariants and
 cross-check counts against the manifest, refusing corrupted lakes loudly.
 """
@@ -124,40 +125,71 @@ def manifest_to_json(m: LakeManifest) -> str:
 
 
 class LakeWriter:
-    """Builds a lake in a temp directory; commit() renames it into place.
+    """Builds a lake in a hidden staging directory next to the target.
 
-    Used directly by the streaming ingest path so records go straight to
-    disk as they are cleaned; write_lake wraps it for in-memory datasets.
+    The only code that knows the lake layout. ``stage`` writes one source's
+    accepted records to ``<source>.jsonl`` and its rejects to a per-source
+    part file; it changes no writer state, so forked workers can stage
+    sources side by side. ``commit`` merges the reject parts in source
+    order, writes the manifest, fsyncs every file and the staging
+    directory, renames the directory over the target and fsyncs the parent.
     """
 
     def __init__(self, target_dir: str):
         self.target = os.path.abspath(target_dir)
-        parent = os.path.dirname(self.target) or "."
-        os.makedirs(parent, exist_ok=True)
-        self.tmp = tempfile.mkdtemp(prefix=".lake-tmp-", dir=parent)
-        self._open: dict[str, object] = {}
+        self.parent = os.path.dirname(self.target)
+        os.makedirs(self.parent, exist_ok=True)
+        self.tmp = tempfile.mkdtemp(prefix=".lake-tmp-", dir=self.parent)
         self._done = False
 
-    def path_for(self, filename: str) -> str:
-        return os.path.join(self.tmp, filename)
+    def _reject_part(self, source: str) -> str:
+        return os.path.join(self.tmp, f"rejects-{source}.part")
 
-    def writer_for(self, filename: str):
-        fh = self._open.get(filename)
-        if fh is None:
-            fh = open(self.path_for(filename), "w", encoding="utf-8", newline="\n")
-            self._open[filename] = fh
-        return fh
+    def stage(self, source: str, items) -> SourceStats:
+        """Write one source's UnifiedReviews and RejectRecords, in order.
 
-    def write_manifest(self, manifest: LakeManifest) -> None:
-        with open(self.path_for(MANIFEST_NAME), "w", encoding="utf-8", newline="\n") as fh:
+        Returns the source's tallies; blank_lines is left for the caller.
+        """
+        accepted = 0
+        reasons: dict[str, int] = {}
+        to_json = review_to_json
+        rj_json = reject_to_json
+        rec_path = os.path.join(self.tmp, f"{source}.jsonl")
+        with open(rec_path, "w", encoding="utf-8", newline="\n") as out, open(
+            self._reject_part(source), "w", encoding="utf-8", newline="\n"
+        ) as rej:
+            for item in items:
+                if item.__class__ is RejectRecord:
+                    reasons[item.reason] = reasons.get(item.reason, 0) + 1
+                    rej.write(rj_json(item))
+                    rej.write("\n")
+                else:
+                    accepted += 1
+                    out.write(to_json(item))
+                    out.write("\n")
+        if accepted == 0:
+            os.remove(rec_path)
+        return SourceStats(accepted, 0, reasons)
+
+    def commit(
+        self, per_source: dict[str, SourceStats], created_at: str, stoplist_checksum: str
+    ) -> LakeManifest:
+        """Finish the lake from every staged source's stats and rename it into place."""
+        tmp = self.tmp
+        sources = sorted(per_source)
+        with open(os.path.join(tmp, REJECTS_NAME), "wb") as merged:
+            for source in sources:
+                part = self._reject_part(source)
+                with open(part, "rb") as fh:
+                    shutil.copyfileobj(fh, merged)
+                os.remove(part)
+        record_files = tuple(f"{s}.jsonl" for s in sources if per_source[s].accepted)
+        manifest = LakeManifest(created_at, per_source, record_files, stoplist_checksum)
+        with open(os.path.join(tmp, MANIFEST_NAME), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(manifest_to_json(manifest))
-
-    def commit(self) -> None:
-        for fh in self._open.values():
-            fh.flush()
-            os.fsync(fh.fileno())
-            fh.close()
-        self._open.clear()
+        for name in sorted(os.listdir(tmp)):
+            _fsync(os.path.join(tmp, name))
+        _fsync(tmp)
         target = self.target
         if os.path.exists(target):
             if not os.path.isdir(target):
@@ -168,67 +200,26 @@ class LakeWriter:
                 )
             graveyard = target + f".old-{os.getpid()}"
             os.rename(target, graveyard)
-            os.rename(self.tmp, target)
+            os.rename(tmp, target)
             shutil.rmtree(graveyard)
         else:
-            os.rename(self.tmp, target)
+            os.rename(tmp, target)
         self._done = True
+        _fsync(self.parent)
+        return manifest
 
     def abort(self) -> None:
         if not self._done:
-            for fh in self._open.values():
-                fh.close()
-            self._open.clear()
             shutil.rmtree(self.tmp, ignore_errors=True)
 
 
-def write_lake(
-    reviews: PartitionedDataset,
-    rejects: list[RejectRecord],
-    lake_dir: str,
-    *,
-    stoplist_checksum: str = "",
-    blanks: dict[str, int] | None = None,
-) -> LakeManifest:
-    """Stage a cleaned dataset as a lake directory, atomically.
-
-    One JSONL file per source with accepted records (insertion order),
-    all rejects in rejects.jsonl, counts in manifest.json. An interrupted
-    write leaves the target untouched.
-    """
-    stats: dict[str, SourceStats] = {}
-    writer = LakeWriter(lake_dir)
+def _fsync(path: str) -> None:
+    """Flush a file's or a directory's data and metadata to disk."""
+    fd = os.open(path, os.O_RDONLY)
     try:
-        for rec in reviews.to_list():
-            st = stats.get(rec.source)
-            if st is None:
-                st = stats[rec.source] = SourceStats()
-            st.accepted += 1
-            writer.writer_for(rec.source + ".jsonl").write(review_to_json(rec) + "\n")
-        rej_fh = writer.writer_for(REJECTS_NAME)
-        for rej in rejects:
-            st = stats.get(rej.source)
-            if st is None:
-                st = stats[rej.source] = SourceStats()
-            st.rejected_by_reason[rej.reason] = st.rejected_by_reason.get(rej.reason, 0) + 1
-            rej_fh.write(reject_to_json(rej) + "\n")
-        for src, n in (blanks or {}).items():
-            st = stats.get(src)
-            if st is None:
-                st = stats[src] = SourceStats()
-            st.blank_lines = n
-        manifest = LakeManifest(
-            created_at=lake_timestamp(),
-            per_source=stats,
-            record_files=tuple(sorted(s + ".jsonl" for s, st in stats.items() if st.accepted)),
-            stoplist_checksum=stoplist_checksum,
-        )
-        writer.write_manifest(manifest)
-        writer.commit()
-    except BaseException:
-        writer.abort()
-        raise
-    return manifest
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_manifest(lake_dir: str) -> LakeManifest:
@@ -380,10 +371,3 @@ def _check_rejects(lake_dir: str, manifest: LakeManifest) -> None:
             n += 1
     if n != expected:
         raise CorruptLakeError(f"{path}: manifest counts {expected} rejects, file has {n}")
-
-
-def merge_lakes(lake_dirs: list[str], partitions: int = 1) -> PartitionedDataset:
-    """Union several lakes into one dataset; zero lakes is an empty dataset."""
-    if not lake_dirs:
-        return PartitionedDataset.from_records([], max(partitions, 1))
-    return engine.union([read_lake(d, partitions) for d in lake_dirs])

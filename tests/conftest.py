@@ -30,22 +30,9 @@ def run_pipeline(dirpath: str, truth: dict):
     stops = clean.default_stoplist()
     reviews = []
     for src in ("amazon", "imdb", "steam", "yelp"):
-        t = truth["per_source"][src]
-        mapping = ingest.default_mapping(src)
-        with open(os.path.join(dirpath, t["file"]), "rb") as fh:
-            if t["format"] == "jsonl":
-                it = ingest.parse_jsonl(fh, source=src)
-            else:
-                it = ingest.parse_csv(fh, delimiter=mapping.delimiter, source=src)
-            for item in it:
-                if item.__class__ is RejectRecord:
-                    continue
-                a = ingest.adapt(item, mapping)
-                if a.__class__ is RejectRecord:
-                    continue
-                r = clean.clean_review(a, stops, mapping)
-                if r.__class__ is not RejectRecord:
-                    reviews.append(r)
+        path = os.path.join(dirpath, truth["per_source"][src]["file"])
+        items = ingest.iter_source(path, ingest.default_mapping(src), stops)
+        reviews += [r for r in items if r.__class__ is not RejectRecord]
     return reviews
 
 

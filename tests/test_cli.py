@@ -36,7 +36,7 @@ def lake_dir(data_dir, tmp_path_factory):
 
 
 def test_gen_fixtures_writes_corpus(data_dir):
-    truth = json.load(open(data_dir / "ground_truth.json"))
+    truth = json.loads((data_dir / "ground_truth.json").read_text(encoding="utf-8"))
     assert (data_dir / "config.json").exists()
     for src, t in truth["per_source"].items():
         assert (data_dir / t["file"]).exists(), src
@@ -46,12 +46,12 @@ def test_ingest_reports_manifest_and_matches_truth(data_dir, tmp_path, capsys):
     lake = tmp_path / "lake"
     assert cli.run(["ingest", "--config", str(data_dir / "config.json"), "--lake", str(lake)]) == 0
     printed = json.loads(capsys.readouterr().out)
-    on_disk = json.load(open(lake / "manifest.json"))
+    on_disk = json.loads((lake / "manifest.json").read_text(encoding="utf-8"))
     assert printed == on_disk
     assert (lake / "rejects.jsonl").exists()
     for name in on_disk["record_files"]:
         assert (lake / name).exists()
-    truth = json.load(open(data_dir / "ground_truth.json"))
+    truth = json.loads((data_dir / "ground_truth.json").read_text(encoding="utf-8"))
     for src, t in truth["per_source"].items():
         st = on_disk["per_source"][src]
         assert st["accepted"] == t["accepted"]
@@ -61,7 +61,7 @@ def test_ingest_reports_manifest_and_matches_truth(data_dir, tmp_path, capsys):
 
 def test_query_single_id(lake_dir, tmp_path):
     assert cli.run(["query", "per_year", "--lake", str(lake_dir), "--out", str(tmp_path)]) == 0
-    blob = open(tmp_path / "per_year.csv", "rb").read()
+    blob = (tmp_path / "per_year.csv").read_bytes()
     assert blob.startswith(b"year,source,count\n")
     assert sorted(os.listdir(tmp_path)) == ["per_year.csv"]
 
@@ -74,7 +74,7 @@ def test_query_defaults_to_all_views(lake_dir, tmp_path):
 def test_query_json_format(lake_dir, tmp_path):
     rc = cli.run(["query", "per_month", "--format", "json", "--lake", str(lake_dir), "--out", str(tmp_path)])
     assert rc == 0
-    rows = json.load(open(tmp_path / "per_month.json"))
+    rows = json.loads((tmp_path / "per_month.json").read_text(encoding="utf-8"))
     assert rows and set(rows[0]) == {"month", "source", "count"}
 
 
@@ -84,7 +84,7 @@ def test_report_emits_tables_and_charts(lake_dir, tmp_path):
     want = sorted([f"{q}.csv" for q in cli.analytics.QUERY_IDS] + [f"{q}.svg" for q in cli.analytics.QUERY_IDS])
     assert names == want
     for q in cli.analytics.QUERY_IDS:
-        svg = open(tmp_path / f"{q}.svg", encoding="utf-8").read()
+        svg = (tmp_path / f"{q}.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg ") and svg.endswith("</svg>\n")
 
 
@@ -99,12 +99,20 @@ def test_exit_codes(lake_dir, tmp_path, capsys):
     assert ei.value.code == 2
 
 
+def test_seed_belongs_to_gen_fixtures_only(lake_dir, tmp_path):
+    for command in (["query", "per_year"], ["report"], ["ingest"]):
+        with pytest.raises(SystemExit) as ei:
+            cli.run(command + ["--seed", "5", "--lake", str(lake_dir), "--out", str(tmp_path)])
+        assert ei.value.code == 2, command
+
+
 @pytest.mark.parametrize(
     "doc",
     [
         '{"sources": []',  # not valid JSON
         '{"lake": "x"}',  # unknown key
         '{"neutral_policy": "keep"}',
+        '{"neutral_policy": "drop", "sources": [{"source": "yelp", "path": "a.csv"}]}',  # key removed
         '{"sources": [{"source": "mars", "path": "x.csv"}]}',
         '{"sources": [{"source": "yelp", "path": "a.csv"}, {"source": "yelp", "path": "b.csv"}]}',
         '{"threads": 0}',
@@ -133,7 +141,7 @@ def test_config_paths_resolve_against_config_dir(tmp_path, monkeypatch):
 
 
 def test_mapping_source_mismatch_is_exit_1(data_dir, tmp_path, capsys):
-    truth = json.load(open(data_dir / "ground_truth.json"))
+    truth = json.loads((data_dir / "ground_truth.json").read_text(encoding="utf-8"))
     amazon_file = str(data_dir / truth["per_source"]["amazon"]["file"])
     mp = tmp_path / "map.json"
     mp.write_text(json.dumps({
@@ -156,7 +164,7 @@ def test_stoplist_env_override(data_dir, tmp_path, monkeypatch):
     monkeypatch.setenv("REVIEWLAKE_STOPLIST", str(sp))
     lake = tmp_path / "lake"
     assert cli.run(["ingest", "--config", str(data_dir / "config.json"), "--lake", str(lake)]) == 0
-    manifest = json.load(open(lake / "manifest.json"))
+    manifest = json.loads((lake / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["stoplist_checksum"] == clean.load_stoplist(str(sp)).checksum
     assert manifest["stoplist_checksum"] != clean.default_stoplist().checksum
 
@@ -168,6 +176,24 @@ def test_threads_do_not_change_lake_bytes(data_dir, tmp_path, monkeypatch):
     assert cli.run(["ingest", "--config", cfg, "--lake", str(a), "--threads", "1"]) == 0
     assert cli.run(["ingest", "--config", cfg, "--lake", str(b), "--threads", "3"]) == 0
     assert sha_tree(a) == sha_tree(b)
+
+
+def test_ingest_fsyncs_every_lake_file_and_both_directories(data_dir, tmp_path, monkeypatch):
+    synced = set()
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        synced.add((st.st_dev, st.st_ino))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    lake = tmp_path / "lake"
+    assert cli.run(["ingest", "--config", str(data_dir / "config.json"), "--lake", str(lake)]) == 0
+    wanted = [tmp_path, lake, *sorted(lake.iterdir())]
+    assert len(wanted) == 8  # four record files, the rejects and the manifest
+    unsynced = [p.name for p in wanted if (p.stat().st_dev, p.stat().st_ino) not in synced]
+    assert unsynced == []
 
 
 def test_partitions_do_not_change_tables(lake_dir, tmp_path):

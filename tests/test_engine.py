@@ -1,9 +1,9 @@
 """Partitioned dataset and aggregation engine tests.
 
 The load-bearing idea: every aggregate the engine produces must match the
-brute-force oracle bit for bit, for any grouping, any metric mix, any
-partition count, and any worker count. Randomized sweeps here stay small;
-the acceptance suite runs the thousand-dataset version.
+brute-force oracle bit for bit, for any grouping, any metric mix, and
+any partition count. Randomized sweeps here stay small; the acceptance
+suite runs the thousand-dataset version.
 """
 
 import collections
@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_aggregate
-from reviewlake.engine import AggSpec, Metric, PartitionedDataset, from_records, group_aggregate, union
-from reviewlake.errors import ConfigurationError, QueryTypeError, SchemaError
+from reviewlake.engine import AggSpec, Metric, from_records, group_aggregate
+from reviewlake.errors import ConfigurationError, QueryTypeError
 
 Rec = collections.namedtuple("Rec", "k v w")
 
@@ -66,53 +66,6 @@ def test_map_preserves_layout():
     ds = from_records(list(range(7)), 2).map(lambda x: x * 10)
     assert ds.to_list() == [0, 10, 20, 30, 40, 50, 60]
     assert ds.partition_count == 2
-
-
-def test_filter_map_conserves_every_record():
-    from reviewlake.model import RejectRecord
-
-    ds = from_records(list(range(20)), 4)
-    kept, rejects = ds.filter_map(
-        lambda x: x if x % 3 == 0 else RejectRecord("steam", x, "bad_label")
-    )
-    # order after filtering is partition order, not insertion order
-    assert sorted(kept.to_list()) == [0, 3, 6, 9, 12, 15, 18]
-    assert len(kept) + len(rejects) == 20
-    assert sorted(r.row_number for r in rejects) == [x for x in range(20) if x % 3]
-
-
-def test_union_adopts_partitions():
-    a = from_records([{"k": 1}, {"k": 2}], 2)
-    b = from_records([{"k": 3}], 2)
-    u = union([a, b])
-    assert u.partition_count == 4
-    assert len(u) == 3
-    assert sorted(r["k"] for r in u.to_list()) == [1, 2, 3]
-
-
-def test_union_rejects_mixed_shapes():
-    a = from_records([{"k": 1}], 1)
-    b = from_records([Rec(1, 2, 3)], 1)
-    with pytest.raises(SchemaError):
-        union([a, b])
-
-
-def test_union_rejects_mismatched_dict_keys():
-    a = from_records([{"k": 1}], 1)
-    b = from_records([{"j": 1}], 1)
-    with pytest.raises(SchemaError):
-        union([a, b])
-
-
-def test_union_of_nothing_is_an_error():
-    with pytest.raises(ConfigurationError):
-        union([])
-
-
-def test_union_with_empty_dataset_is_fine():
-    a = from_records([{"k": 1}], 3)
-    b = from_records([], 3)
-    assert len(union([a, b])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -315,25 +268,15 @@ def test_partition_and_worker_invariance():
     for parts in (2, 3, 7, 16):
         t = group_aggregate(from_records(recs, parts), spec)
         assert_rows_identical(t.rows, baseline.rows)
-    t = group_aggregate(from_records(recs, 4), spec, workers=3)
-    assert_rows_identical(t.rows, baseline.rows)
 
 
-def test_workers_propagate_type_errors():
-    recs = [{"k": 0, "v": 1.0}] * 40 + [{"k": 0, "v": math.nan}]
-    ds = from_records(recs, 4)
-    with pytest.raises(QueryTypeError):
-        group_aggregate(ds, _spec([Metric("sum", "v")]), workers=2)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_error_of_lowest_failing_partition_for_any_worker_count(workers):
+def test_error_of_lowest_failing_partition():
     # five partitions, two failing: the serial fold stops at partition 2
     recs = [{"k": i % 3, "v": float(i)} for i in range(60)]
     recs[13] = {"k": 1, "v": "x"}  # partition 3, position 2
     recs[22] = {"k": 1, "v": math.nan}  # partition 2, position 4
     with pytest.raises(QueryTypeError) as ei:
-        group_aggregate(from_records(recs, 5), _spec([Metric("sum", "v")]), workers=workers)
+        group_aggregate(from_records(recs, 5), _spec([Metric("sum", "v")]))
     assert str(ei.value) == "metric field 'v' is non-finite (nan)"
     assert (ei.value.partition, ei.value.position) == (2, 4)
 

@@ -40,9 +40,9 @@ def test_different_seed_different_bytes(tmp_path):
 def test_truth_layout(tmp_path):
     truth = fixtures.generate(str(tmp_path), seed=3, rows_per_source=200)
     assert set(truth["per_source"]) == set(SOURCES)
-    on_disk = json.load(open(tmp_path / "ground_truth.json"))
+    on_disk = json.loads((tmp_path / "ground_truth.json").read_text(encoding="utf-8"))
     assert on_disk == truth
-    cfg = json.load(open(tmp_path / "config.json"))
+    cfg = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
     assert {s["source"] for s in cfg["sources"]} == set(SOURCES)
     for s in cfg["sources"]:
         assert (tmp_path / s["path"]).exists()

@@ -2,6 +2,7 @@
 
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -59,9 +60,9 @@ def test_json_empty_table():
 
 def test_emit_table_formats(tmp_path):
     p = report.emit_table(T, "csv", str(tmp_path / "t.csv"))
-    assert open(p, "rb").read().startswith(b"year,source,count\n2019,yelp,1\n")
+    assert Path(p).read_bytes().startswith(b"year,source,count\n2019,yelp,1\n")
     p = report.emit_table(T, "json", str(tmp_path / "t.json"))
-    assert json.loads(open(p, "rb").read())[0] == {"year": 2019, "source": "yelp", "count": 1}
+    assert json.loads(Path(p).read_bytes())[0] == {"year": 2019, "source": "yelp", "count": 1}
     with pytest.raises(ConfigurationError):
         report.emit_table(T, "tsv", str(tmp_path / "t.tsv"))
 
@@ -199,7 +200,7 @@ def test_chart_rejects_non_numeric_y():
 
 def test_emit_bar_chart_writes_utf8(tmp_path):
     p = report.emit_bar_chart(spec_for(T, title="café"), T, str(tmp_path / "c.svg"))
-    blob = open(p, "rb").read()
+    blob = Path(p).read_bytes()
     assert blob.decode("utf-8").startswith("<svg ")
     assert "café" in blob.decode("utf-8")
 

@@ -6,8 +6,7 @@ import os
 
 import pytest
 
-from reviewlake import store
-from reviewlake.engine import from_records
+from reviewlake import cli, store
 from reviewlake.errors import ConfigurationError, CorruptLakeError
 from reviewlake.model import RejectRecord, UnifiedReview
 
@@ -32,12 +31,24 @@ def sample_rejects():
     ]
 
 
+def build_lake(path, items, blanks=None, checksum=""):
+    """Stage each source's items and commit, as ingest does."""
+    by_source = {}
+    for item in items:
+        by_source.setdefault(item.source, []).append(item)
+    writer = store.LakeWriter(str(path))
+    try:
+        per_source = {src: writer.stage(src, its) for src, its in by_source.items()}
+        for src, n in (blanks or {}).items():
+            per_source[src].blank_lines = n
+        return writer.commit(per_source, store.lake_timestamp(), checksum)
+    except BaseException:
+        writer.abort()
+        raise
+
+
 def write_sample(path):
-    ds = from_records(sample_reviews(), 2)
-    return store.write_lake(
-        ds, sample_rejects(), str(path), stoplist_checksum="c" * 64,
-        blanks={"steam": 1},
-    )
+    return build_lake(path, sample_reviews() + sample_rejects(), {"steam": 1}, "c" * 64)
 
 
 def test_round_trip(tmp_path):
@@ -60,10 +71,10 @@ def test_lake_layout_and_line_format(tmp_path):
     write_sample(lake)
     names = sorted(os.listdir(lake))
     assert names == ["imdb.jsonl", "manifest.json", "rejects.jsonl", "steam.jsonl", "yelp.jsonl"]
-    first = open(lake / "steam.jsonl", encoding="utf-8").readline()
+    first = (lake / "steam.jsonl").read_text(encoding="utf-8").splitlines()[0]
     doc = json.loads(first)
     assert list(doc) == ["name", "creation_date", "sentiment", "upvotes", "review_text", "source"]
-    rej = open(lake / "rejects.jsonl", encoding="utf-8").readline()
+    rej = (lake / "rejects.jsonl").read_text(encoding="utf-8").splitlines()[0]
     assert list(json.loads(rej)) == ["source", "row_number", "reason", "detail"]
 
 
@@ -76,8 +87,7 @@ def test_timestamp_honors_source_date_epoch(tmp_path, monkeypatch):
 def test_overwrite_existing_lake(tmp_path):
     lake = tmp_path / "lake"
     write_sample(lake)
-    ds = from_records([R("steam", text="Only one")], 1)
-    store.write_lake(ds, [], str(lake))
+    build_lake(lake, [R("steam", text="Only one")])
     back = store.read_lake(str(lake))
     assert [r.review_text for r in back.to_list()] == ["Only one"]
     assert [p.name for p in tmp_path.iterdir()] == ["lake"]  # graveyard cleaned up
@@ -92,14 +102,22 @@ def test_refuses_to_replace_non_lake_directory(tmp_path):
     assert (target / "thesis.txt").read_text(encoding="utf-8") == "do not lose"
 
 
-def test_interrupted_write_leaves_no_lake(tmp_path):
+def test_interrupted_write_leaves_no_lake(tmp_path, capsys):
+    # steam stages cleanly, then yelp's unterminated quote aborts the ingest
+    (tmp_path / "steam.csv").write_text(
+        "app_name,timestamp_created,voted_up,votes_up,review\nGame,1600000000,true,3,great fun\n"
+    )
+    (tmp_path / "yelp.csv").write_text('business_name,date,sentiment,useful,text\nCafe,2020-01-02,5,1,"good\n')
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sources": [
+        {"source": "steam", "path": "steam.csv"}, {"source": "yelp", "path": "yelp.csv"},
+    ]}))
     lake = tmp_path / "lake"
-    ds = from_records([R("steam"), R("steam")], 1)
-    ds.partitions[0].append(None)  # poison record: .source access raises
-    with pytest.raises(AttributeError):
-        store.write_lake(ds, [], str(lake))
+    assert cli.run(["ingest", "--config", str(cfg), "--lake", str(lake)]) == 1
+    assert "unterminated quoted field" in capsys.readouterr().err
     assert not lake.exists()
-    assert list(tmp_path.iterdir()) == []  # no stray temp dirs either
+    # no stray temp dirs either
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "steam.csv", "yelp.csv"]
 
 
 def test_read_rejects_tampered_lines(tmp_path):
@@ -206,16 +224,6 @@ def test_manifest_errors(tmp_path):
 
 def test_empty_lake_round_trip(tmp_path):
     lake = tmp_path / "empty"
-    store.write_lake(from_records([], 2), [], str(lake))
+    build_lake(lake, [])
     ds = store.read_lake(str(lake), partitions=2)
     assert len(ds) == 0
-
-
-def test_merge_lakes(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    store.write_lake(from_records([R("steam")], 2), [], str(a))
-    store.write_lake(from_records([R("yelp", sent=0)], 2), [], str(b))
-    ds = store.merge_lakes([str(a), str(b)], partitions=2)
-    assert sorted(r.source for r in ds.to_list()) == ["steam", "yelp"]
-    empty = store.merge_lakes([], partitions=3)
-    assert len(empty) == 0 and empty.partition_count == 3
