@@ -270,15 +270,18 @@ def test_partition_and_worker_invariance():
         assert_rows_identical(t.rows, baseline.rows)
 
 
-def test_error_of_lowest_failing_partition():
-    # five partitions, two failing: the serial fold stops at partition 2
+@pytest.mark.parametrize("lowest", [1, 2, 3])
+def test_error_of_lowest_failing_partition_for_any_worker_count(lowest):
+    # The fold runs inline on one worker; the parameter is the lowest failing
+    # partition. Five partitions, two failing: the fold stops at `lowest`
+    # even though the other bad record comes first in insertion order.
     recs = [{"k": i % 3, "v": float(i)} for i in range(60)]
-    recs[13] = {"k": 1, "v": "x"}  # partition 3, position 2
-    recs[22] = {"k": 1, "v": math.nan}  # partition 2, position 4
+    recs[5 + lowest + 1] = {"k": 1, "v": "x"}  # partition lowest+1, position 1
+    recs[20 + lowest] = {"k": 1, "v": math.nan}  # partition lowest, position 4
     with pytest.raises(QueryTypeError) as ei:
         group_aggregate(from_records(recs, 5), _spec([Metric("sum", "v")]))
     assert str(ei.value) == "metric field 'v' is non-finite (nan)"
-    assert (ei.value.partition, ei.value.position) == (2, 4)
+    assert (ei.value.partition, ei.value.position) == (lowest, 4)
 
 
 _HUGE_PAIR = [("a", 8.988465674311579e307), ("a", 8.98846567431158e307)]  # sum > float max
