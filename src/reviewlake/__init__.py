@@ -2,8 +2,8 @@
 
 Ingests heterogeneous review exports (Amazon, Yelp, Steam, IMDb style),
 normalizes them into one six-field record, stages them in a local JSON-lines
-lake, and answers a fixed catalog of analytic queries over a partitioned,
-parallelizable dataset core.
+lake, and answers a fixed catalog of analytic queries over a partitioned
+dataset core whose results do not depend on the partition count.
 """
 
 from reviewlake.model import (

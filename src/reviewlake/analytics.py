@@ -11,20 +11,11 @@ length_upvotes, sentiment_profile.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from reviewlake import civil
 from reviewlake.engine import AggSpec, Metric, PartitionedDataset, group_aggregate
 from reviewlake.model import AggTable
-
-QUERY_IDS = (
-    "per_year",
-    "yoy",
-    "per_weekday",
-    "per_month",
-    "length_upvotes",
-    "sentiment_profile",
-)
 
 BUCKET_WIDTH = 50
 BUCKET_CAP = 2000
@@ -177,13 +168,20 @@ def _median(xs: list[float]) -> float:
     return (ordered[h - 1] + ordered[h]) / 2
 
 
+#: Query id -> view, in canonical order; the only catalog of views. The CLI
+#: looks views up here at call time.
+QUERIES: dict[str, Callable[[PartitionedDataset], AggTable]] = {
+    "per_year": reviews_per_year,
+    "yoy": yoy_percent_change,
+    "per_weekday": reviews_per_weekday,
+    "per_month": reviews_per_month,
+    "length_upvotes": length_upvote_profile,
+    "sentiment_profile": sentiment_profile,
+}
+
+QUERY_IDS = tuple(QUERIES)
+
+
 def run_all(ds: PartitionedDataset) -> dict[str, AggTable]:
     """All six views, keyed by query id, in canonical order."""
-    return {
-        "per_year": reviews_per_year(ds),
-        "yoy": yoy_percent_change(ds),
-        "per_weekday": reviews_per_weekday(ds),
-        "per_month": reviews_per_month(ds),
-        "length_upvotes": length_upvote_profile(ds),
-        "sentiment_profile": sentiment_profile(ds),
-    }
+    return {qid: view(ds) for qid, view in QUERIES.items()}

@@ -13,6 +13,7 @@ reject file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,15 +38,10 @@ class RunConfig:
     sources: list[SourceSpec] = field(default_factory=list)
     lake_dir: str = "lake"
     out_dir: str = "out"
-    partitions: int = 0  # 0 means "number of available cores"
+    partitions: int = 1
     threads: int = 1
     fmt: str = "csv"
     stoplist_path: str | None = None
-
-    def resolved_partitions(self) -> int:
-        if self.partitions > 0:
-            return self.partitions
-        return os.cpu_count() or 1
 
 
 _CONFIG_KEYS = {
@@ -67,12 +63,17 @@ def load_config_file(path: str) -> RunConfig:
         raise ConfigurationError(f"config {path}: unknown keys {sorted(unknown)}")
     base = os.path.dirname(os.path.abspath(path))
 
-    def rel(p: str) -> str:
+    def rel(p, name: str) -> str:
+        if p.__class__ is not str:
+            raise ConfigurationError(f"config {path}: {name} must be a path string, got {p!r}")
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     cfg = RunConfig()
     seen = set()
-    for i, entry in enumerate(doc.get("sources", [])):
+    sources = doc.get("sources", [])
+    if sources.__class__ is not list:
+        raise ConfigurationError(f"config {path}: sources must be a list, got {sources!r}")
+    for i, entry in enumerate(sources):
         if not isinstance(entry, dict) or "source" not in entry or "path" not in entry:
             raise ConfigurationError(f"config {path}: sources[{i}] needs source and path")
         src = entry["source"]
@@ -82,11 +83,12 @@ def load_config_file(path: str) -> RunConfig:
             raise ConfigurationError(f"config {path}: duplicate source {src!r}")
         seen.add(src)
         mp = entry.get("mapping")
-        cfg.sources.append(SourceSpec(src, rel(entry["path"]), rel(mp) if mp else None))
+        mapping = rel(mp, f"sources[{i}].mapping") if mp else None
+        cfg.sources.append(SourceSpec(src, rel(entry["path"], f"sources[{i}].path"), mapping))
     if "lake_dir" in doc:
-        cfg.lake_dir = rel(doc["lake_dir"])
+        cfg.lake_dir = rel(doc["lake_dir"], "lake_dir")
     if "out_dir" in doc:
-        cfg.out_dir = rel(doc["out_dir"])
+        cfg.out_dir = rel(doc["out_dir"], "out_dir")
     if "partitions" in doc:
         cfg.partitions = _positive_int(doc["partitions"], "partitions")
     if "threads" in doc:
@@ -94,7 +96,7 @@ def load_config_file(path: str) -> RunConfig:
     if "format" in doc:
         cfg.fmt = _check_format(doc["format"])
     if "stoplist" in doc:
-        cfg.stoplist_path = rel(doc["stoplist"])
+        cfg.stoplist_path = rel(doc["stoplist"], "stoplist")
     return cfg
 
 
@@ -129,21 +131,20 @@ def resolve_config(args) -> RunConfig:
 # ingest
 # ---------------------------------------------------------------------------
 
-_WORK: dict = {}  # worker state shared into forked children
 
-
-def _ingest_source(job: tuple[str, str, str | None]) -> tuple[str, store.SourceStats]:
+def _ingest_source(
+    writer: store.LakeWriter, stops: clean.Stoplist, job: tuple[str, str, str | None]
+) -> tuple[str, store.SourceStats]:
     """Parse, adapt, and clean one source file into the staging directory.
 
-    Runs in the parent or in a forked worker; the lake writer and the
-    stoplist come from the module global set just before the pool starts.
+    Runs in the parent or in a forked worker.
     """
     source, path, mapping_path = job
     mapping = ingest.load_mapping(mapping_path) if mapping_path else ingest.default_mapping(source)
     if mapping.source != source:
         raise MappingFileError(f"mapping {mapping_path} is for {mapping.source!r}, not {source!r}")
     counts: dict = {}
-    stats = _WORK["writer"].stage(source, ingest.iter_source(path, mapping, _WORK["stops"], counts))
+    stats = writer.stage(source, ingest.iter_source(path, mapping, stops, counts))
     stats.blank_lines = counts.get("blank_lines", 0)
     return source, stats
 
@@ -156,22 +157,19 @@ def cmd_ingest(cfg: RunConfig) -> int:
     jobs = [(s.source, s.path, s.mapping_path) for s in sorted(cfg.sources, key=lambda s: s.source)]
     writer = store.LakeWriter(cfg.lake_dir)
     try:
-        _WORK["writer"] = writer
-        _WORK["stops"] = stops
+        work = functools.partial(_ingest_source, writer, stops)
         results = None
         if cfg.threads > 1 and len(jobs) > 1:
             ctx = _fork_context()
             if ctx is not None:
                 with ctx.Pool(min(cfg.threads, len(jobs))) as pool:
-                    results = pool.map(_ingest_source, jobs)
+                    results = pool.map(work, jobs)
         if results is None:
-            results = [_ingest_source(j) for j in jobs]
+            results = [work(j) for j in jobs]
         manifest = writer.commit(dict(results), created_at, stops.checksum)
     except BaseException:
         writer.abort()
         raise
-    finally:
-        _WORK.clear()
     print(store.manifest_to_json(manifest), end="")
     return 0
 
@@ -189,46 +187,30 @@ def _fork_context():
 # query and report
 # ---------------------------------------------------------------------------
 
-_QUERY_FNS = {
-    "per_year": analytics.reviews_per_year,
-    "yoy": analytics.yoy_percent_change,
-    "per_weekday": analytics.reviews_per_weekday,
-    "per_month": analytics.reviews_per_month,
-    "length_upvotes": analytics.length_upvote_profile,
-    "sentiment_profile": analytics.sentiment_profile,
-}
+_QUERY_FNS = analytics.QUERIES
 
 
-def cmd_query(cfg: RunConfig, ids: list[str]) -> int:
+def cmd_query(cfg: RunConfig, ids: list[str], charts: bool = False) -> int:
+    """Write each view's table, and with ``charts`` its bar chart; no ids means all."""
     for qid in ids:
         if qid not in _QUERY_FNS:
             raise ConfigurationError(f"unknown query {qid!r}, expected one of {analytics.QUERY_IDS}")
-    if not ids:
-        ids = list(analytics.QUERY_IDS)
-    ds = store.read_lake(cfg.lake_dir, partitions=cfg.resolved_partitions())
+    ds = store.read_lake(cfg.lake_dir, partitions=cfg.partitions)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    for qid in ids:
+    specs = report.default_chart_specs()
+    for qid in ids or analytics.QUERY_IDS:
         table = _QUERY_FNS[qid](ds)
-        path = report.emit_table(table, cfg.fmt, os.path.join(cfg.out_dir, f"{qid}.{cfg.fmt}"))
-        print(f"{qid}: {len(table.rows)} rows -> {path}")
+        paths = [report.emit_table(table, cfg.fmt, os.path.join(cfg.out_dir, f"{qid}.{cfg.fmt}"))]
+        if charts:
+            chart_table = table
+            if qid == "yoy":
+                chart_table = report.filter_rows(table, "sentiment_split", "overall")
+                chart_table = report.filter_rows(chart_table, "year", "median", invert=True)
+            svg = os.path.join(cfg.out_dir, f"{qid}.svg")
+            paths.append(report.emit_bar_chart(specs[qid], chart_table, svg))
+        print(f"{qid}: {len(table.rows)} rows -> {', '.join(paths)}")
         for note in table.notes:
             print(f"  note: {note}")
-    return 0
-
-
-def cmd_report(cfg: RunConfig) -> int:
-    ds = store.read_lake(cfg.lake_dir, partitions=cfg.resolved_partitions())
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    tables = analytics.run_all(ds)
-    specs = report.default_chart_specs()
-    for qid, table in tables.items():
-        tpath = report.emit_table(table, cfg.fmt, os.path.join(cfg.out_dir, f"{qid}.{cfg.fmt}"))
-        chart_table = table
-        if qid == "yoy":
-            chart_table = report.filter_rows(table, "sentiment_split", "overall")
-            chart_table = report.filter_rows(chart_table, "year", "median", invert=True)
-        spath = report.emit_bar_chart(specs[qid], chart_table, os.path.join(cfg.out_dir, f"{qid}.svg"))
-        print(f"{qid}: {len(table.rows)} rows -> {tpath}, {spath}")
     return 0
 
 
@@ -279,7 +261,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "query":
             return cmd_query(cfg, args.ids)
         if args.command == "report":
-            return cmd_report(cfg)
+            return cmd_query(cfg, [], charts=True)
         return cmd_gen_fixtures(cfg, args.seed, args.profile, args.rows)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

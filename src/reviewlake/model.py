@@ -1,7 +1,8 @@
 """Shared domain records: raw rows, unified reviews, rejects, result tables.
 
-Records are NamedTuples: immutable, cheap to construct, and they pickle as
-plain tuples, which keeps cross-process transport fast.
+Records are NamedTuples: immutable and cheap to construct. They stay in the
+process that made them: ingest workers write their records to the lake
+themselves, and query and report fold the views in one process.
 """
 
 from __future__ import annotations

@@ -137,6 +137,7 @@ class LakeWriter:
 
     def __init__(self, target_dir: str):
         self.target = os.path.abspath(target_dir)
+        _check_target(self.target)  # refuse before a row is read, not only at commit
         self.parent = os.path.dirname(self.target)
         os.makedirs(self.parent, exist_ok=True)
         self.tmp = tempfile.mkdtemp(prefix=".lake-tmp-", dir=self.parent)
@@ -191,13 +192,7 @@ class LakeWriter:
             _fsync(os.path.join(tmp, name))
         _fsync(tmp)
         target = self.target
-        if os.path.exists(target):
-            if not os.path.isdir(target):
-                raise ConfigurationError(f"{target}: exists and is not a directory")
-            if os.listdir(target) and not os.path.exists(os.path.join(target, MANIFEST_NAME)):
-                raise ConfigurationError(
-                    f"{target}: refusing to replace a non-empty directory that is not a lake"
-                )
+        if _check_target(target):
             graveyard = target + f".old-{os.getpid()}"
             os.rename(target, graveyard)
             os.rename(tmp, target)
@@ -211,6 +206,20 @@ class LakeWriter:
     def abort(self) -> None:
         if not self._done:
             shutil.rmtree(self.tmp, ignore_errors=True)
+
+
+def _check_target(target: str) -> bool:
+    """Refuse a lake target that a commit must not replace; return whether it exists.
+
+    A file, or a non-empty directory without a manifest, is a ConfigurationError.
+    """
+    if not os.path.exists(target):
+        return False
+    if not os.path.isdir(target):
+        raise ConfigurationError(f"{target}: exists and is not a directory")
+    if os.listdir(target) and not os.path.exists(os.path.join(target, MANIFEST_NAME)):
+        raise ConfigurationError(f"{target}: refusing to replace a non-empty directory that is not a lake")
+    return True
 
 
 def _fsync(path: str) -> None:
@@ -251,7 +260,7 @@ def load_manifest(lake_dir: str) -> LakeManifest:
             record_files=tuple(doc["record_files"]),
             stoplist_checksum=str(doc["stoplist_checksum"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptLakeError(f"{path}: malformed manifest: {exc!r}") from None
 
 
@@ -316,8 +325,8 @@ def read_lake(lake_dir: str, partitions: int = 1) -> PartitionedDataset:
     records: list[UnifiedReview] = []
     dates: dict[str, _dt.date] = {}  # at most one entry per day of the window
     for fname in manifest.record_files:
-        source = fname[: -len(".jsonl")]
-        if not fname.endswith(".jsonl") or source not in SOURCES:
+        source = fname[: -len(".jsonl")] if fname.__class__ is str else None
+        if source not in SOURCES or not fname.endswith(".jsonl"):
             raise CorruptLakeError(f"{lake_dir}: unexpected record file {fname!r}")
         path = os.path.join(lake_dir, fname)
         expected = manifest.per_source.get(source, SourceStats()).accepted
@@ -366,8 +375,9 @@ def _check_rejects(lake_dir: str, manifest: LakeManifest) -> None:
                 doc = json.loads(line)
             except ValueError as exc:
                 raise CorruptLakeError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            if doc.get("reason") not in REJECT_REASONS:
-                raise CorruptLakeError(f"{path}:{lineno}: unknown reject reason {doc.get('reason')!r}")
+            reason = doc.get("reason") if doc.__class__ is dict else None
+            if reason.__class__ is not str or reason not in REJECT_REASONS:
+                raise CorruptLakeError(f"{path}:{lineno}: unknown reject reason {reason!r}")
             n += 1
     if n != expected:
         raise CorruptLakeError(f"{path}: manifest counts {expected} rejects, file has {n}")

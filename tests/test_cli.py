@@ -117,6 +117,12 @@ def test_seed_belongs_to_gen_fixtures_only(lake_dir, tmp_path):
         '{"sources": [{"source": "yelp", "path": "a.csv"}, {"source": "yelp", "path": "b.csv"}]}',
         '{"threads": 0}',
         '{"format": "tsv"}',
+        '{"sources": 5}',
+        '{"lake_dir": 5}',
+        '{"out_dir": 5}',
+        '{"stoplist": 5}',
+        '{"sources": [{"source": "yelp", "path": 5}]}',
+        '{"sources": [{"source": "yelp", "path": "a.csv", "mapping": 5}]}',
     ],
 )
 def test_bad_config_is_exit_2(tmp_path, capsys, doc):
@@ -201,6 +207,47 @@ def test_partitions_do_not_change_tables(lake_dir, tmp_path):
     assert cli.run(["query", "--lake", str(lake_dir), "--out", str(a), "--partitions", "2"]) == 0
     assert cli.run(["query", "--lake", str(lake_dir), "--out", str(b), "--partitions", "5", "--threads", "2"]) == 0
     assert sha_tree(a) == sha_tree(b)
+    # report writes the same tables as query, at any partition count
+    for command in ("query", "report"):
+        for parts in ("1", "3"):
+            out = tmp_path / f"{command}{parts}"
+            assert cli.run([command, "--lake", str(lake_dir), "--out", str(out), "--partitions", parts]) == 0
+            tables = {name: digest for name, digest in sha_tree(out).items() if name.endswith(".csv")}
+            assert tables == sha_tree(a), (command, parts)
+
+
+def test_query_and_report_look_views_up_at_call_time(lake_dir, tmp_path, monkeypatch):
+    # bench/tracing.py rebinds the catalog's entries to time each view
+    calls = []
+    view = cli._QUERY_FNS["per_year"]
+
+    def wrapped(ds):
+        calls.append(command)
+        return view(ds)
+
+    monkeypatch.setitem(cli._QUERY_FNS, "per_year", wrapped)
+    for command in ("query", "report"):
+        assert cli.run([command, "--lake", str(lake_dir), "--out", str(tmp_path / command)]) == 0
+    assert calls == ["query", "report"]
+
+
+def test_report_prints_table_notes(tmp_path, capsys):
+    src = tmp_path / "steam.csv"
+    src.write_text(
+        "app_name,timestamp_created,voted_up,votes_up,review\n"
+        "Game,1560000000,true,1,great fun game\n"
+        "Game,1560100000,true,2,lovely art style\n"
+        "Game,1590000000,true,3,great sequel\n"
+        "Game,1590100000,false,0,boring slow game\n"
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sources": [{"source": "steam", "path": str(src)}]}))
+    lake = str(tmp_path / "lake")
+    assert cli.run(["ingest", "--config", str(cfg), "--lake", lake]) == 0
+    capsys.readouterr()
+    assert cli.run(["report", "--lake", lake, "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "  note: steam 2020 negative: prior-year count 0, pct undefined\n" in out
 
 
 def test_mean_upvotes_outside_float_range_is_exit_1(tmp_path, capsys):
@@ -250,6 +297,20 @@ def test_bad_source_date_epoch_is_exit_2_before_any_lake(data_dir, tmp_path, mon
     err = capsys.readouterr().err
     assert err.startswith("error: SOURCE_DATE_EPOCH") and err.count("\n") == 1
     assert os.listdir(out) == []  # neither the lake nor a .lake-tmp-* staging directory
+
+
+def test_ingest_refuses_a_non_lake_target_before_reading_a_row(data_dir, tmp_path, monkeypatch, capsys):
+    def no_rows_read(*args):
+        raise AssertionError("a source was read before the lake target was checked")
+
+    monkeypatch.setattr(cli, "_ingest_source", no_rows_read)
+    target = tmp_path / "precious"
+    target.mkdir()
+    (target / "thesis.txt").write_text("do not lose", encoding="utf-8")
+    assert cli.run(["ingest", "--config", str(data_dir / "config.json"), "--lake", str(target)]) == 2
+    assert "not a lake" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["precious"]  # no .lake-tmp-* staging directory
+    assert [p.name for p in target.iterdir()] == ["thesis.txt"]
 
 
 def test_unknown_fixture_profile_is_exit_2(tmp_path, capsys):

@@ -222,6 +222,39 @@ def test_manifest_errors(tmp_path):
         store.load_manifest(str(lake))
 
 
+def _edit_manifest(edit):
+    def tamper(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+
+    return tamper
+
+
+def _replace_first_line(line):
+    return lambda text: line + "\n" + text.split("\n", 1)[1]
+
+
+@pytest.mark.parametrize(
+    "name, tamper",
+    [
+        ("manifest.json", _edit_manifest(lambda d: d["per_source"]["steam"].update(rejected_by_reason=[]))),
+        ("manifest.json", _edit_manifest(lambda d: d.update(record_files=[5]))),
+        ("rejects.jsonl", _replace_first_line("[1]")),
+        ("rejects.jsonl", _replace_first_line('{"reason": []}')),
+    ],
+    ids=["reasons_not_an_object", "record_file_not_a_name", "reject_not_an_object", "reject_reason_unhashable"],
+)
+def test_tampered_lake_is_exit_1_not_a_traceback(tmp_path, capsys, name, tamper):
+    lake = tmp_path / "lake"
+    write_sample(lake)
+    path = lake / name
+    path.write_text(tamper(path.read_text(encoding="utf-8")), encoding="utf-8")
+    assert cli.run(["query", "per_year", "--lake", str(lake), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_empty_lake_round_trip(tmp_path):
     lake = tmp_path / "empty"
     build_lake(lake, [])
