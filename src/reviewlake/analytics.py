@@ -1,9 +1,21 @@
 """The six analytic views over the unified review dataset.
 
-Each query is a pure function of the record multiset: grouping and metric
-arithmetic go through the engine, so results are independent of partition
-layout. Calendar fields come from the package's own civil calendar, not the
-platform's locale machinery.
+Every view is a roll-up of two small tables that :func:`rollup` builds
+through the engine, in the manner of a data cube's roll-up or a map-side
+combine before a shuffle:
+
+* calendar counts, keyed by (source, creation_date, sentiment), give
+  per_year, yoy, per_weekday and per_month;
+* a length profile, keyed by (source, sentiment, 50-character bucket) and
+  holding the count and the sums of text lengths and upvotes, gives
+  length_upvotes and sentiment_profile.
+
+Each table is one engine fold over the records, so a query of all six
+views folds over every record twice, not six times. Every count and sum is an
+int, so re-grouping them is exact, and a mean is one correctly rounded
+int/int division, the same value a fold over the records gives. Results
+are independent of partition layout. Calendar fields come from the
+package's own civil calendar, not the platform's locale machinery.
 
 Query ids, in canonical order: per_year, yoy, per_weekday, per_month,
 length_upvotes, sentiment_profile.
@@ -11,10 +23,12 @@ length_upvotes, sentiment_profile.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from reviewlake import civil
 from reviewlake.engine import AggSpec, Metric, PartitionedDataset, group_aggregate
+from reviewlake.errors import QueryTypeError
 from reviewlake.model import AggTable
 
 BUCKET_WIDTH = 50
@@ -24,90 +38,115 @@ BUCKET_CAP = 2000
 class ProfileRow(NamedTuple):
     source: str
     sentiment: int
+    bucket: int
     length: int
     upvotes: int
 
 
-# Key extractors are module-level named functions, so profiles and
-# tracebacks name the view they belong to.
+class Rollup(NamedTuple):
+    """The two tables every view is derived from."""
+
+    calendar: AggTable  # source, creation_date, sentiment, count
+    lengths: AggTable  # source, sentiment, bucket, count, sum_length, sum_upvotes
 
 
-def _key_year_source(r):
-    return (r.creation_date.year, r.source)
-
-
-def _key_weekday_source(r):
-    d = r.creation_date
-    return (civil.weekday_iso(d.year, d.month, d.day), r.source)
-
-
-def _key_month_source(r):
-    return (r.creation_date.month, r.source)
-
-
-def _key_bucket(r):
+def _to_profile_row(r) -> ProfileRow:
     length = len(r.review_text)
-    return BUCKET_CAP if length >= BUCKET_CAP else (length // BUCKET_WIDTH) * BUCKET_WIDTH
+    bucket = BUCKET_CAP if length >= BUCKET_CAP else (length // BUCKET_WIDTH) * BUCKET_WIDTH
+    return ProfileRow(r.source, r.sentiment, bucket, length, r.upvotes)
 
 
-def _key_source_sentiment(r):
-    return (r.source, r.sentiment)
+_CALENDAR = AggSpec(
+    "calendar",
+    ("source", "creation_date", "sentiment"),
+    attrgetter("source", "creation_date", "sentiment"),
+    (Metric("count"),),
+)
+_LENGTHS = AggSpec(
+    "lengths",
+    ("source", "sentiment", "bucket"),
+    attrgetter("source", "sentiment", "bucket"),
+    (Metric("count"), Metric("sum", "length"), Metric("sum", "upvotes")),
+)
 
 
-def _key_source_year_sentiment(r):
-    return (r.source, r.creation_date.year, r.sentiment)
+def rollup(ds: PartitionedDataset) -> Rollup:
+    """The calendar counts and the length profile of a dataset of UnifiedReviews."""
+    return Rollup(group_aggregate(ds, _CALENDAR), group_aggregate(ds.map(_to_profile_row), _LENGTHS))
 
 
-def _to_profile_row(r):
-    return ProfileRow(r.source, r.sentiment, len(r.review_text), r.upvotes)
+def _summed(pairs) -> list[tuple]:
+    """Sum the counts of (key tuple, count) pairs; rows sorted by key."""
+    totals: dict[tuple, int] = {}
+    for key, n in pairs:
+        totals[key] = totals.get(key, 0) + n
+    return [key + (n,) for key, n in sorted(totals.items())]
 
 
-def reviews_per_year(ds: PartitionedDataset) -> AggTable:
+def _mean(total: int, n: int, label: str, key) -> float:
+    try:
+        return total / n
+    except OverflowError:
+        raise QueryTypeError(f"{label} of group {key!r} is outside the float range") from None
+
+
+def reviews_per_year(cube: Rollup) -> AggTable:
     """Review counts grouped by (year, source)."""
-    spec = AggSpec("per_year", ("year", "source"), _key_year_source, (Metric("count"),))
-    return group_aggregate(ds, spec)
+    rows = _summed(((day.year, src), n) for src, day, _sent, n in cube.calendar.rows)
+    return AggTable("per_year", ("year", "source", "count"), rows)
 
 
-def reviews_per_weekday(ds: PartitionedDataset) -> AggTable:
+def reviews_per_weekday(cube: Rollup) -> AggTable:
     """Counts by ISO weekday (Monday=1) and source, with the day name."""
-    spec = AggSpec("per_weekday", ("weekday", "source"), _key_weekday_source, (Metric("count"),))
-    base = group_aggregate(ds, spec)
-    rows = [(wd, civil.WEEKDAY_NAMES[wd - 1], src, n) for wd, src, n in base.rows]
+    days = {day for _src, day, _sent, _n in cube.calendar.rows}
+    weekday = {day: civil.weekday_iso(day.year, day.month, day.day) for day in days}
+    base = _summed(((weekday[day], src), n) for src, day, _sent, n in cube.calendar.rows)
+    rows = [(wd, civil.WEEKDAY_NAMES[wd - 1], src, n) for wd, src, n in base]
     return AggTable("per_weekday", ("weekday", "weekday_name", "source", "count"), rows)
 
 
-def reviews_per_month(ds: PartitionedDataset) -> AggTable:
+def reviews_per_month(cube: Rollup) -> AggTable:
     """Counts by calendar month (1-12) and source."""
-    spec = AggSpec("per_month", ("month", "source"), _key_month_source, (Metric("count"),))
-    return group_aggregate(ds, spec)
+    rows = _summed(((day.month, src), n) for src, day, _sent, n in cube.calendar.rows)
+    return AggTable("per_month", ("month", "source", "count"), rows)
 
 
-def length_upvote_profile(ds: PartitionedDataset) -> AggTable:
+def length_upvote_profile(cube: Rollup) -> AggTable:
     """Review count and mean upvotes per 50-character length bucket.
 
     The bucket column holds the bin's inclusive lower bound; lengths of
     2000+ characters share the final open bucket.
     """
-    spec = AggSpec(
-        "length_upvotes", ("bucket",), _key_bucket, (Metric("count"), Metric("mean", "upvotes"))
-    )
-    base = group_aggregate(ds, spec)
-    return AggTable("length_upvotes", ("bucket", "review_count", "mean_upvotes"), base.rows)
+    sums: dict[int, list[int]] = {}
+    for _src, _sent, bucket, n, _length, upvotes in cube.lengths.rows:
+        acc = sums.setdefault(bucket, [0, 0])
+        acc[0] += n
+        acc[1] += upvotes
+    rows = [
+        (bucket, n, _mean(upvotes, n, "mean_upvotes", bucket))
+        for bucket, (n, upvotes) in sorted(sums.items())
+    ]
+    return AggTable("length_upvotes", ("bucket", "review_count", "mean_upvotes"), rows)
 
 
-def sentiment_profile(ds: PartitionedDataset) -> AggTable:
+def sentiment_profile(cube: Rollup) -> AggTable:
     """Mean cleaned-text length, mean upvotes, and count per (source, sentiment)."""
-    projected = ds.map(_to_profile_row)
-    spec = AggSpec(
-        "sentiment_profile",
-        ("source", "sentiment"),
-        _key_source_sentiment,
-        (Metric("mean", "length"), Metric("mean", "upvotes"), Metric("count")),
+    sums: dict[tuple[str, int], list[int]] = {}
+    for src, sent, _bucket, n, length, upvotes in cube.lengths.rows:
+        acc = sums.setdefault((src, sent), [0, 0, 0])
+        acc[0] += n
+        acc[1] += length
+        acc[2] += upvotes
+    rows = [
+        key + (_mean(length, n, "mean_length", key), _mean(upvotes, n, "mean_upvotes", key), n)
+        for key, (n, length, upvotes) in sorted(sums.items())
+    ]
+    return AggTable(
+        "sentiment_profile", ("source", "sentiment", "mean_length", "mean_upvotes", "count"), rows
     )
-    return group_aggregate(projected, spec)
 
 
-def yoy_percent_change(ds: PartitionedDataset) -> AggTable:
+def yoy_percent_change(cube: Rollup) -> AggTable:
     """Year-over-year percent change in review counts per source.
 
     For every pair of numerically consecutive years a source appears in,
@@ -119,14 +158,11 @@ def yoy_percent_change(ds: PartitionedDataset) -> AggTable:
     is a string so data years and the summary label share it; "median"
     sorts after all 4-digit years.
     """
-    spec = AggSpec(
-        "yoy_base", ("source", "year", "sentiment"), _key_source_year_sentiment, (Metric("count"),)
-    )
-    base = group_aggregate(ds, spec)
+    base = _summed(((src, day.year, sent), n) for src, day, sent, n in cube.calendar.rows)
     by_class: dict[tuple[str, int, int], int] = {}
     totals: dict[tuple[str, int], int] = {}
     years: dict[str, set[int]] = {}
-    for src, year, sent, n in base.rows:
+    for src, year, sent, n in base:
         by_class[(src, year, sent)] = n
         totals[(src, year)] = totals.get((src, year), 0) + n
         years.setdefault(src, set()).add(year)
@@ -170,7 +206,7 @@ def _median(xs: list[float]) -> float:
 
 #: Query id -> view, in canonical order; the only catalog of views. The CLI
 #: looks views up here at call time.
-QUERIES: dict[str, Callable[[PartitionedDataset], AggTable]] = {
+QUERIES: dict[str, Callable[[Rollup], AggTable]] = {
     "per_year": reviews_per_year,
     "yoy": yoy_percent_change,
     "per_weekday": reviews_per_weekday,
@@ -183,5 +219,6 @@ QUERY_IDS = tuple(QUERIES)
 
 
 def run_all(ds: PartitionedDataset) -> dict[str, AggTable]:
-    """All six views, keyed by query id, in canonical order."""
-    return {qid: view(ds) for qid, view in QUERIES.items()}
+    """All six views, keyed by query id, in canonical order, from one roll-up."""
+    cube = rollup(ds)
+    return {qid: view(cube) for qid, view in QUERIES.items()}

@@ -12,9 +12,9 @@ import datetime as _dt
 import hashlib
 import os
 import string
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from reviewlake import civil
 from reviewlake.errors import ConfigurationError
@@ -222,8 +222,7 @@ def parse_upvotes(raw: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stoplist:
+class Stoplist(NamedTuple):
     """Lowercase stopword set plus provenance for the lake manifest."""
 
     words: frozenset[str]

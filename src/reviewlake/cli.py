@@ -7,7 +7,11 @@ against the file's own directory, so a config can travel with its data.
 Exit codes: 0 on success, 1 on unreadable input or a corrupt mapping or
 lake, 2 on configuration errors (argparse uses 2 for bad flags already).
 Rejected rows are never fatal; they are tallied and land in the lake's
-reject file.
+reject file. A SIGTERM during ingest removes the staging directory, leaves
+any earlier lake as it was, and exits 1.
+
+Only ``ingest`` imports the parsing and cleaning modules, so ``query`` and
+``report`` start without compiling them.
 """
 
 from __future__ import annotations
@@ -17,25 +21,23 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from reviewlake import analytics, clean, ingest, report, store
+from reviewlake import analytics, engine, report, store
 from reviewlake.errors import ConfigurationError, MappingFileError, ReviewLakeError
 from reviewlake.model import SOURCES
 
 
-@dataclass
-class SourceSpec:
+class SourceSpec(NamedTuple):
     source: str
     path: str
     mapping_path: str | None = None
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved run settings; every command reads from this."""
 
-    sources: list[SourceSpec] = field(default_factory=list)
+    sources: tuple[SourceSpec, ...] = ()
     lake_dir: str = "lake"
     out_dir: str = "out"
     partitions: int = 1
@@ -68,7 +70,8 @@ def load_config_file(path: str) -> RunConfig:
             raise ConfigurationError(f"config {path}: {name} must be a path string, got {p!r}")
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    cfg = RunConfig()
+    fields: dict = {}
+    specs = []
     seen = set()
     sources = doc.get("sources", [])
     if sources.__class__ is not list:
@@ -84,20 +87,21 @@ def load_config_file(path: str) -> RunConfig:
         seen.add(src)
         mp = entry.get("mapping")
         mapping = rel(mp, f"sources[{i}].mapping") if mp else None
-        cfg.sources.append(SourceSpec(src, rel(entry["path"], f"sources[{i}].path"), mapping))
+        specs.append(SourceSpec(src, rel(entry["path"], f"sources[{i}].path"), mapping))
+    fields["sources"] = tuple(specs)
     if "lake_dir" in doc:
-        cfg.lake_dir = rel(doc["lake_dir"], "lake_dir")
+        fields["lake_dir"] = rel(doc["lake_dir"], "lake_dir")
     if "out_dir" in doc:
-        cfg.out_dir = rel(doc["out_dir"], "out_dir")
+        fields["out_dir"] = rel(doc["out_dir"], "out_dir")
     if "partitions" in doc:
-        cfg.partitions = _positive_int(doc["partitions"], "partitions")
+        fields["partitions"] = _positive_int(doc["partitions"], "partitions")
     if "threads" in doc:
-        cfg.threads = _positive_int(doc["threads"], "threads")
+        fields["threads"] = _positive_int(doc["threads"], "threads")
     if "format" in doc:
-        cfg.fmt = _check_format(doc["format"])
+        fields["fmt"] = _check_format(doc["format"])
     if "stoplist" in doc:
-        cfg.stoplist_path = rel(doc["stoplist"], "stoplist")
-    return cfg
+        fields["stoplist_path"] = rel(doc["stoplist"], "stoplist")
+    return RunConfig(**fields)
 
 
 def _positive_int(v, name: str) -> int:
@@ -114,17 +118,18 @@ def _check_format(v) -> str:
 
 def resolve_config(args) -> RunConfig:
     cfg = load_config_file(args.config) if args.config else RunConfig()
+    flags: dict = {}
     if args.lake:
-        cfg.lake_dir = args.lake
+        flags["lake_dir"] = args.lake
     if args.out:
-        cfg.out_dir = args.out
+        flags["out_dir"] = args.out
     if args.format:
-        cfg.fmt = _check_format(args.format)
+        flags["fmt"] = _check_format(args.format)
     if args.partitions is not None:
-        cfg.partitions = _positive_int(args.partitions, "partitions")
+        flags["partitions"] = _positive_int(args.partitions, "partitions")
     if args.threads is not None:
-        cfg.threads = _positive_int(args.threads, "threads")
-    return cfg
+        flags["threads"] = _positive_int(args.threads, "threads")
+    return cfg._replace(**flags)
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +138,14 @@ def resolve_config(args) -> RunConfig:
 
 
 def _ingest_source(
-    writer: store.LakeWriter, stops: clean.Stoplist, job: tuple[str, str, str | None]
+    writer: store.LakeWriter, stops, job: tuple[str, str, str | None]
 ) -> tuple[str, store.SourceStats]:
     """Parse, adapt, and clean one source file into the staging directory.
 
     Runs in the parent or in a forked worker.
     """
+    from reviewlake import ingest  # already loaded by cmd_ingest
+
     source, path, mapping_path = job
     mapping = ingest.load_mapping(mapping_path) if mapping_path else ingest.default_mapping(source)
     if mapping.source != source:
@@ -149,27 +156,43 @@ def _ingest_source(
     return source, stats
 
 
+def _raise_on_sigterm(signum, frame):
+    raise ReviewLakeError("ingest interrupted by SIGTERM")
+
+
 def cmd_ingest(cfg: RunConfig) -> int:
+    import signal
+
+    # loaded here, before any fork, so pool workers inherit them compiled;
+    # _ingest_source imports ingest again from sys.modules
+    from reviewlake import clean, ingest  # noqa: F401
+
     if not cfg.sources:
         raise ConfigurationError("no sources configured; provide a config file with a sources list")
     created_at = store.lake_timestamp()
     stops = clean.resolve_stoplist(cfg.stoplist_path)
     jobs = [(s.source, s.path, s.mapping_path) for s in sorted(cfg.sources, key=lambda s: s.source)]
-    writer = store.LakeWriter(cfg.lake_dir)
+    previous = signal.signal(signal.SIGTERM, _raise_on_sigterm)
     try:
-        work = functools.partial(_ingest_source, writer, stops)
-        results = None
-        if cfg.threads > 1 and len(jobs) > 1:
-            ctx = _fork_context()
-            if ctx is not None:
-                with ctx.Pool(min(cfg.threads, len(jobs))) as pool:
-                    results = pool.map(work, jobs)
-        if results is None:
-            results = [work(j) for j in jobs]
-        manifest = writer.commit(dict(results), created_at, stops.checksum)
-    except BaseException:
-        writer.abort()
-        raise
+        writer = store.LakeWriter(cfg.lake_dir)
+        try:
+            work = functools.partial(_ingest_source, writer, stops)
+            results = None
+            if cfg.threads > 1 and len(jobs) > 1:
+                ctx = _fork_context()
+                if ctx is not None:
+                    # workers die on Pool.terminate's SIGTERM instead of raising
+                    reset = functools.partial(signal.signal, signal.SIGTERM, signal.SIG_DFL)
+                    with ctx.Pool(min(cfg.threads, len(jobs)), initializer=reset) as pool:
+                        results = pool.map(work, jobs)
+            if results is None:
+                results = [work(j) for j in jobs]
+            manifest = writer.commit(dict(results), created_at, stops.checksum)
+        except BaseException:
+            writer.abort()
+            raise
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(store.manifest_to_json(manifest), end="")
     return 0
 
@@ -191,15 +214,21 @@ _QUERY_FNS = analytics.QUERIES
 
 
 def cmd_query(cfg: RunConfig, ids: list[str], charts: bool = False) -> int:
-    """Write each view's table, and with ``charts`` its bar chart; no ids means all."""
+    """Write each view's table, and with ``charts`` its bar chart; no ids means all.
+
+    Every table is computed before the first file is written, so a view
+    that fails leaves ``out/`` as it was.
+    """
     for qid in ids:
         if qid not in _QUERY_FNS:
             raise ConfigurationError(f"unknown query {qid!r}, expected one of {analytics.QUERY_IDS}")
-    ds = store.read_lake(cfg.lake_dir, partitions=cfg.partitions)
+    # records and group states are acyclic: the collector would only rescan them
+    with engine.gc_paused():
+        cube = analytics.rollup(store.read_lake(cfg.lake_dir, partitions=cfg.partitions))
+    tables = {qid: _QUERY_FNS[qid](cube) for qid in ids or analytics.QUERY_IDS}
     os.makedirs(cfg.out_dir, exist_ok=True)
     specs = report.default_chart_specs()
-    for qid in ids or analytics.QUERY_IDS:
-        table = _QUERY_FNS[qid](ds)
+    for qid, table in tables.items():
         paths = [report.emit_table(table, cfg.fmt, os.path.join(cfg.out_dir, f"{qid}.{cfg.fmt}"))]
         if charts:
             chart_table = table

@@ -18,9 +18,9 @@ and the next delimiter are kept as-is.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from reviewlake import clean
 from reviewlake.clean import DATE_FORMAT_IDS, SENTIMENT_SCHEMES
@@ -330,12 +330,11 @@ UNIFIED_FIELDS = ("name", "date", "sentiment", "upvotes", "text")
 _REQUIRED = ("name", "date", "sentiment", "text")
 
 
-@dataclass(frozen=True)
-class SourceMapping:
+class SourceMapping(NamedTuple):
     """How one source's columns project onto the unified draft schema."""
 
     source: str
-    column_map: dict[str, str] = field(hash=False)
+    column_map: dict[str, str]
     sentiment_scheme: str
     date_formats: tuple[str, ...]
     delimiter: str = ","

@@ -2,13 +2,14 @@
 
 Records are NamedTuples: immutable and cheap to construct. They stay in the
 process that made them: ingest workers write their records to the lake
-themselves, and query and report fold the views in one process.
+themselves, and query and report fold the views in one process. No class
+here is a dataclass: importing ``dataclasses`` pulls in ``inspect`` and its
+tokenizer, a fixed cost that every command would pay at start-up.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 #: Supported review sources, in canonical order.
@@ -89,7 +90,6 @@ DATE_WINDOW_LO = _dt.date(1970, 1, 1)
 DATE_WINDOW_HI = _dt.date(2029, 12, 31)
 
 
-@dataclass
 class AggTable:
     """Result of a group-by query: a header plus ordered, sorted rows.
 
@@ -99,14 +99,26 @@ class AggTable:
     cells) and is never serialized into the table itself.
     """
 
-    name: str
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    notes: tuple[str, ...] = field(default=())
+    __slots__ = ("name", "columns", "rows", "notes")
 
-    def __post_init__(self) -> None:
-        bad = [r for r in self.rows if len(r) != len(self.columns)]
+    def __init__(
+        self, name: str, columns: tuple[str, ...], rows: list[tuple], notes: tuple[str, ...] = ()
+    ):
+        bad = [r for r in rows if len(r) != len(columns)]
         if bad:
-            raise ValueError(
-                f"table {self.name!r}: row arity {len(bad[0])} != {len(self.columns)} columns"
-            )
+            raise ValueError(f"table {name!r}: row arity {len(bad[0])} != {len(columns)} columns")
+        self.name = name
+        self.columns = columns
+        self.rows = rows
+        self.notes = notes
+
+    def _fields(self) -> tuple:
+        return (self.name, self.columns, self.rows, self.notes)
+
+    def __eq__(self, other):
+        if other.__class__ is not AggTable:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "AggTable(name={!r}, columns={!r}, rows={!r}, notes={!r})".format(*self._fields())

@@ -12,8 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 from reviewlake.errors import ConfigurationError
 from reviewlake.model import AggTable
@@ -90,8 +90,7 @@ def filter_rows(table: AggTable, column: str, value, invert: bool = False) -> Ag
     return AggTable(table.name, table.columns, rows, table.notes)
 
 
-@dataclass(frozen=True)
-class ChartSpec:
+class ChartSpec(NamedTuple):
     """What to draw: one bar group per x value, one bar per series value."""
 
     table: str

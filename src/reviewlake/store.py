@@ -18,7 +18,7 @@ import os
 import re
 import shutil
 import tempfile
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from reviewlake import engine
 from reviewlake.engine import PartitionedDataset
@@ -44,19 +44,31 @@ _TEXT_CHARS = re.compile(r"[A-Za-z ]+")
 _RECORD_KEYS = ["name", "creation_date", "sentiment", "upvotes", "review_text", "source"]
 
 
-@dataclass
 class SourceStats:
-    accepted: int = 0
-    blank_lines: int = 0
-    rejected_by_reason: dict[str, int] | None = None
+    """One source's tallies; ingest sets ``blank_lines`` after staging."""
 
-    def __post_init__(self):
-        if self.rejected_by_reason is None:
-            self.rejected_by_reason = {}
+    __slots__ = ("accepted", "blank_lines", "rejected_by_reason")
+
+    def __init__(self, accepted: int, blank_lines: int, rejected_by_reason: dict[str, int]):
+        self.accepted = accepted
+        self.blank_lines = blank_lines
+        self.rejected_by_reason = rejected_by_reason
+
+    def _fields(self) -> tuple:
+        return (self.accepted, self.blank_lines, self.rejected_by_reason)
+
+    def __eq__(self, other):
+        if other.__class__ is not SourceStats:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "SourceStats(accepted={!r}, blank_lines={!r}, rejected_by_reason={!r})".format(
+            *self._fields()
+        )
 
 
-@dataclass
-class LakeManifest:
+class LakeManifest(NamedTuple):
     created_at: str
     per_source: dict[str, SourceStats]
     record_files: tuple[str, ...]
@@ -250,9 +262,9 @@ def load_manifest(lake_dir: str) -> LakeManifest:
             if bad:
                 raise CorruptLakeError(f"{path}: unknown reject reasons {sorted(bad)}")
             per_source[src] = SourceStats(
-                accepted=int(st["accepted"]),
-                blank_lines=int(st.get("blank_lines", 0)),
-                rejected_by_reason={k: int(v) for k, v in rejected.items()},
+                accepted=_count(st["accepted"], f"{src} accepted", path),
+                blank_lines=_count(st.get("blank_lines", 0), f"{src} blank_lines", path),
+                rejected_by_reason={k: _count(v, f"{src} {k}", path) for k, v in rejected.items()},
             )
         return LakeManifest(
             created_at=str(doc["created_at"]),
@@ -262,6 +274,13 @@ def load_manifest(lake_dir: str) -> LakeManifest:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptLakeError(f"{path}: malformed manifest: {exc!r}") from None
+
+
+def _count(v, what: str, path: str) -> int:
+    """A manifest tally: a JSON integer, not a bool, float or string, and never negative."""
+    if v.__class__ is not int or v < 0:
+        raise CorruptLakeError(f"{path}: {what} must be a non-negative integer, got {v!r}")
+    return v
 
 
 def _lake_date(raw) -> _dt.date | None:
@@ -329,7 +348,8 @@ def read_lake(lake_dir: str, partitions: int = 1) -> PartitionedDataset:
         if source not in SOURCES or not fname.endswith(".jsonl"):
             raise CorruptLakeError(f"{lake_dir}: unexpected record file {fname!r}")
         path = os.path.join(lake_dir, fname)
-        expected = manifest.per_source.get(source, SourceStats()).accepted
+        stats = manifest.per_source.get(source)
+        expected = stats.accepted if stats is not None else 0
         n = 0
         try:
             fh = open(path, "rb")

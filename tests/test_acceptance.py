@@ -290,7 +290,7 @@ def test_criterion_9_yoy_arithmetic():
                 recs.append(UnifiedReview(
                     "N", datetime.date(year, 1 + i % 12, 1 + i % 28), i % 2, 0, "Tt", "steam",
                 ))
-        table = analytics.yoy_percent_change(from_records(recs, 7))
+        table = analytics.yoy_percent_change(analytics.rollup(from_records(recs, 7)))
         by = {(r[1], r[3]): r[2] for r in table.rows}
         for year, want in (("2019", 50.0), ("2020", -20.0), ("2021", 50.0), ("median", 50.0)):
             assert abs(by[(year, "overall")] - want) <= 1e-9, year

@@ -14,7 +14,7 @@ def R(y, m, d, sent, up, text, src, name="N"):
 
 
 def ds_of(*recs, parts=3):
-    return from_records(list(recs), parts)
+    return analytics.rollup(from_records(list(recs), parts))
 
 
 def test_query_ids_catalog():
@@ -119,7 +119,7 @@ def test_yoy_reference_series():
         (2020, 1): 72, (2020, 0): 48,
         (2021, 1): 108, (2021, 0): 72,
     })
-    t = analytics.yoy_percent_change(from_records(recs, 5))
+    t = analytics.yoy_percent_change(analytics.rollup(from_records(recs, 5)))
     assert t.columns == ("source", "year", "pct_change", "sentiment_split")
     by = {(r[1], r[3]): r[2] for r in t.rows if r[0] == "steam"}
     assert abs(by[("2019", "overall")] - 50.0) < 1e-9
@@ -132,7 +132,7 @@ def test_yoy_reference_series():
 
 def test_yoy_skips_gap_years():
     recs = years("imdb", {(2018, 1): 5, (2021, 1): 10, (2022, 1): 20})
-    t = analytics.yoy_percent_change(from_records(recs, 2))
+    t = analytics.yoy_percent_change(analytics.rollup(from_records(recs, 2)))
     pairs = {(r[1], r[3]) for r in t.rows}
     assert ("2021", "overall") not in pairs  # 2020 absent, no defined change
     assert ("2022", "overall") in pairs
@@ -140,7 +140,7 @@ def test_yoy_skips_gap_years():
 
 def test_yoy_zero_prior_sentiment_is_noted_not_invented():
     recs = years("yelp", {(2019, 1): 5, (2020, 1): 8, (2020, 0): 3})
-    t = analytics.yoy_percent_change(from_records(recs, 2))
+    t = analytics.yoy_percent_change(analytics.rollup(from_records(recs, 2)))
     cells = {(r[1], r[3]) for r in t.rows}
     assert ("2020", "negative") not in cells
     assert any("negative" in n and "2020" in n for n in t.notes)
@@ -150,7 +150,7 @@ def test_yoy_zero_prior_sentiment_is_noted_not_invented():
 
 def test_yoy_zero_current_is_minus_hundred():
     recs = years("yelp", {(2019, 0): 4, (2019, 1): 4, (2020, 1): 8})
-    t = analytics.yoy_percent_change(from_records(recs, 1))
+    t = analytics.yoy_percent_change(analytics.rollup(from_records(recs, 1)))
     by = {(r[1], r[3]): r[2] for r in t.rows}
     assert abs(by[("2020", "negative")] - -100.0) < 1e-9
 
@@ -158,7 +158,7 @@ def test_yoy_zero_current_is_minus_hundred():
 def test_yoy_median_even_series():
     # overall changes +100, +50: median 75
     recs = years("steam", {(2018, 1): 10, (2019, 1): 20, (2020, 1): 30})
-    t = analytics.yoy_percent_change(from_records(recs, 3))
+    t = analytics.yoy_percent_change(analytics.rollup(from_records(recs, 3)))
     by = {(r[1], r[3]): r[2] for r in t.rows}
     assert abs(by[("median", "overall")] - 75.0) < 1e-9
 

@@ -4,12 +4,14 @@ gen-fixtures -> ingest -> query -> report chain on a small corpus."""
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 
 import pytest
 
 from reviewlake import clean, cli
+from reviewlake.engine import PartitionedDataset
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
@@ -341,3 +343,99 @@ def test_startup_skips_heavy_imports(lake_dir, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("ok\n")
+
+
+_IMPORTS_AFTER_STARTUP = """
+import sys
+before = set(sys.modules)
+from reviewlake import cli
+for command in ("query", "report"):
+    assert cli.run([command, "--lake", sys.argv[1], "--out", sys.argv[2]]) == 0, command
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_query_and_report_load_no_ingest_code(lake_dir, tmp_path):
+    # a fresh interpreter; the set difference leaves out what the site preloads
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_AFTER_STARTUP, str(lake_dir), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "reviewlake.analytics" in loaded
+    unwanted = {"reviewlake.clean", "reviewlake.ingest", "reviewlake.fixtures", "hashlib", "dataclasses"}
+    assert loaded & unwanted == set()
+
+
+def test_all_six_views_cost_two_folds_and_one_map(lake_dir, tmp_path, monkeypatch):
+    calls = {"group_aggregate": 0, "map": 0}
+    group_aggregate = cli.analytics.group_aggregate
+    ds_map = PartitionedDataset.map
+
+    def counting_aggregate(ds, spec):
+        calls["group_aggregate"] += 1
+        return group_aggregate(ds, spec)
+
+    def counting_map(ds, f):
+        calls["map"] += 1
+        return ds_map(ds, f)
+
+    monkeypatch.setattr(cli.analytics, "group_aggregate", counting_aggregate)
+    monkeypatch.setattr(PartitionedDataset, "map", counting_map)
+    assert cli.run(["query", "--lake", str(lake_dir), "--out", str(tmp_path)]) == 0
+    assert len(os.listdir(tmp_path)) == 6
+    assert calls == {"group_aggregate": 2, "map": 1}
+
+
+def test_overflow_through_the_rollup_names_the_group_and_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "steam.csv"
+    src.write_text(
+        "app_name,timestamp_created,voted_up,votes_up,review\n"
+        f"Game,1600000000,true,{'9' * 400},great fun game\n"
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sources": [{"source": "steam", "path": str(src)}]}))
+    lake = str(tmp_path / "lake")
+    assert cli.run(["ingest", "--config", str(cfg), "--lake", lake]) == 0
+    capsys.readouterr()
+    assert cli.run(["query", "sentiment_profile", "--lake", lake, "--out", str(tmp_path / "q")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "mean_upvotes of group ('steam', 1) is outside the float range" in err
+    # per_year, yoy, per_weekday and per_month succeed; no table is written
+    # before length_upvotes fails
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.run(["report", "--lake", lake, "--out", str(out)]) == 1
+    assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: mean_upvotes of group 0 is outside the float range")
+
+
+def test_sigterm_during_ingest_removes_staging_and_keeps_the_lake(data_dir, tmp_path, monkeypatch, capsys):
+    cfg = str(data_dir / "config.json")
+    lake = tmp_path / "lake"
+    assert cli.run(["ingest", "--config", cfg, "--lake", str(lake)]) == 0
+    before = sha_tree(lake)
+
+    def terminated(*args):
+        os.kill(os.getpid(), signal.SIGTERM)
+        raise AssertionError("SIGTERM did not interrupt the ingest")
+
+    def outer_handler(signum, frame):  # stands in for the default, which would end pytest
+        pass
+
+    monkeypatch.setattr(cli, "_ingest_source", terminated)
+    previous = signal.signal(signal.SIGTERM, outer_handler)
+    try:
+        capsys.readouterr()
+        assert cli.run(["ingest", "--config", cfg, "--lake", str(lake)]) == 1
+        assert signal.getsignal(signal.SIGTERM) is outer_handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    err = capsys.readouterr().err
+    assert err == "error: ingest interrupted by SIGTERM\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["lake"]  # no .lake-tmp-* staging directory
+    assert sha_tree(lake) == before

@@ -242,8 +242,21 @@ def _replace_first_line(line):
         ("manifest.json", _edit_manifest(lambda d: d.update(record_files=[5]))),
         ("rejects.jsonl", _replace_first_line("[1]")),
         ("rejects.jsonl", _replace_first_line('{"reason": []}')),
+        # each of these loaded through int(): the edited counts still add up
+        ("manifest.json", _edit_manifest(lambda d: d["per_source"]["steam"].update(accepted=2.7))),
+        ("manifest.json", _edit_manifest(lambda d: d["per_source"]["steam"].update(accepted="2"))),
+        ("manifest.json", _edit_manifest(lambda d: d["per_source"]["steam"].update(blank_lines=True))),
+        (
+            "manifest.json",
+            _edit_manifest(
+                lambda d: d["per_source"]["steam"].update(rejected_by_reason={"bad_date": 2, "bad_label": -1})
+            ),
+        ),
     ],
-    ids=["reasons_not_an_object", "record_file_not_a_name", "reject_not_an_object", "reject_reason_unhashable"],
+    ids=[
+        "reasons_not_an_object", "record_file_not_a_name", "reject_not_an_object", "reject_reason_unhashable",
+        "accepted_float", "accepted_string", "blank_lines_bool", "reject_count_negative",
+    ],
 )
 def test_tampered_lake_is_exit_1_not_a_traceback(tmp_path, capsys, name, tamper):
     lake = tmp_path / "lake"
