@@ -18,17 +18,31 @@ Review text is assembled from a stopword-free vocabulary so that its
 cleaned length equals a planted target exactly, then dressed with noise
 that the cleaner provably removes: punctuation runs, digits, non-ASCII
 separators, and injected stopwords in scrambled casing.
+
+Integer draws call ``rng.getrandbits`` directly. ``randrange``,
+``randint`` and ``choices`` spend most of their time in ``random.py``'s
+argument handling, and at 1.35 million ``randrange`` calls per 20k rows
+(575k of them through ``randint``) they were most of the generator's
+cost. Each spelled-out draw is CPython's own algorithm, call for call:
+``randrange(n)`` takes ``k = n.bit_length()`` and repeats
+``getrandbits(k)`` while the result is ``>= n``; ``randint(a, b)`` is
+``a + randrange(b - a + 1)``; a one-item ``choices`` over cumulative
+weights is ``bisect_right(cum, random() * total, 0, hi)``. So they consume
+the same random state, and every seed keeps the bytes it had before. The
+tests pin per-file digests and compare ``_build_text`` with the
+``random`` calls it replaced, so a Python whose ``randrange`` draws
+differently fails there by name.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
-import io
 import itertools
 import json
 import os
 import random
+from bisect import bisect_right
 
 from reviewlake import civil
 from reviewlake.clean import default_stoplist
@@ -143,6 +157,15 @@ def _day_population(source: str, profile: str):
     return days, list(itertools.accumulate(weights))
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """rng.randrange(n) as CPython draws it (see the module docstring)."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _length_pool(rng: random.Random, n: int, q: float) -> list[int]:
     """n planted cleaned lengths with non-increasing bucket counts.
 
@@ -161,18 +184,21 @@ def _length_pool(rng: random.Random, n: int, q: float) -> list[int]:
     for b, c in enumerate(counts):
         lo = 3 if b == 0 else 50 * b
         for _ in range(c):
-            pool.append(rng.randrange(lo, 50 * b + 50))
+            pool.append(lo + _below(rng, 50 * b + 50 - lo))
     rng.shuffle(pool)
     return pool
 
 
-def _mangle(rng: random.Random, word: str) -> str:
-    r = rng.random()
-    if r < 0.15:
-        return word.upper()
-    if r < 0.4:
-        return word.capitalize()
-    return word
+#: Keyed by c, a word's length plus its separator: len(words) and its bit
+#: length, which rng.randrange(len(words)) draws with, and each word in its
+#: three casings: as is, upper, capitalized.
+_WORD_DRAWS = {
+    length + 1: (len(ws), len(ws).bit_length(), tuple((w, w.upper(), w.capitalize()) for w in ws))
+    for length, ws in _VOCAB.items()
+}
+_GAP_STOPS = tuple(" " + w.upper() + " " for w in _STOP_INSERTS)
+_N_STOP, _K_STOP = len(_GAP_STOPS), len(_GAP_STOPS).bit_length()
+_N_SEP, _K_SEP = len(_SEPARATORS), len(_SEPARATORS).bit_length()
 
 
 def _build_text(rng: random.Random, target: int) -> str:
@@ -180,34 +206,58 @@ def _build_text(rng: random.Random, target: int) -> str:
 
     Kept words come from the stopword-free vocabulary; gaps carry either a
     plain space or noise that cleans away without shifting the length.
+    Each ``while r >= n`` loop is rng.randrange(n) as CPython draws it (see
+    the module docstring).
     """
+    getrandbits = rng.getrandbits
+    rand = rng.random
     parts = []
+    append = parts.append
     t = target + 1  # each word accounts for its length plus one separator
     first = True
     while t > 0:
+        # c = t if t <= 10 else rng.randint(3, min(10, t - 3))
         if t <= 10:
             c = t
+        elif t > 12:
+            r = getrandbits(4)
+            while r >= 8:
+                r = getrandbits(4)
+            c = 3 + r
         else:
-            c = rng.randint(3, min(10, t - 3))
+            n = t - 5
+            r = getrandbits(3)
+            while r >= n:
+                r = getrandbits(3)
+            c = 3 + r
         t -= c
-        words = _VOCAB[c - 1]
-        w = _mangle(rng, words[rng.randrange(len(words))])
+        n, k, casings = _WORD_DRAWS[c]
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        u = rand()
+        w = casings[r][1 if u < 0.15 else 2 if u < 0.4 else 0]
         if first:
             first = False
         else:
-            r = rng.random()
-            if r < 0.10:
-                w = _STOP_INSERTS[rng.randrange(len(_STOP_INSERTS))].upper() + " " + w
-                parts.append(" ")
-            elif r < 0.22:
-                parts.append(_SEPARATORS[rng.randrange(len(_SEPARATORS))])
+            u = rand()
+            if u < 0.10:
+                r = getrandbits(_K_STOP)
+                while r >= _N_STOP:
+                    r = getrandbits(_K_STOP)
+                append(_GAP_STOPS[r])
+            elif u < 0.22:
+                r = getrandbits(_K_SEP)
+                while r >= _N_SEP:
+                    r = getrandbits(_K_SEP)
+                append(_SEPARATORS[r])
             else:
-                parts.append(" ")
-        parts.append(w)
+                append(" ")
+        append(w)
     text = "".join(parts)
-    if rng.random() < 0.06:
+    if rand() < 0.06:
         text += "!!!"
-    if rng.random() < 0.05:
+    if rand() < 0.05:
         text = '"' + text + '"'
     return text
 
@@ -219,11 +269,11 @@ def _format_date(source: str, d: datetime.date, fallback: bool, rng: random.Rand
     if source == "yelp":
         if fallback:
             return f"{y:04d}-{m:02d}-{dd:02d}"
-        return f"{y:04d}-{m:02d}-{dd:02d} {rng.randrange(24):02d}:{rng.randrange(60):02d}:{rng.randrange(60):02d}"
+        return f"{y:04d}-{m:02d}-{dd:02d} {_below(rng, 24):02d}:{_below(rng, 60):02d}:{_below(rng, 60):02d}"
     if source == "steam":
-        secs = civil.days_from_civil(y, m, dd) * 86400 + rng.randrange(86400)
+        secs = civil.days_from_civil(y, m, dd) * 86400 + _below(rng, 86400)
         if fallback:
-            return f"{y:04d}-{m:02d}-{dd:02d} {rng.randrange(24):02d}:{rng.randrange(60):02d}:{rng.randrange(60):02d}"
+            return f"{y:04d}-{m:02d}-{dd:02d} {_below(rng, 24):02d}:{_below(rng, 60):02d}:{_below(rng, 60):02d}"
         return str(secs)
     if fallback:
         return f"{y:04d}-{m:02d}-{dd:02d}"
@@ -232,31 +282,26 @@ def _format_date(source: str, d: datetime.date, fallback: bool, rng: random.Rand
 
 def _sentiment_label(source: str, cls: int, rng: random.Random) -> str:
     if source == "amazon":
-        return ("1", "2")[rng.randrange(2)] if cls == 0 else ("4", "5")[rng.randrange(2)]
+        return ("1", "2")[_below(rng, 2)] if cls == 0 else ("4", "5")[_below(rng, 2)]
     if source == "steam":
         neg = ("negative", "false", "0")
         pos = ("positive", "true", "1")
-        return neg[rng.randrange(3)] if cls == 0 else pos[rng.randrange(3)]
+        return neg[_below(rng, 3)] if cls == 0 else pos[_below(rng, 3)]
     if cls == 0:
-        return ("negative", "very negative")[rng.randrange(2)]
-    return ("positive", "very positive")[rng.randrange(2)]
+        return ("negative", "very negative")[_below(rng, 2)]
+    return ("positive", "very positive")[_below(rng, 2)]
 
 
 _NEUTRAL_LABEL = {"amazon": "3", "yelp": "neutral", "imdb": "neutral"}
 
 
-def _csv_row(values, eol: str) -> bytes:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator=eol).writerow(values)
-    return buf.getvalue().encode("utf-8")
+#: "\udcff" is a lone surrogate: a source file's surrogateescape encoding
+#: writes it as the byte 0xff, which is not valid UTF-8.
+_BROKEN_BYTE = "\udcff"
 
 
-def _bad_encoding_line(source: str, date: str, label: str, eol: bytes) -> bytes:
-    fields = [b"Mystery Item", date.encode("ascii"), label.encode("ascii"), b"2", b"br\xffoken text"]
-    return b",".join(fields) + eol
-
-
-def _generate_source(source: str, rng: random.Random, n: int, profile: str) -> tuple[bytes, dict]:
+def _generate_source(source: str, rng: random.Random, n: int, profile: str, out) -> dict:
+    """Write one source's rows to the text file out; returns its ground truth."""
     is_jsonl = source == "imdb"
     reasons = _JSONL_REASONS if is_jsonl else _CSV_REASONS
     has_neutral = source in _NEUTRAL_LABEL
@@ -279,14 +324,16 @@ def _generate_source(source: str, rng: random.Random, n: int, profile: str) -> t
     pools = [_length_pool(rng, n_by_class[0], decay[0]), _length_pool(rng, n_by_class[1], decay[1])]
 
     days, cum = _day_population(source, profile)
+    total, hi = cum[-1] + 0.0, len(days) - 1
+    rand = rng.random
     names = _NAMES[source]
     header = _HEADERS[source]
     eol = _EOL.get(source, "\n")
-    eolb = eol.encode("ascii")
 
-    chunks: list[bytes] = []
+    write = out.write
+    writerow = csv.writer(out, lineterminator=eol).writerow
     if not is_jsonl:
-        chunks.append(_csv_row(header, eol))
+        writerow(header)
 
     tallies: dict[str, int] = {}
     by_sent = [0, 0]
@@ -295,9 +342,9 @@ def _generate_source(source: str, rng: random.Random, n: int, profile: str) -> t
     norm_seen = 0
 
     for i, entry in enumerate(plan, start=1):
-        day = rng.choices(days, cum_weights=cum, k=1)[0]
+        day = days[bisect_right(cum, rand() * total, 0, hi)]  # rng.choices(days, cum_weights=cum)[0]
         date_s = _format_date(source, day, i % 7 == 3, rng)
-        name = names[rng.randrange(len(names))]
+        name = names[_below(rng, len(names))]
         kind = entry[0]
 
         if kind == "bad":
@@ -319,54 +366,54 @@ def _generate_source(source: str, rng: random.Random, n: int, profile: str) -> t
             ordered = [vals["name"], vals["date"], vals["label"], vals["up"], vals["text"]]
             if is_jsonl:
                 if reason == "bad_json":
-                    chunks.append(b'{"movie": "Broken Record", "review_date": ' + eolb)
+                    write('{"movie": "Broken Record", "review_date": ' + eol)
                 elif reason == "unsupported_shape":
                     obj = dict(zip(header, ordered))
                     obj["helpful"] = {"up": 2}
-                    chunks.append(json.dumps(obj, ensure_ascii=False).encode("utf-8") + eolb)
+                    write(json.dumps(obj, ensure_ascii=False) + eol)
                 elif reason == "missing_column":
                     obj = dict(zip(header, ordered))
                     del obj["helpful"]
-                    chunks.append(json.dumps(obj, ensure_ascii=False).encode("utf-8") + eolb)
+                    write(json.dumps(obj, ensure_ascii=False) + eol)
                 elif reason == "bad_encoding":
-                    chunks.append(b'{"movie": "M\xff"}' + eolb)
+                    write('{"movie": "M' + _BROKEN_BYTE + '"}' + eol)
                 else:
-                    chunks.append(json.dumps(dict(zip(header, ordered)), ensure_ascii=False).encode("utf-8") + eolb)
+                    write(json.dumps(dict(zip(header, ordered)), ensure_ascii=False) + eol)
             elif reason == "ragged_row":
-                chunks.append(_csv_row(ordered[:-1], eol))
+                writerow(ordered[:-1])
             elif reason == "bad_encoding":
-                chunks.append(_bad_encoding_line(source, date_s, label, eolb))
+                write(f"Mystery Item,{date_s},{label},2,br{_BROKEN_BYTE}oken text{eol}")
             else:
-                chunks.append(_csv_row(ordered, eol))
+                writerow(ordered)
             tallies[reason] = tallies.get(reason, 0) + 1
         elif kind == "neutral":
             row = [name, date_s, _NEUTRAL_LABEL[source], "1", "fine middling stuff overall"]
             if is_jsonl:
-                chunks.append(json.dumps(dict(zip(header, row)), ensure_ascii=False).encode("utf-8") + eolb)
+                write(json.dumps(dict(zip(header, row)), ensure_ascii=False) + eol)
             else:
-                chunks.append(_csv_row(row, eol))
+                writerow(row)
             tallies["neutral_dropped"] = tallies.get("neutral_dropped", 0) + 1
         else:
             cls = entry[1]
             norm_seen += 1
             length = pools[cls].pop()
             text = _build_text(rng, length)
-            up = length // 10 + (15 if cls == 0 else 0) + rng.randint(0, 1)
+            up = length // 10 + (15 if cls == 0 else 0) + _below(rng, 2)
             label = _sentiment_label(source, cls, rng)
             if not is_jsonl and norm_seen % 97 == 0:
                 name = name + "\nsecond line"
             row = [name, date_s, label, str(up), text]
             if is_jsonl:
                 obj = dict(zip(header, row))
-                if rng.random() < 0.5:
+                if rand() < 0.5:
                     obj["helpful"] = up  # exercise the numeric JSON path
-                chunks.append(json.dumps(obj, ensure_ascii=False).encode("utf-8") + eolb)
+                write(json.dumps(obj, ensure_ascii=False) + eol)
             else:
-                chunks.append(_csv_row(row, eol))
+                writerow(row)
             accepted += 1
             by_sent[cls] += 1
         if i % 211 == 0:
-            chunks.append(eolb)
+            write(eol)
             blanks += 1
 
     truth = {
@@ -378,7 +425,7 @@ def _generate_source(source: str, rng: random.Random, n: int, profile: str) -> t
         "accepted_by_sentiment": {"negative": by_sent[0], "positive": by_sent[1]},
         "rejected_by_reason": dict(sorted(tallies.items())),
     }
-    return b"".join(chunks), truth
+    return truth
 
 
 def generate(out_dir: str, seed: int = 1, profile: str = "paper_shaped", rows_per_source: int = 1000) -> dict:
@@ -396,10 +443,9 @@ def generate(out_dir: str, seed: int = 1, profile: str = "paper_shaped", rows_pe
     per_source = {}
     for source in ("amazon", "imdb", "steam", "yelp"):
         rng = random.Random(f"{seed}:{source}")
-        blob, truth = _generate_source(source, rng, rows_per_source, profile)
-        with open(os.path.join(out_dir, _FILES[source]), "wb") as fh:
-            fh.write(blob)
-        per_source[source] = truth
+        path = os.path.join(out_dir, _FILES[source])
+        with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            per_source[source] = _generate_source(source, rng, rows_per_source, profile, fh)
 
     truth = {
         "seed": seed,

@@ -32,6 +32,8 @@ _CHUNK = 1 << 18
 _MAX_JSON_LINE = 1 << 24
 _QUOTE = 0x22
 _CR = 0x0D
+# one decoder for every line: json.loads with parse hooks builds a new one per call
+_decode_json = json.JSONDecoder(parse_int=str, parse_float=str, parse_constant=str).decode
 
 
 def _check_source(source: str) -> None:
@@ -290,7 +292,9 @@ def parse_jsonl(stream, *, source: str, stats: dict | None = None):
             yield RejectRecord(source, row, "bad_encoding", str(exc)[:120])
             continue
         try:
-            obj = json.loads(text, parse_int=str, parse_float=str, parse_constant=str)
+            if text.startswith("\ufeff"):  # as json.loads does before it decodes
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+            obj = _decode_json(text)
         except ValueError as exc:
             yield RejectRecord(source, row, "bad_json", str(exc)[:120])
             continue

@@ -205,19 +205,30 @@ class LakeWriter:
         _fsync(tmp)
         target = self.target
         if _check_target(target):
-            graveyard = target + f".old-{os.getpid()}"
-            os.rename(target, graveyard)
-            os.rename(tmp, target)
-            shutil.rmtree(graveyard)
-        else:
-            os.rename(tmp, target)
+            os.rename(target, target + f".old-{os.getpid()}")
+        os.rename(tmp, target)
         self._done = True
         _fsync(self.parent)
+        _remove_old_lakes(target)
         return manifest
 
     def abort(self) -> None:
         if not self._done:
             shutil.rmtree(self.tmp, ignore_errors=True)
+
+
+def _remove_old_lakes(target: str) -> None:
+    """Remove every ``<lake>.old-<pid>`` sibling of a committed lake.
+
+    That is this commit's old lake, and any that a commit which crashed
+    between its two renames left behind.
+    """
+    parent, base = os.path.split(target)
+    prefix = base + ".old-"
+    for name in os.listdir(parent):
+        pid = name[len(prefix):]
+        if name.startswith(prefix) and pid.isascii() and pid.isdecimal():
+            shutil.rmtree(os.path.join(parent, name))
 
 
 def _check_target(target: str) -> bool:
@@ -343,10 +354,12 @@ def read_lake(lake_dir: str, partitions: int = 1) -> PartitionedDataset:
     manifest = load_manifest(lake_dir)
     records: list[UnifiedReview] = []
     dates: dict[str, _dt.date] = {}  # at most one entry per day of the window
-    for fname in manifest.record_files:
+    for i, fname in enumerate(manifest.record_files):
         source = fname[: -len(".jsonl")] if fname.__class__ is str else None
         if source not in SOURCES or not fname.endswith(".jsonl"):
             raise CorruptLakeError(f"{lake_dir}: unexpected record file {fname!r}")
+        if fname in manifest.record_files[:i]:
+            raise CorruptLakeError(f"{lake_dir}: record file {fname!r} listed twice")
         path = os.path.join(lake_dir, fname)
         stats = manifest.per_source.get(source)
         expected = stats.accepted if stats is not None else 0

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 
 import pytest
@@ -131,3 +132,83 @@ def test_uniform_profile_generates(tmp_path):
     truth = fixtures.generate(str(tmp_path), seed=2, profile="uniform", rows_per_source=300)
     for src in SOURCES:
         assert truth["per_source"][src]["accepted"] > 200
+
+
+# Digests of generate()'s files, recorded before the draws were spelled out
+# with getrandbits. The benchmark's corpora and every ground truth depend on
+# these bytes, so a change to the generator's output must show up here.
+PINNED_DIGESTS = {
+    (1, "paper_shaped", 500): {
+        "amazon.csv": "31ffb02edcec03fdd68429f3a208668bc7ca571e195c21d9533752b295499822",
+        "config.json": "5c636f770eacba2f17467de5f2f5df34036833681b45e0ae7cfb16de6260dd91",
+        "ground_truth.json": "ead4378386cc66ea25b2060ed85c731111800873123815f5b2ac4bf8a551f25c",
+        "imdb.jsonl": "64a894cf135036aaec03d49f738b12861592ac919373862512c4b24b22584ba4",
+        "steam.csv": "978d3ca472a5c5267c7c21cf388d248743e7f82f65d679a03c4b79c08839f31b",
+        "yelp.csv": "05c127f48477747077770d4170679d49d57814974317054c90738de5e01f69c0",
+    },
+    (2, "uniform", 300): {
+        "amazon.csv": "469a1a0f32d0eca2ff54cd2e2e97a85e549d324cd29610b47d28402e97041240",
+        "config.json": "5c636f770eacba2f17467de5f2f5df34036833681b45e0ae7cfb16de6260dd91",
+        "ground_truth.json": "b4228c93ad3ca29f9517bc41c4f1038b8ef360bba53b235aca5a48f696e7dda2",
+        "imdb.jsonl": "023e50cb90e28c833804f94400a622a7075d0c448d835754684314170e24df54",
+        "steam.csv": "688588b24714bd857d07dff5021cff62fb333d4635fe827bff3ab93e79b5f250",
+        "yelp.csv": "12ef02445baa3baa7eb9dad195696611950cf57c8407676e2000b8c53d3f3bad",
+    },
+}
+
+
+@pytest.mark.parametrize("seed, profile, rows", sorted(PINNED_DIGESTS))
+def test_seed_keeps_its_bytes(tmp_path, seed, profile, rows):
+    fixtures.generate(str(tmp_path), seed=seed, profile=profile, rows_per_source=rows)
+    assert file_hashes(tmp_path) == PINNED_DIGESTS[seed, profile, rows]
+
+
+def _reference_mangle(rng, word):
+    r = rng.random()
+    if r < 0.15:
+        return word.upper()
+    if r < 0.4:
+        return word.capitalize()
+    return word
+
+
+def _reference_build_text(rng, target):
+    """_build_text as written with randint/randrange, before the draws were inlined."""
+    parts = []
+    t = target + 1
+    first = True
+    while t > 0:
+        if t <= 10:
+            c = t
+        else:
+            c = rng.randint(3, min(10, t - 3))
+        t -= c
+        words = fixtures._VOCAB[c - 1]
+        w = _reference_mangle(rng, words[rng.randrange(len(words))])
+        if first:
+            first = False
+        else:
+            r = rng.random()
+            if r < 0.10:
+                w = fixtures._STOP_INSERTS[rng.randrange(len(fixtures._STOP_INSERTS))].upper() + " " + w
+                parts.append(" ")
+            elif r < 0.22:
+                parts.append(fixtures._SEPARATORS[rng.randrange(len(fixtures._SEPARATORS))])
+            else:
+                parts.append(" ")
+        parts.append(w)
+    text = "".join(parts)
+    if rng.random() < 0.06:
+        text += "!!!"
+    if rng.random() < 0.05:
+        text = '"' + text + '"'
+    return text
+
+
+@pytest.mark.parametrize("seed", ["1:amazon", "2:imdb", 97])
+def test_build_text_draws_as_random_does(seed):
+    # one stream per side, so every target starts from a different state
+    ref, new = random.Random(seed), random.Random(seed)
+    for target in range(3, 50 * fixtures._N_BUCKETS):
+        assert fixtures._build_text(new, target) == _reference_build_text(ref, target), target
+        assert new.getstate() == ref.getstate(), target

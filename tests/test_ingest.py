@@ -162,6 +162,15 @@ def test_jsonl_rejects():
     assert out[5] == RawRecord("imdb", 6, {"ok": "yes"})
 
 
+def test_jsonl_bom_line_keeps_the_json_loads_detail():
+    out = jl(b'\xef\xbb\xbf{"a": "1"}\n{"a": "2"}\n')
+    with pytest.raises(json.JSONDecodeError) as ei:
+        json.loads('\ufeff{"a": "1"}')
+    assert out[0] == RejectRecord("imdb", 1, "bad_json", str(ei.value)[:120])
+    assert out[0].detail.startswith("Unexpected UTF-8 BOM (decode using utf-8-sig)")
+    assert out[1] == RawRecord("imdb", 2, {"a": "2"})
+
+
 def test_jsonl_blank_lines():
     stats = {}
     out = jl(b'{"a": "1"}\n\n  \n{"a": "2"}\n', stats=stats)

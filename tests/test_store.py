@@ -120,6 +120,25 @@ def test_interrupted_write_leaves_no_lake(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "steam.csv", "yelp.csv"]
 
 
+def test_ingest_removes_old_lakes_a_crashed_commit_left(tmp_path):
+    (tmp_path / "steam.csv").write_text(
+        "app_name,timestamp_created,voted_up,votes_up,review\nGame,1600000000,true,3,great fun\n"
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sources": [{"source": "steam", "path": "steam.csv"}]}))
+    lake = tmp_path / "lake"
+    ingest = ["ingest", "--config", str(cfg), "--lake", str(lake)]
+    (tmp_path / "lake.old-backup").mkdir()  # not <digits>, so not a commit's
+    # a crash between the two renames leaves the old lake and no lake
+    write_sample(tmp_path / "lake.old-4242")
+    assert cli.run(ingest) == 0
+    # a crash after them leaves the old lake beside the new one
+    write_sample(tmp_path / "lake.old-77")
+    assert cli.run(ingest) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "lake", "lake.old-backup", "steam.csv"]
+    assert [r.review_text for r in store.read_lake(str(lake)).to_list()] == ["great fun"]
+
+
 def test_read_rejects_tampered_lines(tmp_path):
     lake = tmp_path / "lake"
     write_sample(lake)
@@ -240,6 +259,8 @@ def _replace_first_line(line):
     [
         ("manifest.json", _edit_manifest(lambda d: d["per_source"]["steam"].update(rejected_by_reason=[]))),
         ("manifest.json", _edit_manifest(lambda d: d.update(record_files=[5]))),
+        # steam.jsonl holds the 2 records its count claims, so each read checks out
+        ("manifest.json", _edit_manifest(lambda d: d["record_files"].append("steam.jsonl"))),
         ("rejects.jsonl", _replace_first_line("[1]")),
         ("rejects.jsonl", _replace_first_line('{"reason": []}')),
         # each of these loaded through int(): the edited counts still add up
@@ -254,7 +275,8 @@ def _replace_first_line(line):
         ),
     ],
     ids=[
-        "reasons_not_an_object", "record_file_not_a_name", "reject_not_an_object", "reject_reason_unhashable",
+        "reasons_not_an_object", "record_file_not_a_name", "record_file_listed_twice",
+        "reject_not_an_object", "reject_reason_unhashable",
         "accepted_float", "accepted_string", "blank_lines_bool", "reject_count_negative",
     ],
 )
