@@ -10,15 +10,24 @@ from __future__ import annotations
 
 import datetime as _dt
 import hashlib
+import itertools
+import math
 import os
 import string
-from functools import lru_cache
+import sys
+from functools import cached_property, lru_cache
 from importlib import resources
-from typing import NamedTuple
 
 from reviewlake import civil
 from reviewlake.errors import ConfigurationError
-from reviewlake.model import DATE_WINDOW_HI, DATE_WINDOW_LO, RejectRecord, UnifiedDraft, UnifiedReview
+from reviewlake.model import (
+    DATE_WINDOW_HI,
+    DATE_WINDOW_LO,
+    RejectRecord,
+    UnifiedDraft,
+    UnifiedReview,
+    new_record,
+)
 
 #: Recognized date format identifiers, in the notation mappings use.
 DATE_FORMAT_IDS = ("iso", "iso_datetime", "us_slash", "long_month", "epoch_seconds")
@@ -67,11 +76,15 @@ def remove_stopwords(s: str, stops: "Stoplist") -> str:
     """Drop tokens whose lowercase form is a stopword; keep original casing.
 
     Expects ``s`` already alphabetic-with-single-spaces (pipeline order).
+    A token is tested against the stoplist's spellings as it stands; only
+    the words left out of them cost a ``lower()`` per token.
     """
     if not s:
         return ""
-    words = stops.words
-    kept = [t for t in s.split(" ") if t.lower() not in words]
+    spellings, unexpanded = stops.expansion
+    kept = [t for t in s.split(" ") if t not in spellings]
+    if unexpanded:
+        kept = [t for t in kept if t.lower() not in unexpanded]
     return " ".join(kept)
 
 
@@ -176,6 +189,12 @@ _WINDOW_LO = (DATE_WINDOW_LO.year, DATE_WINDOW_LO.month, DATE_WINDOW_LO.day)
 _WINDOW_HI = (DATE_WINDOW_HI.year, DATE_WINDOW_HI.month, DATE_WINDOW_HI.day)
 
 
+# unbounded but small: a mapping's formats are distinct ids out of five
+@lru_cache(maxsize=None)
+def _matchers(formats: tuple[str, ...]) -> tuple:
+    return tuple(_FORMAT_MATCHERS[fmt] for fmt in formats)
+
+
 def normalize_date(raw: str, formats: tuple[str, ...]) -> _dt.date:
     """Parse with the first lexically matching format, then validate.
 
@@ -184,37 +203,46 @@ def normalize_date(raw: str, formats: tuple[str, ...]) -> _dt.date:
     formats. Valid dates outside 1970-01-01..2029-12-31 are
     ``date_out_of_range``.
     """
-    for fmt in formats:
-        ymd = _FORMAT_MATCHERS[fmt](raw)
+    for match in _matchers(formats):
+        ymd = match(raw)
         if ymd is None:
             continue
-        y, m, d = ymd
-        if not civil.is_valid_date(y, m, d):
-            raise CleanRejection("bad_date", raw)
-        if not (_WINDOW_LO <= ymd <= _WINDOW_HI):
+        if _WINDOW_LO <= ymd <= _WINDOW_HI:
+            try:
+                return _dt.date(*ymd)
+            except ValueError:  # inside the window, date() accepts exactly the real days
+                raise CleanRejection("bad_date", raw) from None
+        if civil.is_valid_date(*ymd):
             raise CleanRejection("date_out_of_range", raw)
-        return _dt.date(y, m, d)
+        raise CleanRejection("bad_date", raw)
     raise CleanRejection("bad_date", raw)
 
 
-# The lowest digit limit an interpreter can set for int/str conversion
-# (sys.int_info.str_digits_check_threshold). A count within it parses here,
-# and is written to and read back from the lake, whatever PYTHONINTMAXSTRDIGITS says.
-UPVOTE_MAX_DIGITS = 640
+#: The largest upvote count accepted: a mean of counts never exceeds the
+#: largest of them, so no view's mean can leave the float range. Its 309
+#: digits are under the lowest digit limit an interpreter can set for
+#: int/str conversion (640), so an accepted count parses, and is written to
+#: and read back from the lake, whatever PYTHONINTMAXSTRDIGITS says.
+UPVOTE_MAX = int(sys.float_info.max)
+_UPVOTE_MAX_DIGITS = len(str(UPVOTE_MAX))
 
 
 def parse_upvotes(raw: str) -> int:
     """Decimal upvote count; an empty string means zero engagement.
 
-    Strictly ASCII digits, at most UPVOTE_MAX_DIGITS of them: int() alone
-    would wave through signs, surrounding whitespace, underscores, and
-    non-ASCII digits.
+    Strictly ASCII digits naming at most UPVOTE_MAX: int() alone would wave
+    through signs, surrounding whitespace, underscores, and non-ASCII
+    digits. The length check runs before int(), so a long count costs no
+    conversion.
     """
     if raw == "":
         return 0
-    if not (raw.isascii() and raw.isdecimal()) or len(raw) > UPVOTE_MAX_DIGITS:
+    if not (raw.isascii() and raw.isdecimal()) or len(raw) > _UPVOTE_MAX_DIGITS:
         raise CleanRejection("bad_upvotes", raw)
-    return int(raw, 10)
+    n = int(raw, 10)
+    if n > UPVOTE_MAX:
+        raise CleanRejection("bad_upvotes", raw)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +250,49 @@ def parse_upvotes(raw: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-class Stoplist(NamedTuple):
-    """Lowercase stopword set plus provenance for the lake manifest."""
+# the most spellings a Stoplist expands its words into, over all its words
+_SPELLING_BUDGET = 1 << 16
+# U+212A KELVIN SIGN is the one character outside A-Z whose lower() is an
+# ASCII letter; every other character that lowers to one is that letter's
+# upper case. (U+0130 lowers to two characters, one of them not ASCII.)
+_CASES = {c: (c, c.upper()) for c in string.ascii_lowercase}
+_CASES["k"] = ("k", "K", "\u212a")
 
-    words: frozenset[str]
-    source_path: str
-    checksum: str
+
+def _spellings(word: str):
+    """Every string whose lower() is ``word``, a lowercase ASCII word."""
+    return map("".join, itertools.product(*[_CASES[c] for c in word]))
+
+
+class Stoplist:
+    """Lowercase stopword set plus provenance for the lake manifest.
+
+    ``expansion`` is (spellings, unexpanded), built on first use, so code
+    that only reads ``words`` never pays for it. ``spellings`` holds every
+    string whose lower() is an expanded word, so a token needs no lower()
+    to be tested. A word of n letters has at least 2**n spellings, so the
+    words are expanded cheapest first while the total stays within
+    _SPELLING_BUDGET; the rest are ``unexpanded`` and tested through lower().
+    The bundled list expands whole, into 5,624 spellings.
+    """
+
+    def __init__(self, words: frozenset[str], source_path: str, checksum: str):
+        self.words = words
+        self.source_path = source_path
+        self.checksum = checksum
+
+    @cached_property
+    def expansion(self) -> tuple[frozenset[str], frozenset[str]]:
+        spellings: set[str] = set()
+        unexpanded = set()
+        budget = _SPELLING_BUDGET
+        for cost, word in sorted((math.prod(len(_CASES[c]) for c in w), w) for w in self.words):
+            if cost <= budget:
+                spellings.update(_spellings(word))
+                budget -= cost
+            else:
+                unexpanded.add(word)
+        return frozenset(spellings), frozenset(unexpanded)
 
 
 def load_stoplist(path: str) -> Stoplist:
@@ -277,17 +342,18 @@ def clean_review(draft: UnifiedDraft, stops: Stoplist, mapping) -> UnifiedReview
     upvotes, then the text pipeline (alphabetic strip, stopword removal,
     empty check). The first failure wins and names its reason.
     """
-    name = trim_outer(draft.name_raw)
-    text = trim_outer(draft.text_raw)
+    name_raw, date_raw, sentiment_raw, upvotes_raw, text_raw, source, row_number = draft
+    name = trim_outer(name_raw)
+    text = trim_outer(text_raw)
     try:
         if not name or not text:
             raise CleanRejection("null_field", "name" if not name else "text")
-        date = normalize_date(trim_outer(draft.date_raw), mapping.date_formats)
-        sentiment = map_sentiment(trim_outer(draft.sentiment_raw), mapping.sentiment_scheme)
-        upvotes = parse_upvotes(trim_outer(draft.upvotes_raw))
+        date = normalize_date(trim_outer(date_raw), mapping.date_formats)
+        sentiment = map_sentiment(trim_outer(sentiment_raw), mapping.sentiment_scheme)
+        upvotes = parse_upvotes(trim_outer(upvotes_raw))
         cleaned = remove_stopwords(strip_non_alpha(text), stops)
         if not cleaned:
             raise CleanRejection("empty_after_clean", text[:40])
     except CleanRejection as rej:
-        return RejectRecord(draft.source, draft.row_number, rej.reason, rej.detail)
-    return UnifiedReview(name, date, sentiment, upvotes, cleaned, draft.source)
+        return RejectRecord(source, row_number, rej.reason, rej.detail)
+    return new_record(UnifiedReview, (name, date, sentiment, upvotes, cleaned, source))

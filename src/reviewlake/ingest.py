@@ -25,7 +25,7 @@ from typing import NamedTuple
 from reviewlake import clean
 from reviewlake.clean import DATE_FORMAT_IDS, SENTIMENT_SCHEMES
 from reviewlake.errors import ConfigurationError, CsvParseError, MappingFileError
-from reviewlake.model import RawRecord, RejectRecord, SOURCES, UnifiedDraft
+from reviewlake.model import RawRecord, RejectRecord, SOURCES, UnifiedDraft, new_record
 
 FIELD_CAP = 1 << 20  # one field may not exceed 1 MiB
 _CHUNK = 1 << 18
@@ -150,13 +150,18 @@ def _split_fields(rec: bytes, dl: bytes) -> list[bytes] | None:
     Returns None only if quoting desynchronizes from the boundary scan,
     which would be a parser bug, not an input problem.
     """
-    if rec.find(b'"') < 0:
+    q = rec.find(b'"')
+    if q < 0:
         return rec.split(dl)
     out = []
     i = 0
-    length = len(rec)
     while True:
-        if i < length and rec[i] == _QUOTE:
+        # the fields before the one that holds quote q hold no quote
+        s = rec.rfind(dl, i, q)
+        if s >= 0:
+            out += rec[i:s].split(dl)
+            i = s + 1
+        if q == i:
             j = i + 1
             parts = []
             while True:
@@ -177,14 +182,17 @@ def _split_fields(rec: bytes, dl: bytes) -> list[bytes] | None:
                 return out
             parts.append(rec[i:d])
             out.append(b"".join(parts))
-            i = d + 1
-        else:
-            d = rec.find(dl, i)
+        else:  # a quote inside an unquoted field is a literal character
+            d = rec.find(dl, q)
             if d < 0:
                 out.append(rec[i:])
                 return out
             out.append(rec[i:d])
-            i = d + 1
+        i = d + 1
+        q = rec.find(b'"', i)
+        if q < 0:
+            out += rec[i:].split(dl)
+            return out
 
 
 def parse_csv(stream, delimiter: str = ",", *, source: str, stats: dict | None = None):
@@ -246,7 +254,7 @@ def parse_csv(stream, delimiter: str = ",", *, source: str, stats: dict | None =
         except UnicodeDecodeError as exc:
             yield RejectRecord(source, row, "bad_encoding", str(exc)[:120])
             continue
-        yield RawRecord(source, row, values)
+        yield new_record(RawRecord, (source, row, values))
     if header is None:
         raise CsvParseError("empty input: a header row is required")
 
@@ -301,6 +309,13 @@ def parse_jsonl(stream, *, source: str, stats: dict | None = None):
         if obj.__class__ is not dict:
             yield RejectRecord(source, row, "unsupported_shape", "top-level value is not an object")
             continue
+        if len(text) <= FIELD_CAP:  # then so is every str decoded from it
+            for val in obj.values():
+                if val.__class__ is not str:
+                    break
+            else:  # the common all-str object is the field map as decoded
+                yield new_record(RawRecord, (source, row, obj))
+                continue
         fields: dict[str, str] = {}
         bad: RejectRecord | None = None
         for key, val in obj.items():
@@ -320,7 +335,7 @@ def parse_jsonl(stream, *, source: str, stats: dict | None = None):
                 bad = RejectRecord(source, row, "oversize_field", f"field {key!r} over cap")
                 break
             fields[key] = sval
-        yield bad if bad is not None else RawRecord(source, row, fields)
+        yield bad if bad is not None else new_record(RawRecord, (source, row, fields))
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +424,9 @@ def adapt(record: RawRecord, mapping: SourceMapping) -> UnifiedDraft | RejectRec
     from the record is missing_column; an empty value in a required field is
     null_field already at this stage.
     """
-    if record.source != mapping.source:
-        raise ConfigurationError(
-            f"adapter for {mapping.source!r} applied to a {record.source!r} record"
-        )
-    fields = record.fields
+    source, row_number, fields = record
+    if source != mapping.source:
+        raise ConfigurationError(f"adapter for {mapping.source!r} applied to a {source!r} record")
     cmap = mapping.column_map
     try:
         name = fields[cmap["name"]]
@@ -423,11 +436,11 @@ def adapt(record: RawRecord, mapping: SourceMapping) -> UnifiedDraft | RejectRec
         text = fields[cmap["text"]]
     except KeyError:
         col = next(cmap[u] for u in UNIFIED_FIELDS if cmap[u] not in fields)
-        return RejectRecord(record.source, record.row_number, "missing_column", col)
+        return RejectRecord(source, row_number, "missing_column", col)
     if not (name and date and sentiment and text):
         unified = next(u for u, v in zip(_REQUIRED, (name, date, sentiment, text)) if not v)
-        return RejectRecord(record.source, record.row_number, "null_field", unified)
-    return UnifiedDraft(name, date, sentiment, upvotes, text, record.source, record.row_number)
+        return RejectRecord(source, row_number, "null_field", unified)
+    return new_record(UnifiedDraft, (name, date, sentiment, upvotes, text, source, row_number))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +454,9 @@ def iter_source(path: str, mapping: SourceMapping, stops, stats: dict | None = N
     Yields a UnifiedReview for each accepted row and a RejectRecord for
     each rejected one, in file order. A ``.jsonl`` or ``.ndjson`` file is
     JSON lines; anything else is CSV with the mapping's delimiter. Blank
-    lines are counted under "blank_lines" in the optional stats dict.
+    lines are counted under "blank_lines" in the optional stats dict. A
+    fatal CsvParseError names the file, and the byte offset (from 0) where
+    it is known.
     """
     source = mapping.source
     adapt_ = adapt
@@ -451,9 +466,13 @@ def iter_source(path: str, mapping: SourceMapping, stops, stats: dict | None = N
             items = parse_jsonl(fh, source=source, stats=stats)
         else:
             items = parse_csv(fh, delimiter=mapping.delimiter, source=source, stats=stats)
-        for item in items:
-            if item.__class__ is RawRecord:
-                item = adapt_(item, mapping)
-                if item.__class__ is not RejectRecord:
-                    item = cleaner(item, stops, mapping)
-            yield item
+        try:
+            for item in items:
+                if item.__class__ is RawRecord:
+                    item = adapt_(item, mapping)
+                    if item.__class__ is not RejectRecord:
+                        item = cleaner(item, stops, mapping)
+                yield item
+        except CsvParseError as exc:
+            where = "" if exc.byte_offset is None else f" at byte {exc.byte_offset}"
+            raise CsvParseError(f"{path}: {exc}{where}", byte_offset=exc.byte_offset) from None

@@ -12,6 +12,11 @@ from __future__ import annotations
 import datetime as _dt
 from typing import NamedTuple
 
+#: ``new_record(Cls, fields)`` builds a NamedTuple record from the tuple of
+#: its fields in C, without the class's Python-level ``__new__``. The row
+#: path builds its records this way; ``fields`` must hold every field.
+new_record = tuple.__new__
+
 #: Supported review sources, in canonical order.
 SOURCES = ("amazon", "imdb", "steam", "yelp")
 

@@ -35,12 +35,15 @@ from reviewlake.model import (
 MANIFEST_NAME = "manifest.json"
 REJECTS_NAME = "rejects.jsonl"
 
-_dumps = json.dumps
+# the C encoder json.dumps ends in for a str, with its default ensure_ascii
+_encode_str = json.encoder.encode_basestring_ascii
 # raw_decode skips decode()'s two whitespace scans; read_lake checks the tail
 _raw_decode = json.JSONDecoder().raw_decode
 # cleaned text, [A-Za-z]+(?: [A-Za-z]+)*, is these characters with no space
 # at either end and none doubled; the one-class match is the cheaper test
 _TEXT_CHARS = re.compile(r"[A-Za-z ]+")
+# lines LakeWriter.stage gathers before one write
+_BATCH = 128
 _RECORD_KEYS = ["name", "creation_date", "sentiment", "upvotes", "review_text", "source"]
 
 
@@ -105,17 +108,18 @@ def review_to_json(r: UnifiedReview) -> str:
     ``review_text`` is cleaned text (letters and single spaces, the
     UnifiedReview invariant), so its JSON string is the text in quotes.
     """
+    name, date, sentiment, upvotes, text, source = r
     return (
-        f'{{"name":{_dumps(r.name)},"creation_date":"{r.creation_date.isoformat()}"'
-        f',"sentiment":{r.sentiment},"upvotes":{r.upvotes}'
-        f',"review_text":"{r.review_text}","source":"{r.source}"}}'
+        f'{{"name":{_encode_str(name)},"creation_date":"{date.isoformat()}"'
+        f',"sentiment":{sentiment},"upvotes":{upvotes}'
+        f',"review_text":"{text}","source":"{source}"}}'
     )
 
 
 def reject_to_json(r: RejectRecord) -> str:
     return (
         f'{{"source":"{r.source}","row_number":{r.row_number}'
-        f',"reason":"{r.reason}","detail":{_dumps(r.detail)}}}'
+        f',"reason":"{r.reason}","detail":{_encode_str(r.detail)}}}'
     )
 
 
@@ -161,12 +165,15 @@ class LakeWriter:
     def stage(self, source: str, items) -> SourceStats:
         """Write one source's UnifiedReviews and RejectRecords, in order.
 
+        Each file gets its lines in batches of up to _BATCH per write.
         Returns the source's tallies; blank_lines is left for the caller.
         """
         accepted = 0
         reasons: dict[str, int] = {}
         to_json = review_to_json
         rj_json = reject_to_json
+        lines: list[str] = []
+        rejects: list[str] = []
         rec_path = os.path.join(self.tmp, f"{source}.jsonl")
         with open(rec_path, "w", encoding="utf-8", newline="\n") as out, open(
             self._reject_part(source), "w", encoding="utf-8", newline="\n"
@@ -174,12 +181,15 @@ class LakeWriter:
             for item in items:
                 if item.__class__ is RejectRecord:
                     reasons[item.reason] = reasons.get(item.reason, 0) + 1
-                    rej.write(rj_json(item))
-                    rej.write("\n")
+                    rejects.append(rj_json(item))
+                    if len(rejects) == _BATCH:
+                        _write_lines(rej, rejects)
                 else:
-                    accepted += 1
-                    out.write(to_json(item))
-                    out.write("\n")
+                    lines.append(to_json(item))
+                    if len(lines) == _BATCH:
+                        accepted += _write_lines(out, lines)
+            accepted += _write_lines(out, lines)
+            _write_lines(rej, rejects)
         if accepted == 0:
             os.remove(rec_path)
         return SourceStats(accepted, 0, reasons)
@@ -215,6 +225,17 @@ class LakeWriter:
     def abort(self) -> None:
         if not self._done:
             shutil.rmtree(self.tmp, ignore_errors=True)
+
+
+def _write_lines(fh, lines: list[str]) -> int:
+    """Write ``lines`` as newline-ended lines in one call, empty the list
+    and return how many there were."""
+    n = len(lines)
+    if n:
+        lines.append("")
+        fh.write("\n".join(lines))
+        lines.clear()
+    return n
 
 
 def _remove_old_lakes(target: str) -> None:

@@ -88,6 +88,57 @@ def test_remove_stopwords_keeps_exactly_the_non_stopwords(tokens):
     assert remove_stopwords(" ".join(tokens), stops) == " ".join(kept)
 
 
+def _stoplist(*words):
+    return clean.Stoplist(frozenset(words), "custom.txt", "0" * 64)
+
+
+def test_every_character_that_lowers_to_a_letter_is_a_spelling():
+    stops = _stoplist(*string.ascii_lowercase)
+    assert stops.expansion[1] == frozenset()
+    for start in range(0, sys.maxunicode + 1, 1 << 16):  # every code point, a plane at a time
+        chars = [chr(c) for c in range(start, start + (1 << 16)) if c != 0x20]
+        kept = [c for c in chars if c.lower() not in stops.words]
+        got = remove_stopwords(" ".join(chars), stops).split(" ")
+        same = got == kept  # compared apart from the assert: a diff of a plane is slow to print
+        assert same, [f"U+{ord(c):04X}" for c in set(got) ^ set(kept)]
+    assert remove_stopwords("\u212a \u0130", stops) == "\u0130"  # KELVIN SIGN; I WITH DOT lowers to two
+
+
+def test_bundled_stoplist_expands_whole():
+    spellings, unexpanded = default_stoplist().expansion
+    assert unexpanded == frozenset()
+    assert len(spellings) == 5624
+    assert {t.lower() for t in spellings} == default_stoplist().words
+
+
+_KICK = "kick"  # k has three spellings: k, K and U+212A KELVIN SIGN
+_LONG = "bookkeepersknack"  # 2**16 * 1.5**4 spellings, over the budget
+_CUSTOM = _stoplist(_KICK, _LONG, "a")
+
+
+def _any_spelling(word):
+    return st.tuples(*[st.sampled_from(clean._CASES[c]) for c in word]).map("".join)
+
+
+_CUSTOM_TOKEN = st.one_of(
+    _any_spelling(_KICK),
+    _any_spelling(_LONG),
+    _any_spelling("a"),
+    st.text(st.sampled_from("kKaA\u212a\u0130ci"), min_size=1, max_size=5),
+    st.text(st.characters(exclude_characters=" ", exclude_categories=()), min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_CUSTOM_TOKEN, max_size=30))
+def test_custom_stoplist_removes_exactly_the_stopwords(tokens):
+    spellings, unexpanded = _CUSTOM.expansion
+    assert unexpanded == frozenset({_LONG})
+    assert len(spellings) == 36 + 2
+    kept = [t for t in tokens if t.lower() not in _CUSTOM.words]
+    assert remove_stopwords(" ".join(tokens), _CUSTOM) == " ".join(kept)
+
+
 def test_cleaned_text_alphabet():
     stops = default_stoplist()
     out = full_clean('Wow!! "Great" product 10/10, very nice...', stops)
@@ -180,13 +231,16 @@ def test_upvotes_paths():
 @pytest.mark.parametrize("limit", [0, 640, 4300])
 def test_upvote_digit_cap_ignores_the_interpreter_limit(limit):
     # 0 turns int()'s digit limit off, 640 is the lowest it can be set to
+    assert clean.UPVOTE_MAX == sys.float_info.max and len(str(clean.UPVOTE_MAX)) == 309
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
-        assert parse_upvotes("9" * clean.UPVOTE_MAX_DIGITS) == 10**clean.UPVOTE_MAX_DIGITS - 1
-        with pytest.raises(CleanRejection) as ei:
-            parse_upvotes("9" * (clean.UPVOTE_MAX_DIGITS + 1))
-        assert ei.value.reason == "bad_upvotes"
+        assert parse_upvotes(str(clean.UPVOTE_MAX)) == clean.UPVOTE_MAX
+        assert parse_upvotes("9" * 308) == 10**308 - 1
+        for over in (str(clean.UPVOTE_MAX + 1), "9" * 309, "1" + "0" * 309, "9" * 641):
+            with pytest.raises(CleanRejection) as ei:
+                parse_upvotes(over)
+            assert ei.value.reason == "bad_upvotes"
     finally:
         sys.set_int_max_str_digits(old)
 

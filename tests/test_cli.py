@@ -4,13 +4,14 @@ gen-fixtures -> ingest -> query -> report chain on a small corpus."""
 import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
 
 import pytest
 
-from reviewlake import clean, cli
+from reviewlake import clean, cli, fixtures
 from reviewlake.engine import PartitionedDataset
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -252,21 +253,70 @@ def test_report_prints_table_notes(tmp_path, capsys):
     assert "  note: steam 2020 negative: prior-year count 0, pct undefined\n" in out
 
 
-def test_mean_upvotes_outside_float_range_is_exit_1(tmp_path, capsys):
+def _lake_with_huge_upvotes(tmp_path) -> str:
+    """A one-record steam lake whose upvote count is 400 nines.
+
+    Ingest rejects such a count, so the lake is edited by hand after a
+    clean ingest; read_lake accepts any non-negative integer count.
+    """
     src = tmp_path / "steam.csv"
     src.write_text(
         "app_name,timestamp_created,voted_up,votes_up,review\n"
-        f"Game,1600000000,true,{'9' * 400},great fun game\n"
+        "Game,1600000000,true,7,great fun game\n"
     )
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sources": [{"source": "steam", "path": str(src)}]}))
-    lake = str(tmp_path / "lake")
-    assert cli.run(["ingest", "--config", str(cfg), "--lake", lake]) == 0
+    lake = tmp_path / "lake"
+    assert cli.run(["ingest", "--config", str(cfg), "--lake", str(lake)]) == 0
+    records = lake / "steam.jsonl"
+    line = records.read_text(encoding="utf-8")
+    assert line.count('"upvotes":7,') == 1
+    records.write_text(line.replace('"upvotes":7,', f'"upvotes":{"9" * 400},'), encoding="utf-8")
+    return str(lake)
+
+
+def test_mean_upvotes_outside_float_range_is_exit_1(tmp_path, capsys):
+    lake = _lake_with_huge_upvotes(tmp_path)
     capsys.readouterr()
     assert cli.run(["query", "length_upvotes", "--lake", lake, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "mean_upvotes of group" in err and "outside the float range" in err
+
+
+def test_upvote_count_above_the_float_range_is_a_reject_and_the_lake_reports(tmp_path, capsys):
+    src = tmp_path / "steam.csv"
+    src.write_text(
+        "app_name,timestamp_created,voted_up,votes_up,review\n"
+        "Game,1600000000,true,3,great fun game\n"
+        f"Game,1600100000,true,{'9' * 400},lovely art style\n"
+        f"Game,1600200000,false,{clean.UPVOTE_MAX},boring slow game\n"
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sources": [{"source": "steam", "path": str(src)}]}))
+    lake = tmp_path / "lake"
+    assert cli.run(["ingest", "--config", str(cfg), "--lake", str(lake)]) == 0
+    manifest = json.loads((lake / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["per_source"]["steam"]["accepted"] == 2
+    assert manifest["per_source"]["steam"]["rejected_by_reason"] == {"bad_upvotes": 1}
+    capsys.readouterr()
+    assert cli.run(["report", "--lake", str(lake), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_fatal_csv_error_names_the_file_and_the_byte(tmp_path):
+    src = tmp_path / "steam.csv"
+    src.write_text(
+        "app_name,timestamp_created,voted_up,votes_up,review\n"
+        "Game,1600000000,true,3,great fun game\n"
+        'Game,1600100000,true,4,"never closed\n'
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sources": [{"source": "steam", "path": str(src)}]}))
+    proc = _run_cli(["ingest", "--config", str(cfg), "--lake", str(tmp_path / "lake")])
+    assert proc.returncode == 1
+    offset = src.read_bytes().index(b'"never')
+    assert proc.stderr == f"error: {src}: unterminated quoted field at byte {offset}\n"
 
 
 def test_upvote_count_past_int_conversion_limit_is_a_reject(tmp_path, capsys):
@@ -319,6 +369,85 @@ def test_unknown_fixture_profile_is_exit_2(tmp_path, capsys):
     assert cli.run(["gen-fixtures", "--out", str(tmp_path / "d"), "--profile", "weird"]) == 2
     assert "error: unknown profile 'weird'" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
+
+
+def _run_cli(args, env=None):
+    """One CLI command in a fresh interpreter, so stderr is all it printed."""
+    env = dict(env or os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "reviewlake.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+
+
+def _exit_code_cases(data_dir, tmp_path, lake_dir):
+    """(name, CLI args, extra environment, documented exit code) per case."""
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"sources": [')
+    missing = tmp_path / "missing.json"
+    missing.write_text(json.dumps({"sources": [{"source": "yelp", "path": "nowhere.csv"}]}))
+    (tmp_path / "open.csv").write_text(
+        'business_name,date,sentiment,useful,text\nCafe,2020-01-01,positive,1,"open\n'
+    )
+    open_quote = tmp_path / "open.json"
+    open_quote.write_text(json.dumps({"sources": [{"source": "yelp", "path": "open.csv"}]}))
+    corrupt = tmp_path / "corrupt"
+    shutil.copytree(lake_dir, corrupt)
+    (corrupt / "manifest.json").write_text("{not json")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("not a lake")
+    config = str(data_dir / "config.json")
+    out = str(tmp_path / "out")
+    return [
+        ("bad config JSON", ["ingest", "--config", str(bad_json)], {}, 2),
+        ("unknown query id", ["query", "bogus", "--lake", str(lake_dir), "--out", out], {}, 2),
+        ("malformed SOURCE_DATE_EPOCH", ["ingest", "--config", config, "--lake", str(tmp_path / "l1")],
+         {"SOURCE_DATE_EPOCH": "abc"}, 2),
+        ("missing source file", ["ingest", "--config", str(missing), "--lake", str(tmp_path / "l2")], {}, 1),
+        ("unterminated quote", ["ingest", "--config", str(open_quote), "--lake", str(tmp_path / "l3")], {}, 1),
+        ("corrupt manifest", ["query", "--lake", str(corrupt), "--out", out], {}, 1),
+        ("ingest into a --lake that is a file", ["ingest", "--config", config, "--lake", str(a_file)], {}, 2),
+        ("query a --lake that is a file", ["query", "--lake", str(a_file), "--out", out], {}, 1),
+    ]
+
+
+def test_exit_code_table(data_dir, lake_dir, tmp_path):
+    for name, args, extra, code in _exit_code_cases(data_dir, tmp_path, lake_dir):
+        proc = _run_cli(args, dict(os.environ, **extra))
+        assert proc.returncode == code, (name, proc.stderr)
+        assert "Traceback" not in proc.stderr, name
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (name, proc.stderr)
+
+
+# Digests of the seed-1 500-rows-per-source lake, recorded before the row
+# path was rebuilt for speed; both worker counts must keep these bytes.
+PINNED_LAKE = {
+    "amazon.jsonl": "4d02e91b4348fd4265b37d2f7007adad826c4feaf3e4fbc7358874b1a38c647b",
+    "imdb.jsonl": "fae1bc697efb45da972903439a979ef0f7a1517f010edacf3e81691a85adbca5",
+    "manifest.json": "ce255d56a222ff731be178de61fa1c68e3c935fe8af425cf6c9bd2452745a93e",
+    "rejects.jsonl": "6900c6162376ef27e7a0597b7ee93ce7a39a7d95f9e5b40b0f38c85d0752061f",
+    "steam.jsonl": "7e844ef07168bf1ff8b8c86486b083e84e1c5b4d7d925dc4cb04c40a34de4f47",
+    "yelp.jsonl": "e0e2b890c17ffa0f22dcddbef5e8358f0c71a49254faf4ce33126401acc03b04",
+}
+
+
+@pytest.fixture(scope="module")
+def seed1_corpus(tmp_path_factory):
+    d = tmp_path_factory.mktemp("seed1")
+    fixtures.generate(str(d), seed=1, rows_per_source=500)
+    return d
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_lake_keeps_its_bytes(seed1_corpus, tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    monkeypatch.delenv("REVIEWLAKE_STOPLIST", raising=False)
+    lake = tmp_path / "lake"
+    argv = ["ingest", "--config", str(seed1_corpus / "config.json"), "--lake", str(lake), "--threads", threads]
+    assert cli.run(argv) == 0
+    assert sha_tree(lake) == PINNED_LAKE
 
 
 _STARTUP_CHECK = """
@@ -390,15 +519,7 @@ def test_all_six_views_cost_two_folds_and_one_map(lake_dir, tmp_path, monkeypatc
 
 
 def test_overflow_through_the_rollup_names_the_group_and_writes_nothing(tmp_path, capsys):
-    src = tmp_path / "steam.csv"
-    src.write_text(
-        "app_name,timestamp_created,voted_up,votes_up,review\n"
-        f"Game,1600000000,true,{'9' * 400},great fun game\n"
-    )
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sources": [{"source": "steam", "path": str(src)}]}))
-    lake = str(tmp_path / "lake")
-    assert cli.run(["ingest", "--config", str(cfg), "--lake", lake]) == 0
+    lake = _lake_with_huge_upvotes(tmp_path)
     capsys.readouterr()
     assert cli.run(["query", "sentiment_profile", "--lake", lake, "--out", str(tmp_path / "q")]) == 1
     err = capsys.readouterr().err

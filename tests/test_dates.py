@@ -150,6 +150,26 @@ def test_window_boundaries():
     assert _reason("2030-01-01", ("iso",)) == "date_out_of_range"
 
 
+@pytest.mark.parametrize(
+    "raw, formats, reason",
+    [
+        ("1969-02-30", ("iso",), "bad_date"),  # impossible and before the window
+        ("2030-02-30", ("iso",), "bad_date"),  # impossible and after it
+        ("1970-01-00", ("iso",), "bad_date"),
+        ("2029-12-32", ("iso",), "bad_date"),
+        ("2020-13-01", ("iso",), "bad_date"),
+        ("9999-13-01", ("iso",), "bad_date"),
+        ("02/30/1969", ("us_slash",), "bad_date"),
+        ("February 29, 2031", ("long_month",), "bad_date"),
+        ("0000-01-01", ("iso",), "date_out_of_range"),  # a real day no datetime.date can hold
+        ("9999-12-31", ("iso",), "date_out_of_range"),
+        ("February 29, 1968", ("long_month",), "date_out_of_range"),
+    ],
+)
+def test_reason_outside_the_window(raw, formats, reason):
+    assert _reason(raw, formats) == reason
+
+
 def test_first_lexical_match_wins():
     # eight decimal digits are a legal epoch, so format order decides
     assert normalize_date("20200101", ("epoch_seconds", "iso")).isoformat() == "1970-08-22"

@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reviewlake import ingest
 from reviewlake.errors import ConfigurationError, CsvParseError, MappingFileError
@@ -132,6 +134,55 @@ def test_round_trip_against_stdlib_writer():
         assert got == table, (table, got)
 
 
+def _reference_split_fields(rec, dl):
+    """_split_fields as written before it split quote-free runs of fields at once."""
+    if rec.find(b'"') < 0:
+        return rec.split(dl)
+    out = []
+    i = 0
+    length = len(rec)
+    while True:
+        if i < length and rec[i] == 0x22:
+            j = i + 1
+            parts = []
+            while True:
+                k = rec.find(b'"', j)
+                if k < 0:
+                    return None
+                if rec[k + 1 : k + 2] == b'"':
+                    parts.append(rec[j : k + 1])
+                    j = k + 2
+                else:
+                    parts.append(rec[j:k])
+                    i = k + 1
+                    break
+            d = rec.find(dl, i)
+            if d < 0:
+                parts.append(rec[i:])
+                out.append(b"".join(parts))
+                return out
+            parts.append(rec[i:d])
+            out.append(b"".join(parts))
+            i = d + 1
+        else:
+            d = rec.find(dl, i)
+            if d < 0:
+                out.append(rec[i:])
+                return out
+            out.append(rec[i:d])
+            i = d + 1
+
+
+_RECORD_PIECE = st.sampled_from([b",", b";", b'"', b'""', b"a", b"bc", b" ", b"\n"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_RECORD_PIECE, max_size=16), st.sampled_from([b",", b";"]))
+def test_split_fields_matches_the_field_by_field_reference(pieces, dl):
+    rec = b"".join(pieces)
+    assert ingest._split_fields(rec, dl) == _reference_split_fields(rec, dl)
+
+
 # ---------------------------------------------------------------------------
 # JSON lines
 # ---------------------------------------------------------------------------
@@ -169,6 +220,24 @@ def test_jsonl_bom_line_keeps_the_json_loads_detail():
     assert out[0] == RejectRecord("imdb", 1, "bad_json", str(ei.value)[:120])
     assert out[0].detail.startswith("Unexpected UTF-8 BOM (decode using utf-8-sig)")
     assert out[1] == RawRecord("imdb", 2, {"a": "2"})
+
+
+def test_jsonl_field_cap_holds_on_the_all_string_path_and_the_other():
+    cap = "y" * FIELD_CAP
+    escaped = "\\n" * FIELD_CAP  # a FIELD_CAP-char value spelled with twice the chars
+    lines = [
+        json.dumps({"a": cap, "b": "x"}),
+        json.dumps({"a": cap + "y", "b": "x"}),
+        '{"a": "' + escaped + '", "b": "x"}',
+        '{"a": "' + escaped + 'y", "b": true}',
+        json.dumps({"a": cap + "y", "b": True}),
+    ]
+    out = jl("\n".join(lines).encode("ascii") + b"\n")
+    assert out[0] == RawRecord("imdb", 1, {"a": cap, "b": "x"}) and out[0].__class__ is RawRecord
+    assert out[1] == RejectRecord("imdb", 2, "oversize_field", "field 'a' over cap")
+    assert out[2] == RawRecord("imdb", 3, {"a": "\n" * FIELD_CAP, "b": "x"})
+    assert out[3] == RejectRecord("imdb", 4, "oversize_field", "field 'a' over cap")
+    assert out[4] == RejectRecord("imdb", 5, "oversize_field", "field 'a' over cap")
 
 
 def test_jsonl_blank_lines():
