@@ -13,7 +13,9 @@ combine before a shuffle:
 Each table is one engine fold over the records, so a query of all six
 views folds over every record twice, not six times. Every count and sum is an
 int, so re-grouping them is exact, and a mean is one correctly rounded
-int/int division, the same value a fold over the records gives. Results
+int/int division, the same value a fold over the records gives. No mean
+can leave the float range: a mean never exceeds the largest value it
+averages, and the lake holds no upvote count above ``UPVOTE_MAX``. Results
 are independent of partition layout. Calendar fields come from the
 package's own civil calendar, not the platform's locale machinery.
 
@@ -28,7 +30,6 @@ from typing import Callable, NamedTuple
 
 from reviewlake import civil
 from reviewlake.engine import AggSpec, Metric, PartitionedDataset, group_aggregate
-from reviewlake.errors import QueryTypeError
 from reviewlake.model import AggTable
 
 BUCKET_WIDTH = 50
@@ -83,13 +84,6 @@ def _summed(pairs) -> list[tuple]:
     return [key + (n,) for key, n in sorted(totals.items())]
 
 
-def _mean(total: int, n: int, label: str, key) -> float:
-    try:
-        return total / n
-    except OverflowError:
-        raise QueryTypeError(f"{label} of group {key!r} is outside the float range") from None
-
-
 def reviews_per_year(cube: Rollup) -> AggTable:
     """Review counts grouped by (year, source)."""
     rows = _summed(((day.year, src), n) for src, day, _sent, n in cube.calendar.rows)
@@ -122,10 +116,7 @@ def length_upvote_profile(cube: Rollup) -> AggTable:
         acc = sums.setdefault(bucket, [0, 0])
         acc[0] += n
         acc[1] += upvotes
-    rows = [
-        (bucket, n, _mean(upvotes, n, "mean_upvotes", bucket))
-        for bucket, (n, upvotes) in sorted(sums.items())
-    ]
+    rows = [(bucket, n, upvotes / n) for bucket, (n, upvotes) in sorted(sums.items())]
     return AggTable("length_upvotes", ("bucket", "review_count", "mean_upvotes"), rows)
 
 
@@ -137,10 +128,7 @@ def sentiment_profile(cube: Rollup) -> AggTable:
         acc[0] += n
         acc[1] += length
         acc[2] += upvotes
-    rows = [
-        key + (_mean(length, n, "mean_length", key), _mean(upvotes, n, "mean_upvotes", key), n)
-        for key, (n, length, upvotes) in sorted(sums.items())
-    ]
+    rows = [key + (length / n, upvotes / n, n) for key, (n, length, upvotes) in sorted(sums.items())]
     return AggTable(
         "sentiment_profile", ("source", "sentiment", "mean_length", "mean_upvotes", "count"), rows
     )

@@ -14,7 +14,6 @@ import itertools
 import math
 import os
 import string
-import sys
 from functools import cached_property, lru_cache
 from importlib import resources
 
@@ -23,6 +22,7 @@ from reviewlake.errors import ConfigurationError
 from reviewlake.model import (
     DATE_WINDOW_HI,
     DATE_WINDOW_LO,
+    UPVOTE_MAX,
     RejectRecord,
     UnifiedDraft,
     UnifiedReview,
@@ -218,12 +218,6 @@ def normalize_date(raw: str, formats: tuple[str, ...]) -> _dt.date:
     raise CleanRejection("bad_date", raw)
 
 
-#: The largest upvote count accepted: a mean of counts never exceeds the
-#: largest of them, so no view's mean can leave the float range. Its 309
-#: digits are under the lowest digit limit an interpreter can set for
-#: int/str conversion (640), so an accepted count parses, and is written to
-#: and read back from the lake, whatever PYTHONINTMAXSTRDIGITS says.
-UPVOTE_MAX = int(sys.float_info.max)
 _UPVOTE_MAX_DIGITS = len(str(UPVOTE_MAX))
 
 

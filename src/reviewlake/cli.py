@@ -152,8 +152,7 @@ def _ingest_source(
         raise MappingFileError(f"mapping {mapping_path} is for {mapping.source!r}, not {source!r}")
     counts: dict = {}
     stats = writer.stage(source, ingest.iter_source(path, mapping, stops, counts))
-    stats.blank_lines = counts.get("blank_lines", 0)
-    return source, stats
+    return source, stats._replace(blank_lines=counts.get("blank_lines", 0))
 
 
 def _raise_on_sigterm(signum, frame):
@@ -222,9 +221,13 @@ def cmd_query(cfg: RunConfig, ids: list[str], charts: bool = False) -> int:
     for qid in ids:
         if qid not in _QUERY_FNS:
             raise ConfigurationError(f"unknown query {qid!r}, expected one of {analytics.QUERY_IDS}")
-    # records and group states are acyclic: the collector would only rescan them
+    # records and group states are acyclic: the collector would only rescan
+    # them. Nothing names the records, so they are freed inside the pause;
+    # left alive, they would be scanned once the collector resumes.
     with engine.gc_paused():
-        cube = analytics.rollup(store.read_lake(cfg.lake_dir, partitions=cfg.partitions))
+        cube = analytics.rollup(
+            engine.PartitionedDataset.from_records(store.read_lake(cfg.lake_dir), cfg.partitions)
+        )
     tables = {qid: _QUERY_FNS[qid](cube) for qid in ids or analytics.QUERY_IDS}
     os.makedirs(cfg.out_dir, exist_ok=True)
     specs = report.default_chart_specs()

@@ -111,21 +111,7 @@ class PartitionedDataset:
 
     def map(self, f) -> "PartitionedDataset":
         """Element-wise image under a pure total function; structure preserved."""
-        with gc_paused():
-            return PartitionedDataset([f(r) for r in part] for part in self.partitions)
-
-    def to_list(self) -> list:
-        """Insertion order, undone round-robin: row j of partition p was index j*N+p."""
-        parts = self.partitions
-        if len(parts) == 1:
-            return list(parts[0])
-        out = []
-        append = out.append
-        for j in range(max(map(len, parts))):
-            for part in parts:
-                if j < len(part):
-                    append(part[j])
-        return out
+        return PartitionedDataset([f(r) for r in part] for part in self.partitions)
 
 
 def from_records(records, partition_count: int) -> PartitionedDataset:

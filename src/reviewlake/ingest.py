@@ -309,33 +309,24 @@ def parse_jsonl(stream, *, source: str, stats: dict | None = None):
         if obj.__class__ is not dict:
             yield RejectRecord(source, row, "unsupported_shape", "top-level value is not an object")
             continue
-        if len(text) <= FIELD_CAP:  # then so is every str decoded from it
-            for val in obj.values():
-                if val.__class__ is not str:
-                    break
-            else:  # the common all-str object is the field map as decoded
-                yield new_record(RawRecord, (source, row, obj))
-                continue
-        fields: dict[str, str] = {}
+        # a str decoded from a line no longer than the cap is within it too
+        capped = len(text) > FIELD_CAP
         bad: RejectRecord | None = None
-        for key, val in obj.items():
-            cls = val.__class__
-            if cls is str:
-                sval = val
+        for key, val in obj.items():  # the decoded map becomes the field map
+            if val.__class__ is str:
+                if capped and len(val) > FIELD_CAP:
+                    bad = RejectRecord(source, row, "oversize_field", f"field {key!r} over cap")
+                    break
             elif val is True:
-                sval = "true"
+                obj[key] = "true"
             elif val is False:
-                sval = "false"
+                obj[key] = "false"
             elif val is None:
-                sval = ""
+                obj[key] = ""
             else:
                 bad = RejectRecord(source, row, "unsupported_shape", f"nested value under {key!r}")
                 break
-            if len(sval) > FIELD_CAP:
-                bad = RejectRecord(source, row, "oversize_field", f"field {key!r} over cap")
-                break
-            fields[key] = sval
-        yield bad if bad is not None else new_record(RawRecord, (source, row, fields))
+        yield bad if bad is not None else new_record(RawRecord, (source, row, obj))
 
 
 # ---------------------------------------------------------------------------

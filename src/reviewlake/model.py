@@ -10,6 +10,7 @@ tokenizer, a fixed cost that every command would pay at start-up.
 from __future__ import annotations
 
 import datetime as _dt
+import sys
 from typing import NamedTuple
 
 #: ``new_record(Cls, fields)`` builds a NamedTuple record from the tuple of
@@ -70,7 +71,8 @@ class UnifiedReview(NamedTuple):
 
     Invariants (enforced by the cleaning pipeline and revalidated on lake
     load): non-empty name; date within 1970-01-01..2029-12-31; sentiment in
-    {0, 1}; upvotes >= 0; review_text is letters and single interior spaces.
+    {0, 1}; 0 <= upvotes <= UPVOTE_MAX; review_text is letters and single
+    interior spaces.
     """
 
     name: str
@@ -93,6 +95,13 @@ class RejectRecord(NamedTuple):
 #: Earliest and latest creation dates considered sane.
 DATE_WINDOW_LO = _dt.date(1970, 1, 1)
 DATE_WINDOW_HI = _dt.date(2029, 12, 31)
+
+#: The largest upvote count a record may hold: a mean of counts never
+#: exceeds the largest of them, so no view's mean can leave the float range.
+#: Its 309 digits are under the lowest digit limit an interpreter can set for
+#: int/str conversion (640), so an accepted count parses, and is written to
+#: and read back from the lake, whatever PYTHONINTMAXSTRDIGITS says.
+UPVOTE_MAX = int(sys.float_info.max)
 
 
 class AggTable:

@@ -5,9 +5,14 @@ Layout inside a lake directory: ``manifest.json``, one ``<source>.jsonl``
 per source that contributed accepted records, and ``rejects.jsonl``.
 :class:`LakeWriter` is the only writer: it builds the whole lake in a
 hidden temp directory next to the target, fsyncs it, and renames it into
-place, so readers never observe a partial lake, even after a crash. Reads
-revalidate every record against the unified-schema invariants and
-cross-check counts against the manifest, refusing corrupted lakes loudly.
+place, so readers never observe a partial lake, even after a crash.
+
+A valid lake holds what :class:`LakeWriter` writes and nothing else.
+:func:`read_lake` revalidates every record against the unified-schema
+invariants, requires the manifest's record files to be the ones the
+writer derives from its counts, and requires the reject file's tallies
+per source and reason to equal the manifest's, refusing any other lake
+loudly.
 """
 
 from __future__ import annotations
@@ -20,14 +25,13 @@ import shutil
 import tempfile
 from typing import NamedTuple
 
-from reviewlake import engine
-from reviewlake.engine import PartitionedDataset
 from reviewlake.errors import ConfigurationError, CorruptLakeError
 from reviewlake.model import (
     DATE_WINDOW_HI,
     DATE_WINDOW_LO,
     REJECT_REASONS,
     SOURCES,
+    UPVOTE_MAX,
     RejectRecord,
     UnifiedReview,
 )
@@ -47,28 +51,12 @@ _BATCH = 128
 _RECORD_KEYS = ["name", "creation_date", "sentiment", "upvotes", "review_text", "source"]
 
 
-class SourceStats:
-    """One source's tallies; ingest sets ``blank_lines`` after staging."""
+class SourceStats(NamedTuple):
+    """One source's tallies; ingest fills ``blank_lines`` in after staging."""
 
-    __slots__ = ("accepted", "blank_lines", "rejected_by_reason")
-
-    def __init__(self, accepted: int, blank_lines: int, rejected_by_reason: dict[str, int]):
-        self.accepted = accepted
-        self.blank_lines = blank_lines
-        self.rejected_by_reason = rejected_by_reason
-
-    def _fields(self) -> tuple:
-        return (self.accepted, self.blank_lines, self.rejected_by_reason)
-
-    def __eq__(self, other):
-        if other.__class__ is not SourceStats:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "SourceStats(accepted={!r}, blank_lines={!r}, rejected_by_reason={!r})".format(
-            *self._fields()
-        )
+    accepted: int
+    blank_lines: int
+    rejected_by_reason: dict[str, int]
 
 
 class LakeManifest(NamedTuple):
@@ -76,6 +64,12 @@ class LakeManifest(NamedTuple):
     per_source: dict[str, SourceStats]
     record_files: tuple[str, ...]
     stoplist_checksum: str
+
+
+def record_files(per_source: dict[str, SourceStats]) -> tuple[str, ...]:
+    """The record files of a lake with these tallies: one ``<source>.jsonl``
+    per source with accepted records, in source order."""
+    return tuple(f"{s}.jsonl" for s in sorted(per_source) if per_source[s].accepted)
 
 
 def lake_timestamp() -> str:
@@ -199,15 +193,13 @@ class LakeWriter:
     ) -> LakeManifest:
         """Finish the lake from every staged source's stats and rename it into place."""
         tmp = self.tmp
-        sources = sorted(per_source)
         with open(os.path.join(tmp, REJECTS_NAME), "wb") as merged:
-            for source in sources:
+            for source in sorted(per_source):
                 part = self._reject_part(source)
                 with open(part, "rb") as fh:
                     shutil.copyfileobj(fh, merged)
                 os.remove(part)
-        record_files = tuple(f"{s}.jsonl" for s in sources if per_source[s].accepted)
-        manifest = LakeManifest(created_at, per_source, record_files, stoplist_checksum)
+        manifest = LakeManifest(created_at, per_source, record_files(per_source), stoplist_checksum)
         with open(os.path.join(tmp, MANIFEST_NAME), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(manifest_to_json(manifest))
         for name in sorted(os.listdir(tmp)):
@@ -299,13 +291,20 @@ def load_manifest(lake_dir: str) -> LakeManifest:
                 rejected_by_reason={k: _count(v, f"{src} {k}", path) for k, v in rejected.items()},
             )
         return LakeManifest(
-            created_at=str(doc["created_at"]),
+            created_at=_typed(doc["created_at"], str, "created_at", path),
             per_source=per_source,
-            record_files=tuple(doc["record_files"]),
-            stoplist_checksum=str(doc["stoplist_checksum"]),
+            record_files=tuple(_typed(doc["record_files"], list, "record_files", path)),
+            stoplist_checksum=_typed(doc["stoplist_checksum"], str, "stoplist_checksum", path),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptLakeError(f"{path}: malformed manifest: {exc!r}") from None
+
+
+def _typed(v, cls: type, what: str, path: str):
+    """A manifest value that must decode to ``cls`` (str or list); nothing is coerced."""
+    if v.__class__ is not cls:
+        raise CorruptLakeError(f"{path}: {what} must be a {cls.__name__}, got {v!r}")
+    return v
 
 
 def _count(v, what: str, path: str) -> int:
@@ -344,8 +343,8 @@ def _validate_line(doc, source: str, path: str, lineno: int, dates: dict) -> Uni
         raise CorruptLakeError(f"{path}:{lineno}: name must be a non-empty string")
     if sentiment.__class__ is not int or sentiment not in (0, 1):
         raise CorruptLakeError(f"{path}:{lineno}: sentiment must be 0 or 1, got {sentiment!r}")
-    if upvotes.__class__ is not int or upvotes < 0:
-        raise CorruptLakeError(f"{path}:{lineno}: upvotes must be a non-negative integer")
+    if upvotes.__class__ is not int or not 0 <= upvotes <= UPVOTE_MAX:
+        raise CorruptLakeError(f"{path}:{lineno}: upvotes must be an integer from 0 to UPVOTE_MAX")
     if (
         text.__class__ is not str
         or not _TEXT_CHARS.fullmatch(text)
@@ -364,32 +363,34 @@ def _validate_line(doc, source: str, path: str, lineno: int, dates: dict) -> Uni
     return UnifiedReview(name, date, sentiment, upvotes, text, source)
 
 
-def read_lake(lake_dir: str, partitions: int = 1) -> PartitionedDataset:
-    """Load a lake back into a partitioned dataset, checking as it goes.
+def read_lake(lake_dir: str) -> list[UnifiedReview]:
+    """Load a lake's records, in record-file order, checking as it goes.
 
-    Structural invariants are enforced per record (shape, sentiment domain,
-    date window, cleaned-text alphabet); whether the text is stopword-free
-    under some list is only knowable through the manifest checksum, so it is
-    not re-judged here. Counts must match the manifest exactly.
+    Structural invariants are enforced per record (shape, sentiment and
+    upvote domains, date window, cleaned-text alphabet); whether the text
+    is stopword-free under some list is only knowable through the manifest
+    checksum, so it is not re-judged here. The record files and every count
+    must be the ones the writer derives from the manifest.
     """
     manifest = load_manifest(lake_dir)
+    expected_files = record_files(manifest.per_source)
+    if manifest.record_files != expected_files:
+        raise CorruptLakeError(
+            f"{lake_dir}: record_files {list(manifest.record_files)!r} are not "
+            f"{list(expected_files)!r}, one per source with accepted records"
+        )
     records: list[UnifiedReview] = []
     dates: dict[str, _dt.date] = {}  # at most one entry per day of the window
-    for i, fname in enumerate(manifest.record_files):
-        source = fname[: -len(".jsonl")] if fname.__class__ is str else None
-        if source not in SOURCES or not fname.endswith(".jsonl"):
-            raise CorruptLakeError(f"{lake_dir}: unexpected record file {fname!r}")
-        if fname in manifest.record_files[:i]:
-            raise CorruptLakeError(f"{lake_dir}: record file {fname!r} listed twice")
+    for fname in expected_files:
+        source = fname[: -len(".jsonl")]
         path = os.path.join(lake_dir, fname)
-        stats = manifest.per_source.get(source)
-        expected = stats.accepted if stats is not None else 0
-        n = 0
+        expected = manifest.per_source[source].accepted
+        start = len(records)
         try:
             fh = open(path, "rb")
         except OSError as exc:
             raise CorruptLakeError(f"{path}: listed in manifest but unreadable: {exc}") from None
-        with fh, engine.gc_paused():
+        with fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     raise CorruptLakeError(f"{path}:{lineno}: blank line inside lake file")
@@ -401,37 +402,40 @@ def read_lake(lake_dir: str, partitions: int = 1) -> PartitionedDataset:
                 if decoded[end:].strip():
                     raise CorruptLakeError(f"{path}:{lineno}: bad JSON: extra data after the record")
                 records.append(_validate_line(doc, source, path, lineno, dates))
-                n += 1
+        n = len(records) - start
         if n != expected:
             raise CorruptLakeError(f"{path}: manifest claims {expected} records, file has {n}")
-    for src, st in manifest.per_source.items():
-        if st.accepted and src + ".jsonl" not in manifest.record_files:
-            raise CorruptLakeError(f"{lake_dir}: {src} has accepted records but no listed file")
     _check_rejects(lake_dir, manifest)
-    return PartitionedDataset.from_records(records, partitions)
+    return records
 
 
 def _check_rejects(lake_dir: str, manifest: LakeManifest) -> None:
+    """The reject file's tally per (source, reason) must equal the manifest's."""
     path = os.path.join(lake_dir, REJECTS_NAME)
-    expected = sum(
-        n for st in manifest.per_source.values() for n in st.rejected_by_reason.values()
-    )
-    if not os.path.exists(path):
-        if expected:
-            raise CorruptLakeError(f"{path}: missing but manifest counts {expected} rejects")
-        return
-    n = 0
-    with open(path, "rb") as fh:
+    expected = {
+        (src, reason): n
+        for src, st in manifest.per_source.items()
+        for reason, n in st.rejected_by_reason.items()
+        if n
+    }
+    tally: dict[tuple[str, str], int] = {}
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CorruptLakeError(f"{path}: unreadable: {exc}") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
                 doc = json.loads(line)
             except ValueError as exc:
                 raise CorruptLakeError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            reason = doc.get("reason") if doc.__class__ is dict else None
-            if reason.__class__ is not str or reason not in REJECT_REASONS:
-                raise CorruptLakeError(f"{path}:{lineno}: unknown reject reason {reason!r}")
-            n += 1
-    if n != expected:
-        raise CorruptLakeError(f"{path}: manifest counts {expected} rejects, file has {n}")
+            source, reason = (doc.get("source"), doc.get("reason")) if doc.__class__ is dict else (None, None)
+            if source.__class__ is not str or reason.__class__ is not str:
+                raise CorruptLakeError(f"{path}:{lineno}: reject needs a source and a reason string")
+            tally[source, reason] = tally.get((source, reason), 0) + 1
+    if tally != expected:
+        src, reason = min(k for k in tally.keys() | expected.keys() if tally.get(k) != expected.get(k))
+        raise CorruptLakeError(
+            f"{path}: {src} {reason}: manifest counts {expected.get((src, reason), 0)}, "
+            f"file has {tally.get((src, reason), 0)}"
+        )

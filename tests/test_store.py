@@ -8,7 +8,7 @@ import pytest
 
 from reviewlake import cli, store
 from reviewlake.errors import ConfigurationError, CorruptLakeError
-from reviewlake.model import RejectRecord, UnifiedReview
+from reviewlake.model import UPVOTE_MAX, RejectRecord, UnifiedReview
 
 
 def R(src, y=2020, m=5, d=4, sent=1, up=3, text="Great fun", name="N"):
@@ -20,7 +20,7 @@ def sample_reviews():
         R("steam", text="Solid game"),
         R("yelp", sent=0, up=0, text="Bland food"),
         R("steam", y=2021, text="Great patch"),
-        R("imdb", name='Weird "Name", Incé', text="Slow plot"),
+        R("imdb", name='Weird "Name", Incé', up=UPVOTE_MAX, text="Slow plot"),
     ]
 
 
@@ -40,7 +40,7 @@ def build_lake(path, items, blanks=None, checksum=""):
     try:
         per_source = {src: writer.stage(src, its) for src, its in by_source.items()}
         for src, n in (blanks or {}).items():
-            per_source[src].blank_lines = n
+            per_source[src] = per_source[src]._replace(blank_lines=n)
         return writer.commit(per_source, store.lake_timestamp(), checksum)
     except BaseException:
         writer.abort()
@@ -59,11 +59,9 @@ def test_round_trip(tmp_path):
     assert manifest.per_source["steam"].blank_lines == 1
     assert manifest.per_source["yelp"].rejected_by_reason == {"neutral_dropped": 1}
 
-    ds = store.read_lake(str(lake), partitions=3)
-    got = sorted(ds.to_list(), key=lambda r: (r.source, r.creation_date))
+    got = store.read_lake(str(lake))
     want = sorted(sample_reviews(), key=lambda r: (r.source, r.creation_date))
-    assert got == want
-    assert ds.partition_count == 3
+    assert got == want  # in record-file order, each file in staging order
 
 
 def test_lake_layout_and_line_format(tmp_path):
@@ -88,8 +86,7 @@ def test_overwrite_existing_lake(tmp_path):
     lake = tmp_path / "lake"
     write_sample(lake)
     build_lake(lake, [R("steam", text="Only one")])
-    back = store.read_lake(str(lake))
-    assert [r.review_text for r in back.to_list()] == ["Only one"]
+    assert [r.review_text for r in store.read_lake(str(lake))] == ["Only one"]
     assert [p.name for p in tmp_path.iterdir()] == ["lake"]  # graveyard cleaned up
 
 
@@ -136,7 +133,7 @@ def test_ingest_removes_old_lakes_a_crashed_commit_left(tmp_path):
     write_sample(tmp_path / "lake.old-77")
     assert cli.run(ingest) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "lake", "lake.old-backup", "steam.csv"]
-    assert [r.review_text for r in store.read_lake(str(lake)).to_list()] == ["great fun"]
+    assert [r.review_text for r in store.read_lake(str(lake))] == ["great fun"]
 
 
 def test_read_rejects_tampered_lines(tmp_path):
@@ -186,7 +183,7 @@ def test_read_refuses_other_date_spellings_and_trailing_data(tmp_path):
             store.read_lake(str(lake))
     # the same date on many lines, and no final newline, still read back
     path.write_text("\n".join([first, first]), encoding="utf-8")
-    back = [r for r in store.read_lake(str(lake)).to_list() if r.source == "steam"]
+    back = [r for r in store.read_lake(str(lake)) if r.source == "steam"]
     assert [r.creation_date for r in back] == [datetime.date(2020, 5, 4)] * 2
 
 
@@ -254,6 +251,14 @@ def _replace_first_line(line):
     return lambda text: line + "\n" + text.split("\n", 1)[1]
 
 
+def _replace_once(old, new):
+    def tamper(text):
+        assert old in text
+        return text.replace(old, new, 1)
+
+    return tamper
+
+
 @pytest.mark.parametrize(
     "name, tamper",
     [
@@ -273,11 +278,20 @@ def _replace_first_line(line):
                 lambda d: d["per_source"]["steam"].update(rejected_by_reason={"bad_date": 2, "bad_label": -1})
             ),
         ),
+        # each of these keeps every count consistent with the files
+        ("manifest.json", _edit_manifest(lambda d: d.update(created_at=5))),
+        ("manifest.json", _edit_manifest(lambda d: d.update(stoplist_checksum=None))),
+        ("steam.jsonl", _replace_once('"upvotes":3,', f'"upvotes":{UPVOTE_MAX + 1},')),
+        ("rejects.jsonl", _replace_once('"source":"steam"', '"source":"yelp"')),
+        ("rejects.jsonl", _replace_once('"reason":"bad_date"', '"reason":"bad_label"')),
+        ("manifest.json", _edit_manifest(lambda d: d["record_files"].reverse())),
     ],
     ids=[
         "reasons_not_an_object", "record_file_not_a_name", "record_file_listed_twice",
         "reject_not_an_object", "reject_reason_unhashable",
         "accepted_float", "accepted_string", "blank_lines_bool", "reject_count_negative",
+        "created_at_number", "stoplist_checksum_null", "upvotes_above_max",
+        "reject_moved_to_another_source", "reject_moved_to_another_reason", "record_files_reordered",
     ],
 )
 def test_tampered_lake_is_exit_1_not_a_traceback(tmp_path, capsys, name, tamper):
@@ -290,8 +304,21 @@ def test_tampered_lake_is_exit_1_not_a_traceback(tmp_path, capsys, name, tamper)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_record_file_for_a_source_with_no_accepted_records_is_refused(tmp_path, capsys):
+    lake = tmp_path / "lake"
+    build_lake(lake, sample_reviews() + [RejectRecord("amazon", 1, "bad_json", "x")])
+    assert store.read_lake(str(lake))
+    # an empty amazon.jsonl matches amazon's count of 0, but the writer lists no such file
+    (lake / "amazon.jsonl").write_text("", encoding="utf-8")
+    mp = lake / "manifest.json"
+    list_amazon = _edit_manifest(lambda d: d["record_files"].insert(0, "amazon.jsonl"))
+    mp.write_text(list_amazon(mp.read_text(encoding="utf-8")), encoding="utf-8")
+    assert cli.run(["query", "per_year", "--lake", str(lake), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "record_files" in err
+
+
 def test_empty_lake_round_trip(tmp_path):
     lake = tmp_path / "empty"
     build_lake(lake, [])
-    ds = store.read_lake(str(lake), partitions=2)
-    assert len(ds) == 0
+    assert store.read_lake(str(lake)) == []
