@@ -17,26 +17,11 @@ from reviewlake.model import (
 
 __version__ = "0.1.0"
 
-_ENGINE_NAMES = ("AggSpec", "Metric", "PartitionedDataset", "group_aggregate")
-
-
-def __getattr__(name: str):
-    # the engine loads on first use, so importing the lake code alone stays engine-free
-    if name in _ENGINE_NAMES:
-        from reviewlake import engine
-
-        return getattr(engine, name)
-    raise AttributeError(f"module 'reviewlake' has no attribute {name!r}")
-
 __all__ = [
-    "AggSpec",
     "AggTable",
-    "Metric",
-    "PartitionedDataset",
     "RawRecord",
     "RejectRecord",
     "SOURCES",
     "UnifiedDraft",
     "UnifiedReview",
-    "group_aggregate",
 ]

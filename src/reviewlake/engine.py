@@ -1,36 +1,37 @@
-"""Partitioned in-memory datasets with exact, scheduling-independent queries.
+"""Partitioned in-memory datasets with exact, order-independent group-bys.
 
 Records live in N round-robin partitions. Transformations are pure and
-element-wise. An aggregation folds every partition, in partition order,
-into one table of group states, so results are byte-identical for any
-partition count. Exactness rules that make the result independent of the
-order in which records reach a group:
+element-wise. An aggregation takes two steps in the calling process: it
+walks the partitions in order and appends each record to its group's list,
+then, group by group in ascending key order, computes each metric over the
+group's values. A metric depends only on which values a group holds, never
+on their order, so results are byte-identical for any partition count:
 
-* integer sums stay integers; float contributions accumulate as
-  :class:`fractions.Fraction`, which is associative, and collapse to a
-  correctly rounded float only at finalization
-* mean is sum/count at finalization, never a running average
-* median gathers the group's values and sorts them under a canonical key
-  (ints before equal floats), so the middle element does not depend on
-  which partition contributed it; an even count takes the exact midpoint
-  of the middle pair, correctly rounded
+* ``count`` is the group's size
+* all-int values use the builtin sum, min, max and sort; a sum stays an int
+  and a mean is one correctly rounded int/int division
+* once a float is present, sums, means and the even-count median midpoint
+  are exact through :class:`fractions.Fraction`, rounded to float once
+* the median sorts under a canonical key (ints before equal floats), so the
+  middle element does not depend on record order
 * min and max keep an int over a numerically equal float
-* a sum, mean or median whose float value lies outside the float range
-  raises :class:`QueryTypeError` naming the group, never ``inf`` or a bare
-  ``OverflowError``
 * NaN and infinities are refused (they would poison ordering), -0.0 is
   normalized to 0.0, and bool is not a number here
+* a sum, mean or median whose value lies outside the float range raises
+  :class:`QueryTypeError` naming the group, never ``inf`` or a bare
+  ``OverflowError``
 
-The fold runs in the calling process and stops at the first bad record,
-so an error is always the lowest failing partition's. A fan-out of forked
-folds per view measured slower than this fold on 20k rows. A query makes
-two folds in all: the analytics module builds its two roll-up tables here
-and derives the six views from them.
+Every :class:`QueryTypeError` names the metric and the lowest failing group
+in key order, so an error does not depend on the partition count either.
+A fan-out of forked folds per view measured slower than this on 20k rows.
+A query makes two aggregations in all: the analytics module builds its two
+roll-up tables here and derives the six views from them.
 """
 
 from __future__ import annotations
 
 import gc
+from collections import defaultdict
 from contextlib import contextmanager
 from fractions import Fraction
 from math import isfinite
@@ -122,143 +123,9 @@ def from_records(records, partition_count: int) -> PartitionedDataset:
 # implementation
 # ---------------------------------------------------------------------------
 
-_K_COUNT, _K_SUM, _K_MIN, _K_MAX, _K_MEAN, _K_MEDIAN = range(6)
-_KCODE = {
-    "count": _K_COUNT,
-    "sum": _K_SUM,
-    "min": _K_MIN,
-    "max": _K_MAX,
-    "mean": _K_MEAN,
-    "median": _K_MEDIAN,
-}
-# slots per metric in a group's flat state list
-_WIDTH = {_K_COUNT: 1, _K_SUM: 2, _K_MIN: 1, _K_MAX: 1, _K_MEAN: 3, _K_MEDIAN: 1}
-
-_NOVAL = object()
-
-
-def _compile_metrics(metrics) -> tuple[tuple[int, str | None, int], ...]:
-    compiled = []
-    offset = 0
-    for m in metrics:
-        code = _KCODE.get(m.kind)
-        if code is None:
-            raise ConfigurationError(f"unknown metric kind {m.kind!r}, expected one of {METRIC_KINDS}")
-        if code == _K_COUNT:
-            if m.field is not None:
-                raise ConfigurationError("count takes no field")
-        elif not m.field:
-            raise ConfigurationError(f"{m.kind} needs a field name")
-        compiled.append((code, m.field, offset))
-        offset += _WIDTH[code]
-    if not compiled:
-        raise ConfigurationError("an aggregation needs at least one metric")
-    return tuple(compiled)
-
 
 def _metric_label(m: Metric) -> str:
     return "count" if m.kind == "count" else f"{m.kind}_{m.field}"
-
-
-def _fresh_state(compiled) -> list:
-    st: list = []
-    for code, _field, _off in compiled:
-        if code == _K_COUNT:
-            st.append(0)
-        elif code == _K_SUM:
-            st += [0, 0]  # int sum, float sum (int 0 until a float arrives)
-        elif code == _K_MEAN:
-            st += [0, 0, 0]
-        elif code == _K_MEDIAN:
-            st.append([])
-        else:
-            st.append(_NOVAL)
-    return st
-
-
-def _fold_partition(records, keyf, compiled, pindex: int, groups: dict) -> None:
-    """Fold one partition into ``groups``, {group key: flat metric state}."""
-    if not records:
-        return
-
-    if len(compiled) == 1 and compiled[0][0] == _K_COUNT:
-        # pure counting, the common case for the calendar views
-        get_count = groups.get
-        for rec in records:
-            k = keyf(rec)
-            st = get_count(k)
-            if st is None:
-                groups[k] = [1]
-            else:
-                st[0] += 1
-        return
-
-    first = records[0]
-    runtime = []
-    for code, field, off in compiled:
-        if field is None:
-            get = None
-        elif hasattr(first, field):
-            get = attrgetter(field)
-        else:
-            get = itemgetter(field)
-        runtime.append((code, get, off, field))
-
-    for pos, rec in enumerate(records):
-        key = keyf(rec)
-        st = groups.get(key)
-        if st is None:
-            groups[key] = st = _fresh_state(compiled)
-        try:
-            for code, get, off, field in runtime:
-                if code == _K_COUNT:
-                    st[off] += 1
-                    continue
-                v = get(rec)
-                cls = v.__class__
-                if cls is int:
-                    is_int = True
-                elif cls is float:
-                    if not isfinite(v):
-                        raise QueryTypeError(
-                            f"metric field {field!r} is non-finite ({v!r})",
-                            partition=pindex,
-                            position=pos,
-                        )
-                    if v == 0.0:
-                        v = 0.0  # collapse -0.0 so min/max ties cannot flip sign
-                    is_int = False
-                else:
-                    raise QueryTypeError(
-                        f"metric field {field!r} is not a number: {v!r} ({cls.__name__})",
-                        partition=pindex,
-                        position=pos,
-                    )
-                if code == _K_SUM:
-                    if is_int:
-                        st[off] += v
-                    else:
-                        st[off + 1] = st[off + 1] + Fraction(v)
-                elif code == _K_MEAN:
-                    st[off] += 1
-                    if is_int:
-                        st[off + 1] += v
-                    else:
-                        st[off + 2] = st[off + 2] + Fraction(v)
-                elif code == _K_MEDIAN:
-                    st[off].append(v)
-                elif code == _K_MIN:
-                    cur = st[off]
-                    if cur is _NOVAL or v < cur or (v == cur and is_int and cur.__class__ is float):
-                        st[off] = v
-                else:
-                    cur = st[off]
-                    if cur is _NOVAL or v > cur or (v == cur and is_int and cur.__class__ is float):
-                        st[off] = v
-        except (AttributeError, KeyError, IndexError, TypeError) as exc:
-            raise QueryTypeError(
-                f"metric field unreadable: {exc}", partition=pindex, position=pos
-            ) from exc
 
 
 def _median_key(v):
@@ -266,43 +133,87 @@ def _median_key(v):
     return (v, 0 if v.__class__ is int else 1)
 
 
-def _finalize(groups: dict, spec: AggSpec, compiled) -> AggTable:
-    columns = tuple(spec.key_columns) + tuple(_metric_label(m) for m in spec.metrics)
-    if len(compiled) == 1 and compiled[0][0] == _K_COUNT:
-        # pure counting, as in the fold: the state is [count]
-        rows = [(k if isinstance(k, tuple) else (k,)) + (groups[k][0],) for k in sorted(groups)]
-        return AggTable(spec.name, columns, rows)
-    rows = []
-    for key in sorted(groups):
-        st = groups[key]
-        vals = []
-        for (code, _field, off), metric in zip(compiled, spec.metrics):
-            if code == _K_COUNT:
-                vals.append(st[off])
-                continue
-            try:
-                if code == _K_SUM:
-                    fsum = st[off + 1]
-                    vals.append(st[off] if fsum.__class__ is int else float(st[off] + fsum))
-                elif code == _K_MEAN:
-                    n, isum, fsum = st[off], st[off + 1], st[off + 2]
-                    vals.append(isum / n if fsum.__class__ is int else float((isum + fsum) / n))
-                elif code == _K_MEDIAN:
-                    xs = sorted(st[off], key=_median_key)
-                    h = len(xs) // 2
-                    if len(xs) % 2:
-                        vals.append(xs[h])
-                    else:  # exact midpoint: a + b of two large floats would be inf
-                        vals.append(float((Fraction(xs[h - 1]) + Fraction(xs[h])) / 2))
-                else:
-                    vals.append(st[off])
-            except OverflowError:
-                raise QueryTypeError(
-                    f"{_metric_label(metric)} of group {key!r} is outside the float range"
-                ) from None
-        krow = key if isinstance(key, tuple) else (key,)
-        rows.append(krow + tuple(vals))
-    return AggTable(spec.name, columns, rows)
+def _max_key(v):
+    # the int of a tie sorts last, so max keeps it
+    return (v, 1 if v.__class__ is int else 0)
+
+
+def _median(xs: list, ints: bool):
+    xs = sorted(xs) if ints else sorted(xs, key=_median_key)
+    h = len(xs) // 2
+    if len(xs) % 2:
+        return xs[h]
+    if ints:
+        return (xs[h - 1] + xs[h]) / 2  # int/int division is correctly rounded
+    # exact midpoint: a + b of two large floats would be inf
+    return float((Fraction(xs[h - 1]) + Fraction(xs[h])) / 2)
+
+
+# kind -> (group values, whether all are ints) -> value
+_COMBINE = {
+    "sum": lambda xs, ints: sum(xs) if ints else float(sum(map(Fraction, xs))),
+    "min": lambda xs, ints: min(xs) if ints else min(xs, key=_median_key),
+    "max": lambda xs, ints: max(xs) if ints else max(xs, key=_max_key),
+    "mean": lambda xs, ints: sum(xs) / len(xs) if ints else float(sum(map(Fraction, xs)) / len(xs)),
+    "median": _median,
+}
+
+
+def _numbers(recs: list, get, field: str, key) -> tuple[list, bool]:
+    """A group's values of ``field`` and whether they are all ints.
+
+    -0.0 becomes 0.0. A value that is not a finite int or float is refused;
+    of several, the error names the least by repr, so it does not depend on
+    the order of the group's records.
+    """
+    try:
+        xs = list(map(get, recs))
+    except (AttributeError, KeyError, IndexError, TypeError) as exc:
+        raise QueryTypeError(f"metric field {field!r} of group {key!r} is unreadable: {exc!r}") from None
+    if set(map(type, xs)) == {int}:
+        return xs, True
+    bad = [v for v in xs if not (v.__class__ is int or v.__class__ is float and isfinite(v))]
+    if bad:
+        least = min(f"{v!r} ({type(v).__name__})" for v in bad)
+        raise QueryTypeError(f"metric field {field!r} of group {key!r} is not a finite number: {least}")
+    return [v if v.__class__ is int else v + 0.0 for v in xs], False  # -0.0 + 0.0 is 0.0
+
+
+def _field_reducer(m: Metric, sample):
+    combine, field, label = _COMBINE[m.kind], m.field, _metric_label(m)
+    get = attrgetter(field) if hasattr(sample, field) else itemgetter(field)
+
+    def reduce(key, recs: list):
+        xs, ints = _numbers(recs, get, field, key)
+        try:
+            return combine(xs, ints)
+        except OverflowError:
+            raise QueryTypeError(f"{label} of group {key!r} is outside the float range") from None
+
+    return reduce
+
+
+def _reducers(metrics, sample) -> list:
+    """One ``(group key, group records) -> value`` function per metric.
+
+    ``sample`` is the dataset's first record: whether it has the field as an
+    attribute picks attribute or item access.
+    """
+    if not metrics:
+        raise ConfigurationError("an aggregation needs at least one metric")
+    reducers = []
+    for m in metrics:
+        if m.kind == "count":
+            if m.field is not None:
+                raise ConfigurationError("count takes no field")
+            reducers.append(lambda key, recs: len(recs))
+        elif m.kind not in _COMBINE:
+            raise ConfigurationError(f"unknown metric kind {m.kind!r}, expected one of {METRIC_KINDS}")
+        elif not m.field:
+            raise ConfigurationError(f"{m.kind} needs a field name")
+        else:
+            reducers.append(_field_reducer(m, sample))
+    return reducers
 
 
 def group_aggregate(ds: PartitionedDataset, spec: AggSpec) -> AggTable:
@@ -310,9 +221,17 @@ def group_aggregate(ds: PartitionedDataset, spec: AggSpec) -> AggTable:
 
     Output rows are sorted ascending by group key.
     """
-    compiled = _compile_metrics(spec.metrics)
+    sample = next((part[0] for part in ds.partitions if part), None)
+    reducers = _reducers(spec.metrics, sample)
     keyf = spec.key_extractor
-    groups: dict = {}
-    for i, part in enumerate(ds.partitions):
-        _fold_partition(part, keyf, compiled, i, groups)
-    return _finalize(groups, spec, compiled)
+    groups = defaultdict(list)
+    for part in ds.partitions:
+        for rec in part:
+            groups[keyf(rec)].append(rec)
+    keys = sorted(groups)
+    # group by group, metric by metric: the first error is the lowest failing group's
+    values = [reduce(key, groups[key]) for key in keys for reduce in reducers]
+    per_row = zip(*[iter(values)] * len(reducers))  # consecutive runs of one row's values
+    rows = [(key if isinstance(key, tuple) else (key,)) + row for key, row in zip(keys, per_row)]
+    columns = tuple(spec.key_columns) + tuple(_metric_label(m) for m in spec.metrics)
+    return AggTable(spec.name, columns, rows)

@@ -33,12 +33,6 @@ class CorruptLakeError(ReviewLakeError):
 
 
 class QueryTypeError(ReviewLakeError):
-    """A metric field held a non-numeric value; carries row provenance."""
-
-    # Defaults keep the exception picklable, like every error here:
-    # unpickling rebuilds from self.args (the message alone) and restores
-    # the rest from __dict__.
-    def __init__(self, message: str, *, partition: int = -1, position: int = -1):
-        super().__init__(message)
-        self.partition = partition
-        self.position = position
+    """A metric field held a value that is not a finite number, or a metric's
+    value left the float range; the message names the metric and the lowest
+    failing group key."""

@@ -8,11 +8,12 @@ hidden temp directory next to the target, fsyncs it, and renames it into
 place, so readers never observe a partial lake, even after a crash.
 
 A valid lake holds what :class:`LakeWriter` writes and nothing else.
-:func:`read_lake` revalidates every record against the unified-schema
-invariants, requires the manifest's record files to be the ones the
-writer derives from its counts, and requires the reject file's tallies
-per source and reason to equal the manifest's, refusing any other lake
-loudly.
+:func:`read_lake` requires the manifest to be byte for byte the one the
+writer makes of its counts, the directory to hold exactly the files those
+counts name, each reject line to be what the writer writes and their
+tallies per source and reason to equal the manifest's, and revalidates
+every record against the unified-schema invariants, refusing any other
+lake loudly.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 import re
 import shutil
 import tempfile
+from itertools import zip_longest
 from typing import NamedTuple
 
 from reviewlake.errors import ConfigurationError, CorruptLakeError
@@ -268,12 +270,15 @@ def _fsync(path: str) -> None:
 
 
 def load_manifest(lake_dir: str) -> LakeManifest:
+    """The lake's manifest; its bytes must be the ones the writer makes of its counts."""
     path = os.path.join(lake_dir, MANIFEST_NAME)
     try:
         with open(path, "rb") as fh:
-            doc = json.load(fh)
+            raw = fh.read()
     except OSError as exc:
         raise CorruptLakeError(f"{lake_dir}: no readable manifest: {exc}") from None
+    try:
+        doc = json.loads(raw)
     except ValueError as exc:
         raise CorruptLakeError(f"{path}: not valid JSON: {exc}") from None
     try:
@@ -287,21 +292,29 @@ def load_manifest(lake_dir: str) -> LakeManifest:
                 raise CorruptLakeError(f"{path}: unknown reject reasons {sorted(bad)}")
             per_source[src] = SourceStats(
                 accepted=_count(st["accepted"], f"{src} accepted", path),
-                blank_lines=_count(st.get("blank_lines", 0), f"{src} blank_lines", path),
+                blank_lines=_count(st["blank_lines"], f"{src} blank_lines", path),
                 rejected_by_reason={k: _count(v, f"{src} {k}", path) for k, v in rejected.items()},
             )
-        return LakeManifest(
+        manifest = LakeManifest(
             created_at=_typed(doc["created_at"], str, "created_at", path),
             per_source=per_source,
-            record_files=tuple(_typed(doc["record_files"], list, "record_files", path)),
+            record_files=record_files(per_source),
             stoplist_checksum=_typed(doc["stoplist_checksum"], str, "stoplist_checksum", path),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptLakeError(f"{path}: malformed manifest: {exc!r}") from None
+    lines = zip_longest(raw.split(b"\n"), manifest_to_json(manifest).encode().split(b"\n"))
+    for lineno, (got, want) in enumerate(lines, start=1):
+        if got != want:
+            expected = "the end of the file" if want is None else repr(want.decode())
+            raise CorruptLakeError(
+                f"{path}:{lineno}: not what the writer writes for these counts: expected {expected}"
+            )
+    return manifest
 
 
 def _typed(v, cls: type, what: str, path: str):
-    """A manifest value that must decode to ``cls`` (str or list); nothing is coerced."""
+    """A manifest value that must decode to ``cls``; nothing is coerced."""
     if v.__class__ is not cls:
         raise CorruptLakeError(f"{path}: {what} must be a {cls.__name__}, got {v!r}")
     return v
@@ -369,19 +382,19 @@ def read_lake(lake_dir: str) -> list[UnifiedReview]:
     Structural invariants are enforced per record (shape, sentiment and
     upvote domains, date window, cleaned-text alphabet); whether the text
     is stopword-free under some list is only knowable through the manifest
-    checksum, so it is not re-judged here. The record files and every count
-    must be the ones the writer derives from the manifest.
+    checksum, so it is not re-judged here. The directory must hold exactly
+    the files the manifest's counts name, and every count must match.
     """
     manifest = load_manifest(lake_dir)
-    expected_files = record_files(manifest.per_source)
-    if manifest.record_files != expected_files:
+    files = set(manifest.record_files) | {MANIFEST_NAME, REJECTS_NAME}
+    listed = set(os.listdir(lake_dir))
+    if listed != files:
         raise CorruptLakeError(
-            f"{lake_dir}: record_files {list(manifest.record_files)!r} are not "
-            f"{list(expected_files)!r}, one per source with accepted records"
+            f"{lake_dir}: a lake with these counts holds exactly {sorted(files)!r}, not {sorted(listed)!r}"
         )
     records: list[UnifiedReview] = []
     dates: dict[str, _dt.date] = {}  # at most one entry per day of the window
-    for fname in expected_files:
+    for fname in manifest.record_files:
         source = fname[: -len(".jsonl")]
         path = os.path.join(lake_dir, fname)
         expected = manifest.per_source[source].accepted
@@ -410,7 +423,8 @@ def read_lake(lake_dir: str) -> list[UnifiedReview]:
 
 
 def _check_rejects(lake_dir: str, manifest: LakeManifest) -> None:
-    """The reject file's tally per (source, reason) must equal the manifest's."""
+    """Each reject line must be what the writer writes, with a positive
+    row number, and the tally per (source, reason) must equal the manifest's."""
     path = os.path.join(lake_dir, REJECTS_NAME)
     expected = {
         (src, reason): n
@@ -429,10 +443,14 @@ def _check_rejects(lake_dir: str, manifest: LakeManifest) -> None:
                 doc = json.loads(line)
             except ValueError as exc:
                 raise CorruptLakeError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            source, reason = (doc.get("source"), doc.get("reason")) if doc.__class__ is dict else (None, None)
-            if source.__class__ is not str or reason.__class__ is not str:
-                raise CorruptLakeError(f"{path}:{lineno}: reject needs a source and a reason string")
-            tally[source, reason] = tally.get((source, reason), 0) + 1
+            try:
+                r = RejectRecord(doc["source"], doc["row_number"], doc["reason"], doc["detail"])
+                exact = reject_to_json(r) + "\n" == line.decode("utf-8")
+            except (KeyError, TypeError, ValueError):
+                exact = False
+            if not exact or r.row_number.__class__ is not int or r.row_number < 1:
+                raise CorruptLakeError(f"{path}:{lineno}: not a reject line as the writer writes it")
+            tally[r.source, r.reason] = tally.get((r.source, r.reason), 0) + 1
     if tally != expected:
         src, reason = min(k for k in tally.keys() | expected.keys() if tally.get(k) != expected.get(k))
         raise CorruptLakeError(

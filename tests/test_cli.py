@@ -455,6 +455,44 @@ def test_lake_keeps_its_bytes(seed1_corpus, tmp_path, monkeypatch, capsys, threa
     assert sha_tree(lake) == PINNED_LAKE
 
 
+# Digests of what report and query --format json write from that lake,
+# recorded before the aggregation engine was rewritten.
+PINNED_OUTPUT = {
+    "report": {
+        "length_upvotes.csv": "4f1ab4d7a2c08e4e34f94853ff44af958542a7f268f37a42166c9903b183671d",
+        "length_upvotes.svg": "df2e06a7b46cdf053dd17420004a9858f348b3cfeab45a7d73679569e64e47b6",
+        "per_month.csv": "105fa4bbd98f9b98f6a1198f17c170725895c7af6a983455f28a2b33ad25c0c4",
+        "per_month.svg": "fc6832ddd12b865e8d0a2339ece0e9a2e453709f2321735fb9e36f45235a9fd8",
+        "per_weekday.csv": "b00ab3bba99be42d68da974f5ba7bdad985780f3307b4e76a1d9249ee1ff9006",
+        "per_weekday.svg": "a170434b83d1b421787f7a03081aaa9dd24b472a7de508108275f525e559ad5d",
+        "per_year.csv": "306f3f8420d15a0853ec17fdea2794576b894df0b38b89c617909697ad2d828b",
+        "per_year.svg": "fba3cb8c5bf17a6ce38bea58010f5cba02d7cd416a927a16866f13378136c967",
+        "sentiment_profile.csv": "24002fb374078abfc973ae98c50a8bdff2cbb2dd2511ec4cd96402c8596d97cb",
+        "sentiment_profile.svg": "7c7956c41cf325ff131a4010d2dd2def23bdac91fcee785d234f89fde0fc19b5",
+        "yoy.csv": "6a5a4e0b0c71a0579b9579884331105ecc01e61e75df2210339e8cbe88cec591",
+        "yoy.svg": "f5e24fec98a680bace8cee8c2560767176f598145065ec6e6b3fc8c539ca58fa",
+    },
+    "query": {
+        "length_upvotes.json": "eb07c4d62f264b7330f19542ebc112d571037591a1f47a6c05db9ef748c9fe0d",
+        "per_month.json": "680bd3df76172192bfb161252063ebf2ab9a8ad4d5ab7cc92b745ce9428e2e3f",
+        "per_weekday.json": "61dc1af18cca2a7b56cb053ca1eaf3b8acb4fea2556b73e61351706f65a04ad4",
+        "per_year.json": "34620af0db6c484e0c7694e121e1fd59fb9618fcbb8f41b303393d559404d960",
+        "sentiment_profile.json": "bc0315e623a6db1bc82d4071f4d2b8a5c35276dbd449d8b1454b037fa4ac27ae",
+        "yoy.json": "9491f54fbe1ebc181fa3f6a585016b074b203161b4996cd3856462acb790b44f",
+    },
+}
+
+
+@pytest.mark.parametrize("command", [["report"], ["query", "--format", "json"]], ids=["report", "query_json"])
+def test_tables_and_charts_keep_their_bytes(seed1_corpus, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    monkeypatch.delenv("REVIEWLAKE_STOPLIST", raising=False)
+    lake, out = tmp_path / "lake", tmp_path / "out"
+    assert cli.run(["ingest", "--config", str(seed1_corpus / "config.json"), "--lake", str(lake)]) == 0
+    assert cli.run(command + ["--lake", str(lake), "--out", str(out)]) == 0
+    assert sha_tree(out) == PINNED_OUTPUT[command[0]]
+
+
 _STARTUP_CHECK = """
 import sys
 from reviewlake import cli

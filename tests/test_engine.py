@@ -160,15 +160,6 @@ def test_bool_is_not_numeric():
         group_aggregate(ds, _spec([Metric("sum", "v")]))
 
 
-def test_nan_rejected_with_partition_and_position():
-    recs = [{"k": 0, "v": 1.0}] * 5 + [{"k": 0, "v": math.nan}] + [{"k": 0, "v": 2.0}]
-    ds = from_records(recs, 2)  # nan is record 5 -> partition 1, position 2
-    with pytest.raises(QueryTypeError) as ei:
-        group_aggregate(ds, _spec([Metric("sum", "v")]))
-    assert ei.value.partition == 1
-    assert ei.value.position == 2
-
-
 def test_inf_rejected():
     ds = from_records([{"k": 0, "v": math.inf}], 1)
     with pytest.raises(QueryTypeError):
@@ -268,18 +259,31 @@ def test_partition_and_worker_invariance():
         assert_rows_identical(t.rows, baseline.rows)
 
 
-@pytest.mark.parametrize("lowest", [1, 2, 3])
-def test_error_of_lowest_failing_partition_for_any_worker_count(lowest):
-    # The fold runs inline on one worker; the parameter is the lowest failing
-    # partition. Five partitions, two failing: the fold stops at `lowest`
-    # even though the other bad record comes first in insertion order.
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "bad, why",
+    [
+        (math.nan, "is not a finite number: nan (float)"),
+        (-math.inf, "is not a finite number: -inf (float)"),
+        (True, "is not a finite number: True (bool)"),
+        ("x", "is not a finite number: 'x' (str)"),
+        (_MISSING, "is unreadable: KeyError('v')"),
+    ],
+    ids=["nan", "inf", "bool", "str", "missing"],
+)
+def test_error_names_the_field_and_lowest_failing_group_for_any_partition_count(bad, why):
+    # group 2's bad records come first in insertion order, but group 1 fails
+    # first; group 1 also holds a NaN, which each expected message outranks
     recs = [{"k": i % 3, "v": float(i)} for i in range(60)]
-    recs[5 + lowest + 1] = {"k": 1, "v": "x"}  # partition lowest+1, position 1
-    recs[20 + lowest] = {"k": 1, "v": math.nan}  # partition lowest, position 4
-    with pytest.raises(QueryTypeError) as ei:
-        group_aggregate(from_records(recs, 5), _spec([Metric("sum", "v")]))
-    assert str(ei.value) == "metric field 'v' is non-finite (nan)"
-    assert (ei.value.partition, ei.value.position) == (lowest, 4)
+    recs[2] = recs[47] = {"k": 2} if bad is _MISSING else {"k": 2, "v": bad}
+    recs[31] = {"k": 1} if bad is _MISSING else {"k": 1, "v": bad}
+    recs[4] = {"k": 1, "v": math.nan}
+    for parts in (1, 2, 5, 16):
+        with pytest.raises(QueryTypeError) as ei:
+            group_aggregate(from_records(recs, parts), _spec([Metric("count"), Metric("sum", "v")]))
+        assert str(ei.value) == f"metric field 'v' of group 1 {why}", parts
 
 
 _HUGE_PAIR = [("a", 8.988465674311579e307), ("a", 8.98846567431158e307)]  # sum > float max

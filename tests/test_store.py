@@ -285,6 +285,10 @@ def _replace_once(old, new):
         ("rejects.jsonl", _replace_once('"source":"steam"', '"source":"yelp"')),
         ("rejects.jsonl", _replace_once('"reason":"bad_date"', '"reason":"bad_label"')),
         ("manifest.json", _edit_manifest(lambda d: d["record_files"].reverse())),
+        # each of these keeps the writer's layout everywhere else
+        ("rejects.jsonl", _replace_first_line('{"source":"steam","reason":"bad_date"}')),
+        ("amazon.jsonl.bak", lambda text: text),
+        ("manifest.json", _replace_once('  "created_at"', '  "junk": 1,\n  "created_at"')),
     ],
     ids=[
         "reasons_not_an_object", "record_file_not_a_name", "record_file_listed_twice",
@@ -292,13 +296,15 @@ def _replace_once(old, new):
         "accepted_float", "accepted_string", "blank_lines_bool", "reject_count_negative",
         "created_at_number", "stoplist_checksum_null", "upvotes_above_max",
         "reject_moved_to_another_source", "reject_moved_to_another_reason", "record_files_reordered",
+        "reject_cut_to_source_and_reason", "stray_file", "manifest_unknown_key",
     ],
 )
 def test_tampered_lake_is_exit_1_not_a_traceback(tmp_path, capsys, name, tamper):
     lake = tmp_path / "lake"
     write_sample(lake)
     path = lake / name
-    path.write_text(tamper(path.read_text(encoding="utf-8")), encoding="utf-8")
+    text = path.read_text(encoding="utf-8") if path.exists() else ""
+    path.write_text(tamper(text), encoding="utf-8")
     assert cli.run(["query", "per_year", "--lake", str(lake), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -315,7 +321,7 @@ def test_a_record_file_for_a_source_with_no_accepted_records_is_refused(tmp_path
     mp.write_text(list_amazon(mp.read_text(encoding="utf-8")), encoding="utf-8")
     assert cli.run(["query", "per_year", "--lake", str(lake), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "record_files" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "manifest.json:1: " in err
 
 
 def test_empty_lake_round_trip(tmp_path):
