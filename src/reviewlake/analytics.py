@@ -16,8 +16,9 @@ int, so re-grouping them is exact, and a mean is one correctly rounded
 int/int division, the same value a fold over the records gives. No mean
 can leave the float range: a mean never exceeds the largest value it
 averages, and the lake holds no upvote count above ``UPVOTE_MAX``. Results
-are independent of partition layout. Calendar fields come from the
-package's own civil calendar, not the platform's locale machinery.
+are independent of partition layout. Calendar fields come from
+``datetime.date`` arithmetic and the day names from ``WEEKDAY_NAMES``,
+never from the platform's locale.
 
 Query ids, in canonical order: per_year, yoy, per_weekday, per_month,
 length_upvotes, sentiment_profile.
@@ -28,9 +29,10 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from reviewlake import civil
 from reviewlake.engine import AggSpec, Metric, PartitionedDataset, group_aggregate
 from reviewlake.model import AggTable
+
+WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
 
 BUCKET_WIDTH = 50
 BUCKET_CAP = 2000
@@ -92,10 +94,8 @@ def reviews_per_year(cube: Rollup) -> AggTable:
 
 def reviews_per_weekday(cube: Rollup) -> AggTable:
     """Counts by ISO weekday (Monday=1) and source, with the day name."""
-    days = {day for _src, day, _sent, _n in cube.calendar.rows}
-    weekday = {day: civil.weekday_iso(day.year, day.month, day.day) for day in days}
-    base = _summed(((weekday[day], src), n) for src, day, _sent, n in cube.calendar.rows)
-    rows = [(wd, civil.WEEKDAY_NAMES[wd - 1], src, n) for wd, src, n in base]
+    base = _summed(((day.isoweekday(), src), n) for src, day, _sent, n in cube.calendar.rows)
+    rows = [(wd, WEEKDAY_NAMES[wd - 1], src, n) for wd, src, n in base]
     return AggTable("per_weekday", ("weekday", "weekday_name", "source", "count"), rows)
 
 

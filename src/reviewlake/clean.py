@@ -17,7 +17,6 @@ import string
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from reviewlake import civil
 from reviewlake.errors import ConfigurationError
 from reviewlake.model import (
     DATE_WINDOW_HI,
@@ -33,6 +32,21 @@ from reviewlake.model import (
 DATE_FORMAT_IDS = ("iso", "iso_datetime", "us_slash", "long_month", "epoch_seconds")
 
 SENTIMENT_SCHEMES = ("binary_label", "five_class_label", "star_rating")
+
+MONTH_NAMES = (
+    "January",
+    "February",
+    "March",
+    "April",
+    "May",
+    "June",
+    "July",
+    "August",
+    "September",
+    "October",
+    "November",
+    "December",
+)
 
 
 class CleanRejection(Exception):
@@ -149,7 +163,7 @@ def _match_us_slash(s: str) -> tuple[int, int, int] | None:
     return None
 
 
-_MONTH_BY_NAME = {name.lower(): i + 1 for i, name in enumerate(civil.MONTH_NAMES)}
+_MONTH_BY_NAME = {name.lower(): i + 1 for i, name in enumerate(MONTH_NAMES)}
 
 
 def _match_long_month(s: str) -> tuple[int, int, int] | None:
@@ -170,11 +184,26 @@ def _match_long_month(s: str) -> tuple[int, int, int] | None:
     return None
 
 
+_EPOCH = _dt.date(1970, 1, 1)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+# the window's last second has this many digits; a count with more lies
+# 10**10 s (over 300 years) or further from the epoch, outside the window
+_EPOCH_MAX_DIGITS = len(str((DATE_WINDOW_HI - _EPOCH).days * 86400 + 86399))
+
+
 def _match_epoch_seconds(s: str) -> tuple[int, int, int] | None:
-    body = s[1:] if s[:1] == "-" else s
+    negative = s[:1] == "-"
+    body = s[1:] if negative else s
     if not body or not body.isdecimal():
         return None
-    return civil.civil_from_days(int(s) // 86400)
+    # decided from the digits before int(), so a long count costs no
+    # conversion and int()'s digit limit changes no verdict
+    head, tail = body[:-_EPOCH_MAX_DIGITS], body[-_EPOCH_MAX_DIGITS:]
+    if head and any(map(int, head)):
+        raise CleanRejection("date_out_of_range", s)
+    seconds = int(tail)
+    day = _dt.date.fromordinal(_EPOCH_ORDINAL + (-seconds if negative else seconds) // 86400)
+    return day.year, day.month, day.day
 
 
 _FORMAT_MATCHERS = {
@@ -212,9 +241,14 @@ def normalize_date(raw: str, formats: tuple[str, ...]) -> _dt.date:
                 return _dt.date(*ymd)
             except ValueError:  # inside the window, date() accepts exactly the real days
                 raise CleanRejection("bad_date", raw) from None
-        if civil.is_valid_date(*ymd):
-            raise CleanRejection("date_out_of_range", raw)
-        raise CleanRejection("bad_date", raw)
+        y, m, d = ymd
+        try:
+            # the calendar repeats every 400 years, so this names a real day
+            # exactly when (y, m, d) does; year 0 maps to 2000 and stays real
+            _dt.date(2000 + y % 400, m, d)
+        except ValueError:
+            raise CleanRejection("bad_date", raw) from None
+        raise CleanRejection("date_out_of_range", raw)
     raise CleanRejection("bad_date", raw)
 
 

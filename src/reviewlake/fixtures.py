@@ -44,8 +44,7 @@ import os
 import random
 from bisect import bisect_right
 
-from reviewlake import civil
-from reviewlake.clean import default_stoplist
+from reviewlake.clean import MONTH_NAMES, default_stoplist
 from reviewlake.errors import ConfigurationError
 
 PROFILES = ("uniform", "paper_shaped")
@@ -132,6 +131,7 @@ _HEADERS = {
 
 _FILES = {"amazon": "amazon.csv", "yelp": "yelp.csv", "steam": "steam.csv", "imdb": "imdb.jsonl"}
 _EOL = {"amazon": "\r\n", "yelp": "\n", "steam": "\n"}
+_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
 
 
 def _day_population(source: str, profile: str):
@@ -144,7 +144,7 @@ def _day_population(source: str, profile: str):
     while d.year <= LAST_YEAR:
         w = _YEAR_W[source][d.year - FIRST_YEAR] if shaped else 1.0
         if shaped:
-            wd = civil.weekday_iso(d.year, d.month, d.day)
+            wd = d.isoweekday()
             if source in ("yelp", "imdb") and wd in (6, 7, 1):
                 w *= 3.0
             elif source == "amazon" and wd in (6, 7):
@@ -271,13 +271,13 @@ def _format_date(source: str, d: datetime.date, fallback: bool, rng: random.Rand
             return f"{y:04d}-{m:02d}-{dd:02d}"
         return f"{y:04d}-{m:02d}-{dd:02d} {_below(rng, 24):02d}:{_below(rng, 60):02d}:{_below(rng, 60):02d}"
     if source == "steam":
-        secs = civil.days_from_civil(y, m, dd) * 86400 + _below(rng, 86400)
+        secs = (d.toordinal() - _EPOCH_ORDINAL) * 86400 + _below(rng, 86400)
         if fallback:
             return f"{y:04d}-{m:02d}-{dd:02d} {_below(rng, 24):02d}:{_below(rng, 60):02d}:{_below(rng, 60):02d}"
         return str(secs)
     if fallback:
         return f"{y:04d}-{m:02d}-{dd:02d}"
-    return f"{civil.MONTH_NAMES[m - 1]} {dd}, {y:04d}"
+    return f"{MONTH_NAMES[m - 1]} {dd}, {y:04d}"
 
 
 def _sentiment_label(source: str, cls: int, rng: random.Random) -> str:

@@ -376,6 +376,7 @@ def _mapping_from_obj(obj, origin: str) -> SourceMapping:
     if (
         not isinstance(fmts, list)
         or not fmts
+        or not all(isinstance(f, str) for f in fmts)
         or len(set(fmts)) != len(fmts)
         or any(f not in DATE_FORMAT_IDS for f in fmts)
     ):

@@ -21,11 +21,11 @@ from contextlib import contextmanager
 import pytest
 
 import conftest
-from reviewlake import analytics, civil, clean, cli, fixtures, ingest, report
+from reviewlake import analytics, clean, cli, fixtures, ingest, report
 from reviewlake.engine import AggSpec, Metric, from_records, group_aggregate
 from reviewlake.model import UnifiedReview
 from oracles import oracle_aggregate
-from test_dates import WEEKDAY_ANCHORS
+from test_dates import DAY_NAMES, WEEKDAY_ANCHORS, weekday_view_row
 
 SOURCES = ("amazon", "imdb", "steam", "yelp")
 
@@ -302,8 +302,7 @@ def test_criterion_10_calendar():
         assert ("2000-02-29", 2) in WEEKDAY_ANCHORS
         assert ("2024-02-29", 4) in WEEKDAY_ANCHORS
         for iso, want in WEEKDAY_ANCHORS:
-            y, m, d = map(int, iso.split("-"))
-            assert civil.weekday_iso(y, m, d) == want, iso
+            assert weekday_view_row(iso) == (want, DAY_NAMES[want - 1], "steam", 1), iso
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,21 @@ def test_upvote_count_past_int_conversion_limit_is_a_reject(tmp_path, capsys):
     assert manifest["per_source"]["steam"]["rejected_by_reason"] == {"bad_upvotes": 1}
 
 
+def test_epoch_past_int_conversion_limit_is_a_reject(tmp_path):
+    src = tmp_path / "steam.csv"
+    src.write_text(
+        "app_name,timestamp_created,voted_up,votes_up,review\n"
+        f"Game,{'9' * 5000},true,3,great fun game\n"
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sources": [{"source": "steam", "path": str(src)}]}))
+    lake = tmp_path / "lake"
+    assert cli.run(["ingest", "--config", str(cfg), "--lake", str(lake)]) == 0
+    manifest = json.loads((lake / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["per_source"]["steam"]["accepted"] == 0
+    assert manifest["per_source"]["steam"]["rejected_by_reason"] == {"date_out_of_range": 1}
+
+
 @pytest.mark.parametrize("epoch", ["abc", "-1", "99999999999999999999"])
 def test_bad_source_date_epoch_is_exit_2_before_any_lake(data_dir, tmp_path, monkeypatch, capsys, epoch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
@@ -539,6 +554,39 @@ def test_query_and_report_load_no_ingest_code(lake_dir, tmp_path):
     assert "reviewlake.analytics" in loaded
     unwanted = {"reviewlake.clean", "reviewlake.ingest", "reviewlake.fixtures", "hashlib", "dataclasses"}
     assert loaded & unwanted == set()
+
+
+_IMPORTS_OF_A_FULL_RUN = """
+import sys
+before = set(sys.modules)
+from reviewlake import cli
+data, out = sys.argv[1], sys.argv[2]
+lake = out + "/lake"
+for argv in (
+    ["gen-fixtures", "--out", data, "--rows", "50", "--seed", "3"],
+    ["ingest", "--config", data + "/config.json", "--lake", lake, "--threads", "2"],
+    ["query", "--lake", lake, "--out", out + "/query"],
+    ["report", "--lake", lake, "--out", out + "/report"],
+):
+    assert cli.run(argv) == 0, argv
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_a_full_run_loads_only_the_package_and_the_standard_library(tmp_path):
+    # the README promises no runtime dependencies; numpy or orjson being
+    # installed must not let one creep in
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_OF_A_FULL_RUN, str(tmp_path / "data"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.partition(".")[0] for name in proc.stdout.splitlines()[-1].split()}
+    assert "reviewlake" in loaded
+    # multiprocessing registers the main module a second time as __mp_main__
+    ours = {"reviewlake", "__mp_main__"}
+    assert {m for m in loaded - ours if m not in sys.stdlib_module_names} == set()
 
 
 def test_the_lake_code_loads_neither_the_engine_nor_the_views():

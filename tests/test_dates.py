@@ -1,17 +1,20 @@
-"""Calendar arithmetic and date normalization.
+"""Date normalization and the weekday view.
 
 The weekday anchors below were verified by hand against known events and
-printed calendars, then cross-checked against datetime, which the
-production code deliberately avoids for day arithmetic.
+printed calendars. Production code takes every calendar fact from
+datetime.date, so the anchors are checked through the weekday view as well
+as against datetime directly.
 """
 
 import datetime
-import random
+import sys
 
 import pytest
 
-from reviewlake import civil
+from reviewlake import analytics
 from reviewlake.clean import CleanRejection, normalize_date
+from reviewlake.engine import from_records
+from reviewlake.model import UnifiedReview
 
 # (iso date, ISO weekday 1=Monday..7=Sunday), verified by hand
 WEEKDAY_ANCHORS = [
@@ -38,54 +41,21 @@ WEEKDAY_ANCHORS = [
 ]
 
 
+DAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
+
+
+def weekday_view_row(iso):
+    """The per_weekday row of a dataset holding one review dated ``iso``."""
+    rec = UnifiedReview("N", datetime.date.fromisoformat(iso), 1, 0, "Tt", "steam")
+    (row,) = analytics.reviews_per_weekday(analytics.rollup(from_records([rec], 1))).rows
+    return row
+
+
 def test_weekday_anchors_by_hand_and_against_datetime():
     assert len(WEEKDAY_ANCHORS) == 20
     for iso, want in WEEKDAY_ANCHORS:
-        y, m, d = map(int, iso.split("-"))
-        assert civil.weekday_iso(y, m, d) == want, iso
-        assert datetime.date(y, m, d).isoweekday() == want, f"anchor table wrong at {iso}"
-
-
-def test_leap_rules():
-    assert civil.is_leap(2000)
-    assert civil.is_leap(2024)
-    assert not civil.is_leap(1900)
-    assert not civil.is_leap(2023)
-    assert not civil.is_leap(2100)
-
-
-def test_days_in_month():
-    assert civil.days_in_month(2024, 2) == 29
-    assert civil.days_in_month(2023, 2) == 28
-    assert civil.days_in_month(2021, 4) == 30
-    assert civil.days_in_month(2021, 12) == 31
-
-
-def test_epoch_anchors():
-    assert civil.days_from_civil(1970, 1, 1) == 0
-    assert civil.days_from_civil(1970, 1, 2) == 1
-    assert civil.days_from_civil(1969, 12, 31) == -1
-    assert civil.civil_from_days(0) == (1970, 1, 1)
-    assert civil.civil_from_days(-1) == (1969, 12, 31)
-
-
-def test_civil_round_trip_against_datetime():
-    rng = random.Random(4)
-    epoch = datetime.date(1970, 1, 1)
-    for _ in range(3000):
-        days = rng.randrange(-40000, 40000)
-        y, m, d = civil.civil_from_days(days)
-        assert (datetime.date(y, m, d) - epoch).days == days
-        assert civil.days_from_civil(y, m, d) == days
-
-
-def test_valid_date_boundaries():
-    assert civil.is_valid_date(2024, 2, 29)
-    assert not civil.is_valid_date(2023, 2, 29)
-    assert not civil.is_valid_date(2020, 13, 1)
-    assert not civil.is_valid_date(2020, 0, 5)
-    assert not civil.is_valid_date(2020, 6, 31)
-    assert not civil.is_valid_date(2020, 6, 0)
+        assert weekday_view_row(iso) == (want, DAY_NAMES[want - 1], "steam", 1), iso
+        assert datetime.date.fromisoformat(iso).isoweekday() == want, f"anchor table wrong at {iso}"
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +74,14 @@ def test_iso_accepts_and_rejects():
     assert _reason("2020-1-31", ("iso",)) == "bad_date"  # not zero padded
     assert _reason("20200131", ("iso",)) == "bad_date"
     assert _reason("2020-02-30", ("iso",)) == "bad_date"
+    # month lengths and leap days inside the window
+    assert normalize_date("2024-02-29", ("iso",)).isoformat() == "2024-02-29"
+    assert _reason("2023-02-29", ("iso",)) == "bad_date"
+    assert normalize_date("2021-04-30", ("iso",)).isoformat() == "2021-04-30"
+    assert _reason("2021-04-31", ("iso",)) == "bad_date"
+    assert normalize_date("2021-12-31", ("iso",)).isoformat() == "2021-12-31"
+    assert _reason("2020-06-00", ("iso",)) == "bad_date"
+    assert _reason("2020-00-05", ("iso",)) == "bad_date"
 
 
 def test_iso_datetime_shape_and_impossible_time():
@@ -131,16 +109,33 @@ def test_long_month_names():
 
 def test_epoch_seconds():
     assert normalize_date("0", ("epoch_seconds",)).isoformat() == "1970-01-01"
+    assert normalize_date("-0", ("epoch_seconds",)).isoformat() == "1970-01-01"
     assert normalize_date("86399", ("epoch_seconds",)).isoformat() == "1970-01-01"
     assert normalize_date("86400", ("epoch_seconds",)).isoformat() == "1970-01-02"
     assert normalize_date("1600000000", ("epoch_seconds",)).isoformat() == "2020-09-13"
+    assert normalize_date("951782399", ("epoch_seconds",)).isoformat() == "2000-02-28"
+    assert normalize_date("951782400", ("epoch_seconds",)).isoformat() == "2000-02-29"  # 2000 is a leap year
+    assert normalize_date("951868800", ("epoch_seconds",)).isoformat() == "2000-03-01"
+    assert normalize_date("1893455999", ("epoch_seconds",)).isoformat() == "2029-12-31"
+    assert normalize_date("0" * 30 + "1600000000", ("epoch_seconds",)).isoformat() == "2020-09-13"
+    assert _reason("1893456000", ("epoch_seconds",)) == "date_out_of_range"
     assert _reason("-1", ("epoch_seconds",)) == "date_out_of_range"
     assert _reason("4102444800", ("epoch_seconds",)) == "date_out_of_range"  # year 2100
     assert _reason("12.5", ("epoch_seconds",)) == "bad_date"
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
 def test_huge_epoch_cannot_overflow():
-    assert _reason("9" * 30, ("epoch_seconds",)) == "date_out_of_range"
+    old = sys.get_int_max_str_digits()
+    try:
+        for limit in (0, 640, 4300):  # 0 turns int()'s digit limit off, 640 is the lowest it can be set to
+            sys.set_int_max_str_digits(limit)
+            for huge in ("9" * 30, "9" * 641, "9" * 5000, "-" + "9" * 5000):
+                assert _reason(huge, ("epoch_seconds",)) == "date_out_of_range", (limit, len(huge))
+            # leading zeros keep their meaning, however many there are
+            assert normalize_date("0" * 5000 + "86400", ("epoch_seconds",)).isoformat() == "1970-01-02"
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_window_boundaries():
@@ -164,6 +159,11 @@ def test_window_boundaries():
         ("0000-01-01", ("iso",), "date_out_of_range"),  # a real day no datetime.date can hold
         ("9999-12-31", ("iso",), "date_out_of_range"),
         ("February 29, 1968", ("long_month",), "date_out_of_range"),
+        ("1900-02-29", ("iso",), "bad_date"),  # 1900 is not a leap year
+        ("1900-02-28", ("iso",), "date_out_of_range"),
+        ("2100-02-29", ("iso",), "bad_date"),
+        ("0000-02-29", ("iso",), "date_out_of_range"),  # year 0 is a leap year
+        ("0001-02-29", ("iso",), "bad_date"),
     ],
 )
 def test_reason_outside_the_window(raw, formats, reason):

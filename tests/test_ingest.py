@@ -287,6 +287,7 @@ def test_load_mapping_validation(tmp_path):
         lambda d: d.update(sentiment_scheme="stars"),
         lambda d: d.update(date_formats=[]),
         lambda d: d.update(date_formats=["iso", "maya_long_count"]),
+        lambda d: d.update(date_formats=[["iso"]]),
         lambda d: d.update(delimiter="ab"),
     ):
         doc = json.loads(json.dumps(good))

@@ -310,6 +310,43 @@ def test_tampered_lake_is_exit_1_not_a_traceback(tmp_path, capsys, name, tamper)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _edit_manifest_in_layout(edit):
+    """Like _edit_manifest, but kept in the writer's layout, so the byte check
+    alone cannot refuse the edit: a value that the writer would write back
+    unchanged gets past it."""
+
+    def tamper(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc, indent=2) + "\n"
+
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: d["per_source"]["steam"].update(accepted=2.0), "steam accepted"),
+        (lambda d: d["per_source"]["steam"].update(blank_lines=True), "steam blank_lines"),
+        (lambda d: d["per_source"]["steam"].update(blank_lines=-1), "steam blank_lines"),
+        (lambda d: d.update(created_at=5), "created_at"),
+        (lambda d: d.update(stoplist_checksum=None), "stoplist_checksum"),
+    ],
+    ids=["accepted_float", "blank_lines_bool", "blank_lines_negative", "created_at_number", "stoplist_checksum_null"],
+)
+def test_a_manifest_value_of_the_wrong_type_is_refused_by_name(tmp_path, capsys, edit, field):
+    lake = tmp_path / "lake"
+    write_sample(lake)
+    mp = lake / "manifest.json"
+    text = mp.read_text(encoding="utf-8")
+    assert _edit_manifest_in_layout(lambda d: None)(text) == text
+    mp.write_text(_edit_manifest_in_layout(edit)(text), encoding="utf-8")
+    assert cli.run(["query", "per_year", "--lake", str(lake), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f": {field} must be " in err
+
+
 def test_a_record_file_for_a_source_with_no_accepted_records_is_refused(tmp_path, capsys):
     lake = tmp_path / "lake"
     build_lake(lake, sample_reviews() + [RejectRecord("amazon", 1, "bad_json", "x")])
