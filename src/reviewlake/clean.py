@@ -22,6 +22,7 @@ from reviewlake.model import (
     DATE_WINDOW_HI,
     DATE_WINDOW_LO,
     UPVOTE_MAX,
+    UPVOTE_MAX_DIGITS,
     RejectRecord,
     UnifiedDraft,
     UnifiedReview,
@@ -252,9 +253,6 @@ def normalize_date(raw: str, formats: tuple[str, ...]) -> _dt.date:
     raise CleanRejection("bad_date", raw)
 
 
-_UPVOTE_MAX_DIGITS = len(str(UPVOTE_MAX))
-
-
 def parse_upvotes(raw: str) -> int:
     """Decimal upvote count; an empty string means zero engagement.
 
@@ -265,7 +263,7 @@ def parse_upvotes(raw: str) -> int:
     """
     if raw == "":
         return 0
-    if not (raw.isascii() and raw.isdecimal()) or len(raw) > _UPVOTE_MAX_DIGITS:
+    if not (raw.isascii() and raw.isdecimal()) or len(raw) > UPVOTE_MAX_DIGITS:
         raise CleanRejection("bad_upvotes", raw)
     n = int(raw, 10)
     if n > UPVOTE_MAX:

@@ -50,6 +50,7 @@ _CONFIG_KEYS = {
     "sources", "lake_dir", "out_dir", "partitions", "threads",
     "format", "stoplist",
 }
+_SOURCE_KEYS = {"source", "path", "mapping"}
 
 
 def load_config_file(path: str) -> RunConfig:
@@ -79,14 +80,23 @@ def load_config_file(path: str) -> RunConfig:
     for i, entry in enumerate(sources):
         if not isinstance(entry, dict) or "source" not in entry or "path" not in entry:
             raise ConfigurationError(f"config {path}: sources[{i}] needs source and path")
+        unknown = set(entry) - _SOURCE_KEYS
+        if unknown:
+            raise ConfigurationError(f"config {path}: sources[{i}] has unknown keys {sorted(unknown)}")
         src = entry["source"]
         if src not in SOURCES:
             raise ConfigurationError(f"config {path}: unknown source {src!r}, expected one of {SOURCES}")
         if src in seen:
             raise ConfigurationError(f"config {path}: duplicate source {src!r}")
         seen.add(src)
-        mp = entry.get("mapping")
-        mapping = rel(mp, f"sources[{i}].mapping") if mp else None
+        mapping = None
+        if "mapping" in entry:
+            mp = entry["mapping"]
+            if mp.__class__ is not str or not mp:
+                raise ConfigurationError(
+                    f"config {path}: sources[{i}].mapping must be a non-empty path string, got {mp!r}"
+                )
+            mapping = rel(mp, f"sources[{i}].mapping")
         specs.append(SourceSpec(src, rel(entry["path"], f"sources[{i}].path"), mapping))
     fields["sources"] = tuple(specs)
     if "lake_dir" in doc:

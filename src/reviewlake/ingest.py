@@ -204,10 +204,9 @@ def parse_csv(stream, delimiter: str = ",", *, source: str, stats: dict | None =
     row number; when a stats dict is given its "blank_lines" entry counts
     them. File-level damage (no header, duplicate header names,
     unterminated quote) raises CsvParseError instead of rejecting.
+    ``delimiter`` is a mapping's, which loading the mapping has checked.
     """
     _check_source(source)
-    if len(delimiter) != 1 or delimiter in '"\r\n' or ord(delimiter) > 126:
-        raise ConfigurationError(f"delimiter must be one printable ASCII char, got {delimiter!r}")
     dlb = delimiter.encode("ascii")
     caps = [2 * FIELD_CAP + 65536]
     header: tuple[str, ...] | None = None
@@ -384,8 +383,10 @@ def _mapping_from_obj(obj, origin: str) -> SourceMapping:
             f"{origin}: date_formats must be a non-empty list without repeats, ids from {DATE_FORMAT_IDS}"
         )
     delim = obj.get("delimiter", ",")
-    if not isinstance(delim, str) or len(delim) != 1:
-        raise MappingFileError(f"{origin}: delimiter must be a single character")
+    if not isinstance(delim, str) or len(delim) != 1 or delim in '"\r\n' or ord(delim) > 126:
+        raise MappingFileError(
+            f"{origin}: delimiter must be one ASCII character other than a double quote, CR or LF, got {delim!r}"
+        )
     return SourceMapping(source, dict(cmap), scheme, tuple(fmts), delim)
 
 
@@ -417,8 +418,6 @@ def adapt(record: RawRecord, mapping: SourceMapping) -> UnifiedDraft | RejectRec
     null_field already at this stage.
     """
     source, row_number, fields = record
-    if source != mapping.source:
-        raise ConfigurationError(f"adapter for {mapping.source!r} applied to a {source!r} record")
     cmap = mapping.column_map
     try:
         name = fields[cmap["name"]]

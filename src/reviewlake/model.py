@@ -103,6 +103,9 @@ DATE_WINDOW_HI = _dt.date(2029, 12, 31)
 #: and read back from the lake, whatever PYTHONINTMAXSTRDIGITS says.
 UPVOTE_MAX = int(sys.float_info.max)
 
+#: Digits in UPVOTE_MAX: a longer count is out of bounds before any int().
+UPVOTE_MAX_DIGITS = len(str(UPVOTE_MAX))
+
 
 class AggTable:
     """Result of a group-by query: a header plus ordered, sorted rows.

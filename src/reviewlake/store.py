@@ -10,10 +10,12 @@ place, so readers never observe a partial lake, even after a crash.
 A valid lake holds what :class:`LakeWriter` writes and nothing else.
 :func:`read_lake` requires the manifest to be byte for byte the one the
 writer makes of its counts, the directory to hold exactly the files those
-counts name, each reject line to be what the writer writes and their
-tallies per source and reason to equal the manifest's, and revalidates
-every record against the unified-schema invariants, refusing any other
-lake loudly.
+counts name, every record line to be exactly what :func:`review_to_json`
+writes followed by ``\n``, and each reject line to be what the writer
+writes with tallies per source and reason equal to the manifest's. A
+record line therefore has one spelling: added whitespace, another escape
+of the same character, a raw non-ASCII byte, a CRLF ending or a missing
+final newline is refused as loudly as a wrong value.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from reviewlake.model import (
     REJECT_REASONS,
     SOURCES,
     UPVOTE_MAX,
+    UPVOTE_MAX_DIGITS,
     RejectRecord,
     UnifiedReview,
+    new_record,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -43,14 +47,8 @@ REJECTS_NAME = "rejects.jsonl"
 
 # the C encoder json.dumps ends in for a str, with its default ensure_ascii
 _encode_str = json.encoder.encode_basestring_ascii
-# raw_decode skips decode()'s two whitespace scans; read_lake checks the tail
-_raw_decode = json.JSONDecoder().raw_decode
-# cleaned text, [A-Za-z]+(?: [A-Za-z]+)*, is these characters with no space
-# at either end and none doubled; the one-class match is the cheaper test
-_TEXT_CHARS = re.compile(r"[A-Za-z ]+")
 # lines LakeWriter.stage gathers before one write
 _BATCH = 128
-_RECORD_KEYS = ["name", "creation_date", "sentiment", "upvotes", "review_text", "source"]
 
 
 class SourceStats(NamedTuple):
@@ -110,6 +108,21 @@ def review_to_json(r: UnifiedReview) -> str:
         f',"sentiment":{sentiment},"upvotes":{upvotes}'
         f',"review_text":"{text}","source":"{source}"}}'
     )
+
+
+# A whole line as review_to_json writes it, then "\n". The groups are: the
+# name in its quotes, as _encode_str spells it (printable ASCII other than a
+# quote or a backslash, or the escapes it writes, in lowercase hex); the date
+# in ASCII digits; sentiment; upvotes with no leading zero; the cleaned text;
+# the source. read_lake checks by value what a pattern cannot: an escaped
+# name must re-encode to itself, the date must be a day in the window and
+# upvotes at most UPVOTE_MAX. Possessive quantifiers never backtrack, which
+# keeps the match close to the C JSON decoder's speed.
+_record_line = re.compile(
+    r'\{"name":("(?!")[ !#-\[\]-~]*+(?:\\(?:["\\bfnrt]|u[0-9a-f]{4})[ !#-\[\]-~]*+)*+")'
+    r',"creation_date":"([0-9]{4}-[0-9]{2}-[0-9]{2})","sentiment":([01]),"upvotes":(0|[1-9][0-9]*+)'
+    r',"review_text":"([A-Za-z]++(?: [A-Za-z]++)*+)","source":"([a-z]++)"\}\n'
+).fullmatch
 
 
 def reject_to_json(r: RejectRecord) -> str:
@@ -327,60 +340,12 @@ def _count(v, what: str, path: str) -> int:
     return v
 
 
-def _lake_date(raw) -> _dt.date | None:
-    """The date a lake spells as ``date.isoformat()``, inside the date window.
-
-    Anything else is None: another spelling of a real date (non-ASCII
-    digits included), an impossible day, or a date outside the window.
-    """
-    try:
-        date = _dt.date.fromisoformat(raw)
-    except (TypeError, ValueError):
-        return None
-    if date.isoformat() != raw or not DATE_WINDOW_LO <= date <= DATE_WINDOW_HI:
-        return None
-    return date
-
-
-def _validate_line(doc, source: str, path: str, lineno: int, dates: dict) -> UnifiedReview:
-    """Check one decoded lake line; ``dates`` memoizes the validated dates."""
-    if doc.__class__ is not dict or list(doc) != _RECORD_KEYS:
-        raise CorruptLakeError(f"{path}:{lineno}: wrong record shape")
-    name = doc["name"]
-    text = doc["review_text"]
-    sentiment = doc["sentiment"]
-    upvotes = doc["upvotes"]
-    if doc["source"] != source:
-        raise CorruptLakeError(f"{path}:{lineno}: source mismatch: {doc['source']!r}")
-    if name.__class__ is not str or not name:
-        raise CorruptLakeError(f"{path}:{lineno}: name must be a non-empty string")
-    if sentiment.__class__ is not int or sentiment not in (0, 1):
-        raise CorruptLakeError(f"{path}:{lineno}: sentiment must be 0 or 1, got {sentiment!r}")
-    if upvotes.__class__ is not int or not 0 <= upvotes <= UPVOTE_MAX:
-        raise CorruptLakeError(f"{path}:{lineno}: upvotes must be an integer from 0 to UPVOTE_MAX")
-    if (
-        text.__class__ is not str
-        or not _TEXT_CHARS.fullmatch(text)
-        or "  " in text
-        or text[0] == " "
-        or text[-1] == " "
-    ):
-        raise CorruptLakeError(f"{path}:{lineno}: review_text is not cleaned text")
-    raw_date = doc["creation_date"]
-    date = dates.get(raw_date) if raw_date.__class__ is str else None
-    if date is None:
-        date = _lake_date(raw_date)
-        if date is None:
-            raise CorruptLakeError(f"{path}:{lineno}: bad creation_date {raw_date!r}")
-        dates[raw_date] = date
-    return UnifiedReview(name, date, sentiment, upvotes, text, source)
-
-
 def read_lake(lake_dir: str) -> list[UnifiedReview]:
     """Load a lake's records, in record-file order, checking as it goes.
 
-    Structural invariants are enforced per record (shape, sentiment and
-    upvote domains, date window, cleaned-text alphabet); whether the text
+    Every line of a record file must be exactly what review_to_json writes
+    for a record of that file's source, ``"\\n"`` included, with a real
+    date inside the window and at most UPVOTE_MAX upvotes. Whether the text
     is stopword-free under some list is only knowable through the manifest
     checksum, so it is not re-judged here. The directory must hold exactly
     the files the manifest's counts name, and every count must match.
@@ -393,6 +358,8 @@ def read_lake(lake_dir: str) -> list[UnifiedReview]:
             f"{lake_dir}: a lake with these counts holds exactly {sorted(files)!r}, not {sorted(listed)!r}"
         )
     records: list[UnifiedReview] = []
+    append = records.append
+    match = _record_line
     dates: dict[str, _dt.date] = {}  # at most one entry per day of the window
     for fname in manifest.record_files:
         source = fname[: -len(".jsonl")]
@@ -400,21 +367,33 @@ def read_lake(lake_dir: str) -> list[UnifiedReview]:
         expected = manifest.per_source[source].accepted
         start = len(records)
         try:
-            fh = open(path, "rb")
+            # latin-1 makes each byte one character, so a byte outside ASCII
+            # reaches the pattern, which refuses it with its line number
+            fh = open(path, encoding="latin-1", newline="\n")
         except OSError as exc:
             raise CorruptLakeError(f"{path}: listed in manifest but unreadable: {exc}") from None
         with fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    raise CorruptLakeError(f"{path}:{lineno}: blank line inside lake file")
-                try:
-                    decoded = line.decode("utf-8")
-                    doc, end = _raw_decode(decoded)
-                except ValueError as exc:
-                    raise CorruptLakeError(f"{path}:{lineno}: bad JSON: {exc}") from None
-                if decoded[end:].strip():
-                    raise CorruptLakeError(f"{path}:{lineno}: bad JSON: extra data after the record")
-                records.append(_validate_line(doc, source, path, lineno, dates))
+                m = match(line)
+                # an escaped name must be the writer's one spelling of its value
+                if m is None or m[6] != source or ("\\" in m[1] and _encode_str(json.loads(m[1])) != m[1]):
+                    raise CorruptLakeError(f"{path}:{lineno}: not a record line as the writer writes it")
+                name, day, sentiment, upvotes, text, _ = m.groups()
+                name = json.loads(name) if "\\" in name else name[1:-1]
+                date = dates.get(day)
+                if date is None:
+                    try:
+                        date = _dt.date.fromisoformat(day)
+                        if not DATE_WINDOW_LO <= date <= DATE_WINDOW_HI:
+                            raise ValueError
+                    except ValueError:
+                        raise CorruptLakeError(f"{path}:{lineno}: bad creation_date {day!r}") from None
+                    dates[day] = date
+                # the digit count first, so int() never meets a count past its limit
+                count = int(upvotes) if len(upvotes) <= UPVOTE_MAX_DIGITS else -1
+                if not 0 <= count <= UPVOTE_MAX:
+                    raise CorruptLakeError(f"{path}:{lineno}: upvotes must be an integer from 0 to UPVOTE_MAX")
+                append(new_record(UnifiedReview, (name, date, int(sentiment), count, text, source)))
         n = len(records) - start
         if n != expected:
             raise CorruptLakeError(f"{path}: manifest claims {expected} records, file has {n}")

@@ -127,13 +127,21 @@ def test_seed_belongs_to_gen_fixtures_only(lake_dir, tmp_path):
         '{"stoplist": 5}',
         '{"sources": [{"source": "yelp", "path": 5}]}',
         '{"sources": [{"source": "yelp", "path": "a.csv", "mapping": 5}]}',
+        '{"sources": [{"source": "yelp", "path": "a.csv", "mappng": "m.json"}]}',
+        '{"sources": [{"source": "yelp", "path": "a.csv", "mapping": 0}]}',
+        '{"sources": [{"source": "yelp", "path": "a.csv", "mapping": false}]}',
+        '{"sources": [{"source": "yelp", "path": "a.csv", "mapping": ""}]}',
+        '{"sources": [{"source": "yelp", "path": "a.csv", "mapping": null}]}',
     ],
 )
 def test_bad_config_is_exit_2(tmp_path, capsys, doc):
     p = tmp_path / "cfg.json"
     p.write_text(doc)
     assert cli.run(["ingest", "--config", str(p), "--lake", str(tmp_path / "l")]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if "mapp" in doc:
+        assert "sources[0]" in err
 
 
 def test_missing_config_file_is_exit_1(tmp_path, capsys):
@@ -166,6 +174,29 @@ def test_mapping_source_mismatch_is_exit_1(data_dir, tmp_path, capsys):
     ))
     assert cli.run(["ingest", "--config", str(cfg), "--lake", str(tmp_path / "lake")]) == 1
     assert "is for 'yelp'" in capsys.readouterr().err
+
+
+def test_mapping_with_a_quote_delimiter_is_exit_1(data_dir, tmp_path, capsys):
+    truth = json.loads((data_dir / "ground_truth.json").read_text(encoding="utf-8"))
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({
+        "source": "amazon",
+        "column_map": {"name": "a", "date": "b", "sentiment": "c", "upvotes": "d", "text": "e"},
+        "sentiment_scheme": "star_rating",
+        "date_formats": ["iso"],
+        "delimiter": '"',
+    }))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sources": [
+        {"source": "amazon", "path": str(data_dir / truth["per_source"]["amazon"]["file"]), "mapping": str(mp)},
+        {"source": "steam", "path": str(data_dir / truth["per_source"]["steam"]["file"])},
+    ]}))
+    for threads in ("1", "2"):
+        lake = tmp_path / "lake"
+        assert cli.run(["ingest", "--config", str(cfg), "--lake", str(lake), "--threads", threads]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mp}: delimiter must be ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "map.json"]
 
 
 def test_stoplist_env_override(data_dir, tmp_path, monkeypatch):

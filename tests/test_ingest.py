@@ -3,13 +3,14 @@
 import io
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reviewlake import ingest
-from reviewlake.errors import ConfigurationError, CsvParseError, MappingFileError
+from reviewlake.errors import CsvParseError, MappingFileError
 from reviewlake.ingest import (
     FIELD_CAP,
     SourceMapping,
@@ -89,10 +90,6 @@ def test_header_errors():
 
 
 def test_delimiter_validation():
-    with pytest.raises(ConfigurationError):
-        rows_of(b"a\n", delimiter=";;")
-    with pytest.raises(ConfigurationError):
-        rows_of(b"a\n", delimiter='"')
     out = rows_of(b"a;b\n1;2\n", delimiter=";")
     assert out[0].fields == {"a": "1", "b": "2"}
 
@@ -289,12 +286,24 @@ def test_load_mapping_validation(tmp_path):
         lambda d: d.update(date_formats=["iso", "maya_long_count"]),
         lambda d: d.update(date_formats=[["iso"]]),
         lambda d: d.update(delimiter="ab"),
+        lambda d: d.update(delimiter=";;"),
+        lambda d: d.update(delimiter=""),
+        lambda d: d.update(delimiter=9),
+        lambda d: d.update(delimiter='"'),
+        lambda d: d.update(delimiter="\r"),
+        lambda d: d.update(delimiter="\n"),
+        lambda d: d.update(delimiter="\x7f"),
+        lambda d: d.update(delimiter="\u00e9"),
     ):
         doc = json.loads(json.dumps(good))
         mutate(doc)
         p.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises((MappingFileError, ConfigurationError)):
+        with pytest.raises(MappingFileError, match=re.escape(str(p))):
             load_mapping(str(p))
+    # the rule is any one ASCII character but a double quote, CR and LF
+    for delim in ("\t", "\x00", ";", "~"):
+        p.write_text(json.dumps(dict(good, delimiter=delim)), encoding="utf-8")
+        assert load_mapping(str(p)).delimiter == delim
 
 
 def test_adapt_maps_columns():
@@ -329,8 +338,3 @@ def test_adapt_null_required_fields():
         out = adapt(RawRecord("steam", 1, fields), m)
         assert out.reason == "null_field"
         assert out.detail == unified
-
-
-def test_adapt_source_mismatch_is_config_error():
-    with pytest.raises(ConfigurationError):
-        adapt(RawRecord("yelp", 1, {}), default_mapping("steam"))

@@ -3,12 +3,17 @@
 import datetime
 import json
 import os
+import string
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reviewlake import cli, store
 from reviewlake.errors import ConfigurationError, CorruptLakeError
-from reviewlake.model import UPVOTE_MAX, RejectRecord, UnifiedReview
+from reviewlake.model import DATE_WINDOW_HI, DATE_WINDOW_LO, SOURCES, UPVOTE_MAX, RejectRecord, UnifiedReview
 
 
 def R(src, y=2020, m=5, d=4, sent=1, up=3, text="Great fun", name="N"):
@@ -181,10 +186,92 @@ def test_read_refuses_other_date_spellings_and_trailing_data(tmp_path):
         path.write_text("\n".join([bad] + lines[1:]) + "\n", encoding="utf-8")
         with pytest.raises(CorruptLakeError):
             store.read_lake(str(lake))
-    # the same date on many lines, and no final newline, still read back
-    path.write_text("\n".join([first, first]), encoding="utf-8")
+    # the same date on many lines reads back; a missing final newline does not
+    path.write_text("\n".join([first, first]) + "\n", encoding="utf-8")
     back = [r for r in store.read_lake(str(lake)) if r.source == "steam"]
     assert [r.creation_date for r in back] == [datetime.date(2020, 5, 4)] * 2
+    path.write_text("\n".join([first, first]), encoding="utf-8")
+    with pytest.raises(CorruptLakeError, match=r"steam\.jsonl:2: not a record line as the writer writes it"):
+        store.read_lake(str(lake))
+
+
+_NAME_CHAR = st.one_of(
+    st.characters(exclude_categories=()), st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t \u00e9\U0001f600')
+)
+_REVIEW = st.builds(
+    UnifiedReview,
+    name=st.text(_NAME_CHAR, min_size=1, max_size=12),
+    creation_date=st.dates(DATE_WINDOW_LO, DATE_WINDOW_HI),
+    sentiment=st.integers(0, 1),
+    upvotes=st.one_of(st.integers(0, 1000), st.integers(0, UPVOTE_MAX)),
+    review_text=st.lists(st.text(string.ascii_letters, min_size=1, max_size=8), min_size=1, max_size=5).map(
+        " ".join
+    ),
+    source=st.sampled_from(SOURCES),
+)
+
+
+def _record_file_bytes(records, source):
+    return "".join(store.review_to_json(r) + "\n" for r in records if r.source == source).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_REVIEW, min_size=1, max_size=8), st.data())
+def test_a_lake_reads_back_exactly_and_one_edited_byte_is_refused_or_reread_exactly(reviews, data):
+    """What the writer writes reads back unchanged. After one byte of a record
+    file is replaced, deleted or inserted, the lake is refused, or its records
+    are the ones whose lines are the edited file's bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        lake = os.path.join(tmp, "lake")
+        manifest = build_lake(lake, reviews)
+        assert store.read_lake(lake) == sorted(reviews, key=lambda r: r.source)
+
+        fname = data.draw(st.sampled_from(manifest.record_files))
+        path = os.path.join(lake, fname)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        # most edits land on or just after a byte where JSON allows another spelling
+        marks = [i for i, b in enumerate(raw) if b in b"{},:\\\n"]
+        at = data.draw(
+            st.one_of(
+                st.integers(0, len(raw) - 1), st.sampled_from(marks), st.sampled_from(marks).map(lambda i: i + 1)
+            )
+        )
+        new_byte = st.one_of(st.sampled_from(b' \t\r\n"\\/0aeuW\xc3'), st.integers(0, 255))
+        op = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        if op == "insert":
+            raw = raw[:at] + bytes([data.draw(new_byte)]) + raw[at:]
+        elif at < len(raw):
+            new = b""
+            if op == "replace":
+                new = bytes([data.draw(new_byte.filter(lambda b: b != raw[at]))])
+            raw = raw[:at] + new + raw[at + 1:]
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            back = store.read_lake(lake)
+        except CorruptLakeError:
+            return
+        for f in manifest.record_files:
+            with open(os.path.join(lake, f), "rb") as fh:
+                assert _record_file_bytes(back, f[: -len(".jsonl")]) == fh.read()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_a_long_upvote_count_is_refused_by_name_under_any_digit_limit(tmp_path):
+    lake = tmp_path / "lake"
+    write_sample(lake)
+    path = lake / "steam.jsonl"
+    path.write_text(_replace_once('"upvotes":3,', f'"upvotes":{"9" * 5000},')(path.read_text(encoding="utf-8")))
+    old = sys.get_int_max_str_digits()
+    try:
+        for limit in (0, 640, 4300):  # 0 turns int()'s digit limit off, 640 is the lowest it can be set to
+            sys.set_int_max_str_digits(limit)
+            with pytest.raises(CorruptLakeError) as ei:
+                store.read_lake(str(lake))
+            assert "steam.jsonl:1: upvotes must be an integer from 0 to UPVOTE_MAX" in str(ei.value)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_read_detects_count_mismatch(tmp_path):
@@ -289,6 +376,16 @@ def _replace_once(old, new):
         ("rejects.jsonl", _replace_first_line('{"source":"steam","reason":"bad_date"}')),
         ("amazon.jsonl.bak", lambda text: text),
         ("manifest.json", _replace_once('  "created_at"', '  "junk": 1,\n  "created_at"')),
+        # each of these spells the same record, or a near one, other than the writer does
+        ("imdb.jsonl", _replace_once(',"creation_date"', ', "creation_date"')),
+        ("imdb.jsonl", _replace_once('{"name"', '{ "name"')),
+        ("imdb.jsonl", _replace_once("}\n", "}  \n")),
+        ("imdb.jsonl", _replace_once('"source":"imdb"}', '"source":"imdb","source":"imdb"}')),
+        ("imdb.jsonl", _replace_once('"name":"Weird', '"name":"\\u0057eird')),
+        ("imdb.jsonl", _replace_once('"review_text":"Slow', '"review_text":"\\u0053low')),
+        ("imdb.jsonl", _replace_once("}\n", "}\r\n")),
+        ("imdb.jsonl", _replace_once("}\n", "}")),
+        ("imdb.jsonl", _replace_once("Inc\\u00e9", "Inc\u00e9")),
     ],
     ids=[
         "reasons_not_an_object", "record_file_not_a_name", "record_file_listed_twice",
@@ -297,6 +394,9 @@ def _replace_once(old, new):
         "created_at_number", "stoplist_checksum_null", "upvotes_above_max",
         "reject_moved_to_another_source", "reject_moved_to_another_reason", "record_files_reordered",
         "reject_cut_to_source_and_reason", "stray_file", "manifest_unknown_key",
+        "record_space_after_comma", "record_space_after_brace", "record_trailing_spaces",
+        "record_duplicate_key", "record_name_letter_escaped", "record_text_letter_escaped",
+        "record_crlf", "record_no_final_newline", "record_raw_utf8",
     ],
 )
 def test_tampered_lake_is_exit_1_not_a_traceback(tmp_path, capsys, name, tamper):
