@@ -231,8 +231,11 @@ def normalize_date(raw: str, formats: tuple[str, ...]) -> _dt.date:
     A lexical match is final: a string shaped like a known format but naming
     an impossible day (Feb 30) is ``bad_date``, not a fall-through to later
     formats. Valid dates outside 1970-01-01..2029-12-31 are
-    ``date_out_of_range``.
+    ``date_out_of_range``. Every format is ASCII, so a string that is not
+    is ``bad_date``: the matchers' isdecimal() and int() take any digits.
     """
+    if not raw.isascii():
+        raise CleanRejection("bad_date", raw)
     for match in _matchers(formats):
         ymd = match(raw)
         if ymd is None:
@@ -291,7 +294,7 @@ def _spellings(word: str):
 
 
 class Stoplist:
-    """Lowercase stopword set plus provenance for the lake manifest.
+    """Lowercase stopword set plus its checksum for the lake manifest.
 
     ``expansion`` is (spellings, unexpanded), built on first use, so code
     that only reads ``words`` never pays for it. ``spellings`` holds every
@@ -302,9 +305,8 @@ class Stoplist:
     The bundled list expands whole, into 5,624 spellings.
     """
 
-    def __init__(self, words: frozenset[str], source_path: str, checksum: str):
+    def __init__(self, words: frozenset[str], checksum: str):
         self.words = words
-        self.source_path = source_path
         self.checksum = checksum
 
     @cached_property
@@ -335,7 +337,7 @@ def load_stoplist(path: str) -> Stoplist:
                 f"{path}:{lineno}: stoplist entries must be lowercase alphabetic, got {token!r}"
             )
         words.add(token)
-    return Stoplist(frozenset(words), path, hashlib.sha256(blob).hexdigest())
+    return Stoplist(frozenset(words), hashlib.sha256(blob).hexdigest())
 
 
 @lru_cache(maxsize=1)

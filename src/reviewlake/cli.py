@@ -1,8 +1,9 @@
 """Command line front end: ingest, query, report, gen-fixtures.
 
-Configuration comes from an optional JSON file plus flags, with flags
-winning field by field. Relative paths inside the config file resolve
-against the file's own directory, so a config can travel with its data.
+Settings come from an optional JSON file plus flags, flags winning field
+by field. ``_SETTINGS`` holds one check per setting, for a config key and
+its flag alike. Relative paths in the file resolve against the file's own
+directory, so a config can travel with its data; an empty path is refused.
 
 Exit codes: 0 on success, 1 on unreadable input or a corrupt mapping or
 lake, 2 on configuration errors (argparse uses 2 for bad flags already).
@@ -10,8 +11,9 @@ Rejected rows are never fatal; they are tallied and land in the lake's
 reject file. A SIGTERM during ingest removes the staging directory, leaves
 any earlier lake as it was, and exits 1.
 
-Only ``ingest`` imports the parsing and cleaning modules, so ``query`` and
-``report`` start without compiling them.
+``query`` and ``report`` name no view: ``report.CHARTS`` says how each is
+drawn. Only ``ingest`` imports the parsing and cleaning modules, so
+``query`` and ``report`` start without compiling them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from reviewlake.model import SOURCES
 class SourceSpec(NamedTuple):
     source: str
     path: str
-    mapping_path: str | None = None
+    mapping: str | None = None
 
 
 class RunConfig(NamedTuple):
@@ -42,15 +44,61 @@ class RunConfig(NamedTuple):
     out_dir: str = "out"
     partitions: int = 1
     threads: int = 1
-    fmt: str = "csv"
-    stoplist_path: str | None = None
+    format: str = "csv"
+    stoplist: str | None = None
 
 
-_CONFIG_KEYS = {
-    "sources", "lake_dir", "out_dir", "partitions", "threads",
-    "format", "stoplist",
+def _path(v, name: str, base: str = "") -> str:
+    if v.__class__ is not str or not v:
+        raise ConfigurationError(f"{name} must be a non-empty path string, got {v!r}")
+    return os.path.join(base, v)  # keeps an absolute v as it is
+
+
+def _positive_int(v, name: str, base: str = "") -> int:
+    if v.__class__ is not int or v < 1:
+        raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
+    return v
+
+
+def _format(v, name: str, base: str = "") -> str:
+    if v not in report.TABLE_FORMATS:
+        raise ConfigurationError(f"{name} must be one of {report.TABLE_FORMATS}, got {v!r}")
+    return v
+
+
+def _sources(v, name: str, base: str = "") -> tuple[SourceSpec, ...]:
+    if v.__class__ is not list:
+        raise ConfigurationError(f"{name} must be a list, got {v!r}")
+    specs: dict[str, SourceSpec] = {}
+    for i, entry in enumerate(v):
+        where = f"{name}[{i}]"
+        if not isinstance(entry, dict) or "source" not in entry or "path" not in entry:
+            raise ConfigurationError(f"{where} needs source and path")
+        unknown = set(entry) - set(SourceSpec._fields)
+        if unknown:
+            raise ConfigurationError(f"{where} has unknown keys {sorted(unknown)}")
+        src = entry["source"]
+        if src not in SOURCES:
+            raise ConfigurationError(f"unknown source {src!r}, expected one of {SOURCES}")
+        if src in specs:
+            raise ConfigurationError(f"duplicate source {src!r}")
+        mapping = _path(entry["mapping"], f"{where}.mapping", base) if "mapping" in entry else None
+        specs[src] = SourceSpec(src, _path(entry["path"], f"{where}.path", base), mapping)
+    return tuple(specs.values())
+
+
+#: Setting -> check(value, name, base), for a config key and a flag alike.
+#: A check returns the value to use or raises a ConfigurationError naming
+#: the setting; base is the config file's directory, "" for a flag.
+_SETTINGS = {
+    "sources": _sources,
+    "lake_dir": _path,
+    "out_dir": _path,
+    "partitions": _positive_int,
+    "threads": _positive_int,
+    "format": _format,
+    "stoplist": _path,
 }
-_SOURCE_KEYS = {"source", "path", "mapping"}
 
 
 def load_config_file(path: str) -> RunConfig:
@@ -61,85 +109,20 @@ def load_config_file(path: str) -> RunConfig:
         raise ConfigurationError(f"config {path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"config {path}: top level must be an object")
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - set(_SETTINGS)
     if unknown:
         raise ConfigurationError(f"config {path}: unknown keys {sorted(unknown)}")
     base = os.path.dirname(os.path.abspath(path))
-
-    def rel(p, name: str) -> str:
-        if p.__class__ is not str:
-            raise ConfigurationError(f"config {path}: {name} must be a path string, got {p!r}")
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
-    fields: dict = {}
-    specs = []
-    seen = set()
-    sources = doc.get("sources", [])
-    if sources.__class__ is not list:
-        raise ConfigurationError(f"config {path}: sources must be a list, got {sources!r}")
-    for i, entry in enumerate(sources):
-        if not isinstance(entry, dict) or "source" not in entry or "path" not in entry:
-            raise ConfigurationError(f"config {path}: sources[{i}] needs source and path")
-        unknown = set(entry) - _SOURCE_KEYS
-        if unknown:
-            raise ConfigurationError(f"config {path}: sources[{i}] has unknown keys {sorted(unknown)}")
-        src = entry["source"]
-        if src not in SOURCES:
-            raise ConfigurationError(f"config {path}: unknown source {src!r}, expected one of {SOURCES}")
-        if src in seen:
-            raise ConfigurationError(f"config {path}: duplicate source {src!r}")
-        seen.add(src)
-        mapping = None
-        if "mapping" in entry:
-            mp = entry["mapping"]
-            if mp.__class__ is not str or not mp:
-                raise ConfigurationError(
-                    f"config {path}: sources[{i}].mapping must be a non-empty path string, got {mp!r}"
-                )
-            mapping = rel(mp, f"sources[{i}].mapping")
-        specs.append(SourceSpec(src, rel(entry["path"], f"sources[{i}].path"), mapping))
-    fields["sources"] = tuple(specs)
-    if "lake_dir" in doc:
-        fields["lake_dir"] = rel(doc["lake_dir"], "lake_dir")
-    if "out_dir" in doc:
-        fields["out_dir"] = rel(doc["out_dir"], "out_dir")
-    if "partitions" in doc:
-        fields["partitions"] = _positive_int(doc["partitions"], "partitions")
-    if "threads" in doc:
-        fields["threads"] = _positive_int(doc["threads"], "threads")
-    if "format" in doc:
-        fields["fmt"] = _check_format(doc["format"])
-    if "stoplist" in doc:
-        fields["stoplist_path"] = rel(doc["stoplist"], "stoplist")
-    return RunConfig(**fields)
-
-
-def _positive_int(v, name: str) -> int:
-    if v.__class__ is not int or v < 1:
-        raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
-    return v
-
-
-def _check_format(v) -> str:
-    if v not in report.TABLE_FORMATS:
-        raise ConfigurationError(f"format must be one of {report.TABLE_FORMATS}, got {v!r}")
-    return v
+    try:
+        return RunConfig(**{key: _SETTINGS[key](v, key, base) for key, v in doc.items()})
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"config {path}: {exc}") from None
 
 
 def resolve_config(args) -> RunConfig:
     cfg = load_config_file(args.config) if args.config else RunConfig()
-    flags: dict = {}
-    if args.lake:
-        flags["lake_dir"] = args.lake
-    if args.out:
-        flags["out_dir"] = args.out
-    if args.format:
-        flags["fmt"] = _check_format(args.format)
-    if args.partitions is not None:
-        flags["partitions"] = _positive_int(args.partitions, "partitions")
-    if args.threads is not None:
-        flags["threads"] = _positive_int(args.threads, "threads")
-    return cfg._replace(**flags)
+    flags = {key: getattr(args, key, None) for key in _SETTINGS}
+    return cfg._replace(**{key: _SETTINGS[key](v, key) for key, v in flags.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +130,19 @@ def resolve_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _ingest_source(
-    writer: store.LakeWriter, stops, job: tuple[str, str, str | None]
-) -> tuple[str, store.SourceStats]:
+def _ingest_source(writer: store.LakeWriter, stops, spec: SourceSpec) -> tuple[str, store.SourceStats]:
     """Parse, adapt, and clean one source file into the staging directory.
 
     Runs in the parent or in a forked worker.
     """
     from reviewlake import ingest  # already loaded by cmd_ingest
 
-    source, path, mapping_path = job
-    mapping = ingest.load_mapping(mapping_path) if mapping_path else ingest.default_mapping(source)
+    source = spec.source
+    mapping = ingest.load_mapping(spec.mapping) if spec.mapping else ingest.default_mapping(source)
     if mapping.source != source:
-        raise MappingFileError(f"mapping {mapping_path} is for {mapping.source!r}, not {source!r}")
+        raise MappingFileError(f"mapping {spec.mapping} is for {mapping.source!r}, not {source!r}")
     counts: dict = {}
-    stats = writer.stage(source, ingest.iter_source(path, mapping, stops, counts))
+    stats = writer.stage(source, ingest.iter_source(spec.path, mapping, stops, counts))
     return source, stats._replace(blank_lines=counts.get("blank_lines", 0))
 
 
@@ -179,8 +160,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
     if not cfg.sources:
         raise ConfigurationError("no sources configured; provide a config file with a sources list")
     created_at = store.lake_timestamp()
-    stops = clean.resolve_stoplist(cfg.stoplist_path)
-    jobs = [(s.source, s.path, s.mapping_path) for s in sorted(cfg.sources, key=lambda s: s.source)]
+    stops = clean.resolve_stoplist(cfg.stoplist)
+    jobs = sorted(cfg.sources)
     previous = signal.signal(signal.SIGTERM, _raise_on_sigterm)
     try:
         writer = store.LakeWriter(cfg.lake_dir)
@@ -240,16 +221,11 @@ def cmd_query(cfg: RunConfig, ids: list[str], charts: bool = False) -> int:
         )
     tables = {qid: _QUERY_FNS[qid](cube) for qid in ids or analytics.QUERY_IDS}
     os.makedirs(cfg.out_dir, exist_ok=True)
-    specs = report.default_chart_specs()
     for qid, table in tables.items():
-        paths = [report.emit_table(table, cfg.fmt, os.path.join(cfg.out_dir, f"{qid}.{cfg.fmt}"))]
+        out = os.path.join(cfg.out_dir, qid)
+        paths = [report.emit_table(table, cfg.format, f"{out}.{cfg.format}")]
         if charts:
-            chart_table = table
-            if qid == "yoy":
-                chart_table = report.filter_rows(table, "sentiment_split", "overall")
-                chart_table = report.filter_rows(chart_table, "year", "median", invert=True)
-            svg = os.path.join(cfg.out_dir, f"{qid}.svg")
-            paths.append(report.emit_bar_chart(specs[qid], chart_table, svg))
+            paths.append(report.emit_bar_chart(report.CHARTS[qid], table, f"{out}.svg"))
         print(f"{qid}: {len(table.rows)} rows -> {', '.join(paths)}")
         for note in table.notes:
             print(f"  note: {note}")
@@ -275,8 +251,8 @@ def cmd_gen_fixtures(cfg: RunConfig, seed: int, profile: str, rows: int) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON config file")
-    shared.add_argument("--lake", help="lake directory (overrides config)")
-    shared.add_argument("--out", help="output directory (overrides config)")
+    shared.add_argument("--lake", dest="lake_dir", help="lake directory (overrides config)")
+    shared.add_argument("--out", dest="out_dir", help="output directory (overrides config)")
     shared.add_argument("--format", choices=report.TABLE_FORMATS, help="table format")
     shared.add_argument("--partitions", type=int, help="dataset partition count")
     shared.add_argument("--threads", type=int, help="ingest worker process count")

@@ -4,7 +4,7 @@ Everything here is a pure function of its inputs. Emitted bytes contain no
 timestamps, locale text, or iteration over unordered collections, so a
 rerun over the same table is byte-identical; the chart tests hash outputs
 to hold that line. Floats are always written with six decimals, integers
-bare.
+bare. ``CHARTS`` alone says how each view is drawn, down to which rows.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from math import isfinite
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from reviewlake.errors import ConfigurationError
 from reviewlake.model import AggTable
@@ -80,26 +80,22 @@ def emit_table(table: AggTable, fmt: str, path: str) -> str:
     return path
 
 
-def filter_rows(table: AggTable, column: str, value, invert: bool = False) -> AggTable:
-    """Rows where column == value (or != with invert); order preserved."""
-    try:
-        idx = table.columns.index(column)
-    except ValueError:
-        raise ConfigurationError(f"table {table.name!r} has no column {column!r}") from None
-    rows = [r for r in table.rows if (r[idx] != value) == invert]
-    return AggTable(table.name, table.columns, rows, table.notes)
-
-
 class ChartSpec(NamedTuple):
-    """What to draw: one bar group per x value, one bar per series value."""
+    """What to draw: one bar group per x value, one bar per series value.
 
-    table: str
+    ``where``, given each row as a {column: value} dict, picks the rows to
+    draw; None draws them all.
+    """
+
     x: str
     y: str
     series: str | None = None
     title: str = ""
-    width: int = 800
-    height: int = 420
+    where: Callable[[dict], bool] | None = None
+
+
+#: Every chart's size in pixels.
+WIDTH, HEIGHT = 800, 420
 
 
 def _esc(s) -> str:
@@ -114,23 +110,21 @@ def chart_svg(spec: ChartSpec, table: AggTable) -> str:
 
     The y axis spans from min(0, smallest value) to max(largest value, 1)
     with five gridlines; bars anchor at zero so negative values hang
-    downward. An empty table yields a valid chart that says "no data".
-    Bars are the only rect elements in the output.
+    downward. A table with no row to draw yields a valid chart that says
+    "no data". Bars are the only rect elements in the output.
     """
-    if spec.width <= 0 or spec.height <= 0:
-        raise ConfigurationError("chart width and height must be positive")
     cols = table.columns
-    for role, col in (("x", spec.x), ("y", spec.y), ("series", spec.series)):
-        if col is not None and col not in cols:
-            raise ConfigurationError(f"chart {role} column {col!r} not in table {table.name!r}")
     xi = cols.index(spec.x)
     yi = cols.index(spec.y)
     si = cols.index(spec.series) if spec.series is not None else None
+    rows = table.rows
+    if spec.where is not None:
+        rows = [r for r in rows if spec.where(dict(zip(cols, r)))]
 
     xvals: list = []
     svals: list = []
     cells: dict[tuple, float | int] = {}
-    for row in table.rows:
+    for row in rows:
         v = row[yi]
         if v.__class__ is not int and (v.__class__ is not float or not isfinite(v)):
             raise ConfigurationError(f"chart y column {spec.y!r} has non-numeric value {v!r}")
@@ -141,7 +135,7 @@ def chart_svg(spec: ChartSpec, table: AggTable) -> str:
             svals.append(s)
         cells[(x, s)] = v
 
-    w, h = spec.width, spec.height
+    w, h = WIDTH, HEIGHT
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}" font-family="sans-serif">'
@@ -151,7 +145,7 @@ def chart_svg(spec: ChartSpec, table: AggTable) -> str:
             f'<text x="{w / 2:.2f}" y="24" text-anchor="middle" font-size="16">'
             f"{_esc(spec.title)}</text>"
         )
-    if not table.rows:
+    if not rows:
         out.append(
             f'<text x="{w / 2:.2f}" y="{h / 2:.2f}" text-anchor="middle" '
             f'font-size="14" fill="#777">no data</text>'
@@ -220,34 +214,17 @@ def emit_bar_chart(spec: ChartSpec, table: AggTable, path: str) -> str:
     return path
 
 
-def default_chart_specs() -> dict[str, ChartSpec]:
-    """One chart per query id, keyed by the id it renders."""
-    return {
-        "per_year": ChartSpec("per_year", x="year", y="count", series="source", title="Reviews per year"),
-        "yoy": ChartSpec(
-            "yoy",
-            x="year",
-            y="pct_change",
-            series="source",
-            title="YoY change in review count, percent (overall)",
-        ),
-        "per_weekday": ChartSpec(
-            "per_weekday", x="weekday_name", y="count", series="source", title="Reviews per weekday"
-        ),
-        "per_month": ChartSpec(
-            "per_month", x="month", y="count", series="source", title="Reviews per month"
-        ),
-        "length_upvotes": ChartSpec(
-            "length_upvotes",
-            x="bucket",
-            y="mean_upvotes",
-            title="Mean upvotes by review length bucket",
-        ),
-        "sentiment_profile": ChartSpec(
-            "sentiment_profile",
-            x="source",
-            y="mean_length",
-            series="sentiment",
-            title="Mean review length by source and sentiment",
-        ),
-    }
+#: Query id -> how its table is drawn; ``report`` draws one chart per view.
+CHARTS = {
+    "per_year": ChartSpec("year", "count", "source", "Reviews per year"),
+    "yoy": ChartSpec(
+        "year", "pct_change", "source", "YoY change in review count, percent (overall)",
+        where=lambda row: row["sentiment_split"] == "overall" and row["year"] != "median",
+    ),
+    "per_weekday": ChartSpec("weekday_name", "count", "source", "Reviews per weekday"),
+    "per_month": ChartSpec("month", "count", "source", "Reviews per month"),
+    "length_upvotes": ChartSpec("bucket", "mean_upvotes", title="Mean upvotes by review length bucket"),
+    "sentiment_profile": ChartSpec(
+        "source", "mean_length", "sentiment", "Mean review length by source and sentiment"
+    ),
+}

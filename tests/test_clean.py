@@ -89,7 +89,7 @@ def test_remove_stopwords_keeps_exactly_the_non_stopwords(tokens):
 
 
 def _stoplist(*words):
-    return clean.Stoplist(frozenset(words), "custom.txt", "0" * 64)
+    return clean.Stoplist(frozenset(words), "0" * 64)
 
 
 def test_every_character_that_lowers_to_a_letter_is_a_spelling():

@@ -158,6 +158,80 @@ def test_config_paths_resolve_against_config_dir(tmp_path, monkeypatch):
     assert not (tmp_path / "lake").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, flags, setting",
+    [
+        ({"lake_dir": ""}, [], "lake_dir"),
+        ({"out_dir": ""}, [], "out_dir"),
+        ({"stoplist": ""}, [], "stoplist"),
+        ({"sources": [{"source": "yelp", "path": ""}]}, [], "sources[0].path"),
+        ({"sources": [{"source": "yelp", "path": "a.csv", "mapping": ""}]}, [], "sources[0].mapping"),
+        ({}, ["--lake", ""], "lake_dir"),
+        ({}, ["--out", ""], "out_dir"),
+    ],
+)
+def test_empty_path_is_exit_2_before_any_file(lake_dir, tmp_path, monkeypatch, capsys, doc, flags, setting):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lake_dir": str(lake_dir), **doc}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["query", "per_year", "--config", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{setting} must be a non-empty path string" in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+FILE_SETTINGS = {
+    "sources": [{"source": "yelp", "path": "y.csv", "mapping": "m.json"}],
+    "lake_dir": "l",
+    "out_dir": "o",
+    "partitions": 2,
+    "threads": 4,
+    "format": "csv",
+    "stoplist": "s.txt",
+}
+
+
+@pytest.mark.parametrize(
+    "flag, value, setting, expected",
+    [
+        ("--lake", "flag_lake", "lake_dir", "flag_lake"),
+        ("--out", "flag_out", "out_dir", "flag_out"),
+        ("--format", "json", "format", "json"),
+        ("--partitions", "3", "partitions", 3),
+        ("--threads", "5", "threads", 5),
+    ],
+)
+def test_a_flag_overrides_its_config_key_and_nothing_else(tmp_path, flag, value, setting, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FILE_SETTINGS))
+    from_file = cli.load_config_file(str(cfg))
+    args = cli._build_parser().parse_args(["query", "--config", str(cfg), flag, value])
+    assert cli.resolve_config(args) == from_file._replace(**{setting: expected})
+    assert getattr(from_file, setting) != expected
+
+
+def test_the_readme_config_example_loads_as_documented(tmp_path):
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("```json\n", text.index("## Configuration")) + len("```json\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text[start : text.index("```\n", start)])
+    d = str(tmp_path)
+    assert cli.load_config_file(str(cfg)) == cli.RunConfig(
+        sources=(
+            cli.SourceSpec("yelp", os.path.join(d, "yelp_reviews.csv")),
+            cli.SourceSpec("imdb", os.path.join(d, "imdb_reviews.jsonl"), os.path.join(d, "my_imdb.json")),
+        ),
+        lake_dir=os.path.join(d, "lake"),
+        out_dir=os.path.join(d, "out"),
+        partitions=8,
+        threads=4,
+        format="csv",
+        stoplist=os.path.join(d, "stopwords.txt"),
+    )
+
+
 def test_mapping_source_mismatch_is_exit_1(data_dir, tmp_path, capsys):
     truth = json.loads((data_dir / "ground_truth.json").read_text(encoding="utf-8"))
     amazon_file = str(data_dir / truth["per_source"]["amazon"]["file"])

@@ -184,3 +184,15 @@ def test_lexical_match_is_final_no_fall_through():
 def test_no_format_matches():
     assert _reason("yesterday", ("iso", "us_slash", "long_month")) == "bad_date"
     assert _reason("", ("iso",)) == "bad_date"
+
+
+@pytest.mark.parametrize(
+    "raw, formats",
+    [
+        ("١٦٠٠٠٠٠٠٠٠", ("epoch_seconds",)),  # Arabic-Indic digits
+        ("٢٠٢٠-٠١-٠٢", ("iso",)),
+        ("July ４, ２０１９", ("long_month",)),  # fullwidth digits
+    ],
+)
+def test_dates_take_ascii_digits_only(raw, formats):
+    assert _reason(raw, formats) == "bad_date"

@@ -74,36 +74,21 @@ def test_emit_table_formats(tmp_path):
         report.emit_table(T, "tsv", str(tmp_path / "t.tsv"))
 
 
-def test_filter_rows_and_invert():
-    kept = report.filter_rows(T, "source", "yelp")
-    assert kept.rows == [(2019, "yelp", 1), (2020, "yelp", 1)]
-    dropped = report.filter_rows(T, "source", "yelp", invert=True)
-    assert dropped.rows == [(2020, "steam", 2)]
-    assert kept.columns == T.columns and kept.name == T.name
-    with pytest.raises(ConfigurationError):
-        report.filter_rows(T, "nope", 1)
-
-
-def test_filter_rows_preserves_notes():
-    t = AggTable("t", ("a",), [(1,)], ("a note",))
-    assert report.filter_rows(t, "a", 1).notes == ("a note",)
-
-
 # ---------------------------------------------------------------------------
 # charts
 # ---------------------------------------------------------------------------
 
 
-def spec_for(t, **kw):
-    base = dict(table=t.name, x="year", y="count", series="source", title="Demo")
+def spec_for(**kw):
+    base = dict(x="year", y="count", series="source", title="Demo")
     base.update(kw)
     return report.ChartSpec(**base)
 
 
 def test_chart_is_deterministic_and_wellformed():
-    svg1 = report.chart_svg(spec_for(T), T)
+    svg1 = report.chart_svg(spec_for(), T)
     svg2 = report.chart_svg(
-        spec_for(T),
+        spec_for(),
         AggTable(T.name, T.columns, list(T.rows)),
     )
     assert svg1 == svg2
@@ -114,14 +99,14 @@ def test_chart_is_deterministic_and_wellformed():
 
 def test_bars_are_the_only_rects_and_sparse_cells_draw_none():
     # 3 populated (year, source) cells out of a 2x2 grid: exactly 3 bars
-    svg = report.chart_svg(spec_for(T), T)
+    svg = report.chart_svg(spec_for(), T)
     assert len(rect_boxes(svg)) == 3
     assert svg.count("<rect") == 3
 
 
 def test_bar_heights_proportional_to_values():
     t = AggTable("t", ("k", "v"), [("a", 10), ("b", 5), ("c", 1)])
-    svg = report.chart_svg(report.ChartSpec("t", x="k", y="v"), t)
+    svg = report.chart_svg(report.ChartSpec(x="k", y="v"), t)
     boxes = rect_boxes(svg)
     assert len(boxes) == 3
     h10, h5, h1 = (b["height"] for b in boxes)
@@ -134,7 +119,7 @@ def test_bar_heights_proportional_to_values():
 
 def test_negative_bars_hang_below_zero():
     t = AggTable("t", ("k", "v"), [("up", 30.0), ("down", -15.0)])
-    svg = report.chart_svg(report.ChartSpec("t", x="k", y="v"), t)
+    svg = report.chart_svg(report.ChartSpec(x="k", y="v"), t)
     up, down = rect_boxes(svg)
     zero_y = up["y"] + up["height"]
     assert abs(down["y"] - zero_y) <= 0.02
@@ -142,7 +127,7 @@ def test_negative_bars_hang_below_zero():
 
 
 def test_gridlines_and_axis():
-    svg = report.chart_svg(spec_for(T), T)
+    svg = report.chart_svg(spec_for(), T)
     lines = svg_elems(svg, "line")
     assert len(lines) == 6  # five gridlines plus the baseline
     assert sum(1 for ln in lines if ln.get("stroke") == "#ddd") == 5
@@ -150,7 +135,7 @@ def test_gridlines_and_axis():
 
 
 def test_series_legend_and_palette():
-    svg = report.chart_svg(spec_for(T), T)
+    svg = report.chart_svg(spec_for(), T)
     fills = [t.get("fill") for t in svg_elems(svg, "text") if t.get("fill")]
     assert fills == [report.PALETTE[0], report.PALETTE[1]]
     legend = [t.text for t in svg_elems(svg, "text") if t.get("fill")]
@@ -161,12 +146,12 @@ def test_series_legend_and_palette():
 
 def test_no_series_chart_has_no_legend():
     t = AggTable("t", ("k", "v"), [("a", 2)])
-    svg = report.chart_svg(report.ChartSpec("t", x="k", y="v"), t)
+    svg = report.chart_svg(report.ChartSpec(x="k", y="v"), t)
     assert [x.get("fill") for x in svg_elems(svg, "text") if x.get("fill")] == []
 
 
 def test_empty_table_renders_no_data():
-    svg = report.chart_svg(spec_for(T), AggTable(T.name, T.columns, []))
+    svg = report.chart_svg(spec_for(), AggTable(T.name, T.columns, []))
     assert "no data" in svg
     assert "<rect" not in svg
     ET.fromstring(svg)
@@ -174,47 +159,49 @@ def test_empty_table_renders_no_data():
 
 def test_title_and_labels_escaped():
     t = AggTable("t", ("k", "v"), [('A<B & "C"', 1)])
-    svg = report.chart_svg(report.ChartSpec("t", x="k", y="v", title='T<&>"q"'), t)
+    svg = report.chart_svg(report.ChartSpec(x="k", y="v", title='T<&>"q"'), t)
     ET.fromstring(svg)
     texts = [x.text for x in svg_elems(svg, "text")]
     assert 'T<&>"q"' in texts
     assert 'A<B & "C"' in texts
 
 
-def test_chart_spec_validation():
-    with pytest.raises(ConfigurationError):
-        report.chart_svg(spec_for(T, width=0), T)
-    with pytest.raises(ConfigurationError):
-        report.chart_svg(spec_for(T, y="nope"), T)
-    with pytest.raises(ConfigurationError):
-        report.chart_svg(spec_for(T, series="nope"), T)
-
-
 def test_chart_rejects_non_numeric_y():
     bad = AggTable("t", ("k", "v"), [("a", "tall")])
     with pytest.raises(ConfigurationError):
-        report.chart_svg(report.ChartSpec("t", x="k", y="v"), bad)
+        report.chart_svg(report.ChartSpec(x="k", y="v"), bad)
     with pytest.raises(ConfigurationError):
         report.chart_svg(
-            report.ChartSpec("t", x="k", y="v"), AggTable("t", ("k", "v"), [("a", True)])
+            report.ChartSpec(x="k", y="v"), AggTable("t", ("k", "v"), [("a", True)])
         )
     with pytest.raises(ConfigurationError):
         report.chart_svg(
-            report.ChartSpec("t", x="k", y="v"),
+            report.ChartSpec(x="k", y="v"),
             AggTable("t", ("k", "v"), [("a", float("nan"))]),
         )
 
 
 def test_emit_bar_chart_writes_utf8(tmp_path):
-    p = report.emit_bar_chart(spec_for(T, title="café"), T, str(tmp_path / "c.svg"))
+    p = report.emit_bar_chart(spec_for(title="café"), T, str(tmp_path / "c.svg"))
     blob = Path(p).read_bytes()
     assert blob.decode("utf-8").startswith("<svg ")
     assert "café" in blob.decode("utf-8")
 
 
-def test_default_chart_specs_cover_catalog():
-    specs = report.default_chart_specs()
-    assert tuple(specs) == analytics.QUERY_IDS
-    for qid, spec in specs.items():
-        assert spec.table == qid
-        assert spec.title
+def test_charts_cover_catalog():
+    assert tuple(report.CHARTS) == analytics.QUERY_IDS
+    assert all(spec.title for spec in report.CHARTS.values())
+
+
+def test_yoy_chart_draws_the_overall_rows_without_the_median():
+    rows = [
+        ("steam", "2020", 10.0, "negative"),
+        ("steam", "2020", 20.0, "overall"),
+        ("steam", "2021", -5.0, "overall"),
+        ("steam", "median", 7.5, "overall"),
+    ]
+    t = AggTable("yoy", ("source", "year", "pct_change", "sentiment_split"), rows)
+    svg = report.chart_svg(report.CHARTS["yoy"], t)
+    assert len(rect_boxes(svg)) == 2
+    labels = {x.text for x in svg_elems(svg, "text")}
+    assert {"2020", "2021"} <= labels and "median" not in labels
