@@ -4,6 +4,12 @@ Every step is a pure function. Fallible steps raise :class:`CleanRejection`
 carrying one reason from the closed reject enum; :func:`clean_review` turns
 that into a :class:`RejectRecord`, so callers never see exceptions for
 ordinary dirty data.
+
+Each closed set a mapping names is one table here: ``_SCHEMES`` for the
+sentiment schemes and ``_FORMAT_MATCHERS`` for the date formats.
+``SENTIMENT_SCHEMES`` and ``DATE_FORMAT_IDS`` are their keys. Loading a
+mapping checks its names against them, so the per-row steps look a name
+up without checking it again.
 """
 
 from __future__ import annotations
@@ -28,11 +34,6 @@ from reviewlake.model import (
     UnifiedReview,
     new_record,
 )
-
-#: Recognized date format identifiers, in the notation mappings use.
-DATE_FORMAT_IDS = ("iso", "iso_datetime", "us_slash", "long_month", "epoch_seconds")
-
-SENTIMENT_SCHEMES = ("binary_label", "five_class_label", "star_rating")
 
 MONTH_NAMES = (
     "January",
@@ -103,38 +104,32 @@ def remove_stopwords(s: str, stops: "Stoplist") -> str:
     return " ".join(kept)
 
 
-_FIVE_CLASS = {"very negative": 0, "negative": 0, "positive": 1, "very positive": 1}
-_BINARY = {"negative": 0, "false": 0, "0": 0, "positive": 1, "true": 1, "1": 1}
-_STARS = {"1": 0, "2": 0, "4": 1, "5": 1}
+#: Sentiment scheme -> (lowercase label -> class, neutral labels). A neutral
+#: label (the middle five-class label, 3 stars) has no side.
+_SCHEMES = {
+    "binary_label": ({"negative": 0, "false": 0, "0": 0, "positive": 1, "true": 1, "1": 1}, ()),
+    "five_class_label": ({"very negative": 0, "negative": 0, "positive": 1, "very positive": 1}, ("neutral",)),
+    "star_rating": ({"1": 0, "2": 0, "4": 1, "5": 1}, ("3",)),
+}
+
+#: The schemes a mapping may name.
+SENTIMENT_SCHEMES = tuple(_SCHEMES)
 
 
 def map_sentiment(raw: str, scheme: str) -> int:
     """Collapse a source sentiment label onto {0, 1}.
 
-    Matching is case-insensitive for every scheme. Neutral labels (the middle
-    five-class label, 3 stars) have no side and are rejected as
-    ``neutral_dropped``; anything unrecognized is ``bad_label``.
+    Matching is case-insensitive for every scheme. A neutral label is
+    rejected as ``neutral_dropped``; anything unrecognized is ``bad_label``.
+    ``scheme`` is one of SENTIMENT_SCHEMES, which loading the mapping has
+    checked.
     """
+    classes, neutral = _SCHEMES[scheme]
     label = raw.lower()
-    if scheme == "five_class_label":
-        got = _FIVE_CLASS.get(label)
-        if got is not None:
-            return got
-        if label == "neutral":
-            raise CleanRejection("neutral_dropped", raw)
-    elif scheme == "binary_label":
-        got = _BINARY.get(label)
-        if got is not None:
-            return got
-    elif scheme == "star_rating":
-        got = _STARS.get(label)
-        if got is not None:
-            return got
-        if label == "3":
-            raise CleanRejection("neutral_dropped", raw)
-    else:
-        raise ConfigurationError(f"unknown sentiment scheme: {scheme!r}")
-    raise CleanRejection("bad_label", raw)
+    got = classes.get(label)
+    if got is not None:
+        return got
+    raise CleanRejection("neutral_dropped" if label in neutral else "bad_label", raw)
 
 
 def _match_iso(s: str) -> tuple[int, int, int] | None:
@@ -214,6 +209,9 @@ _FORMAT_MATCHERS = {
     "long_month": _match_long_month,
     "epoch_seconds": _match_epoch_seconds,
 }
+
+#: Recognized date format identifiers, in the notation mappings use.
+DATE_FORMAT_IDS = tuple(_FORMAT_MATCHERS)
 
 _WINDOW_LO = (DATE_WINDOW_LO.year, DATE_WINDOW_LO.month, DATE_WINDOW_LO.day)
 _WINDOW_HI = (DATE_WINDOW_HI.year, DATE_WINDOW_HI.month, DATE_WINDOW_HI.day)
@@ -327,8 +325,12 @@ def load_stoplist(path: str) -> Stoplist:
     """Load a one-word-per-line stoplist; ``#`` starts a comment line."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: stoplist is not UTF-8: {exc}") from None
     words = set()
-    for lineno, line in enumerate(blob.decode("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         token = line.strip()
         if not token or token.startswith("#"):
             continue

@@ -4,6 +4,8 @@ Settings come from an optional JSON file plus flags, flags winning field
 by field. ``_SETTINGS`` holds one check per setting, for a config key and
 its flag alike. Relative paths in the file resolve against the file's own
 directory, so a config can travel with its data; an empty path is refused.
+``gen-fixtures`` reads no settings: it takes ``--out``, ``--seed``,
+``--rows`` and ``--profile`` and nothing else.
 
 Exit codes: 0 on success, 1 on unreadable input or a corrupt mapping or
 lake, 2 on configuration errors (argparse uses 2 for bad flags already).
@@ -105,7 +107,7 @@ def load_config_file(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"config {path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"config {path}: top level must be an object")
@@ -232,14 +234,14 @@ def cmd_query(cfg: RunConfig, ids: list[str], charts: bool = False) -> int:
     return 0
 
 
-def cmd_gen_fixtures(cfg: RunConfig, seed: int, profile: str, rows: int) -> int:
+def cmd_gen_fixtures(out_dir: str, seed: int, profile: str, rows: int) -> int:
     from reviewlake import fixtures  # the generator is not loaded by the other commands
 
-    truth = fixtures.generate(cfg.out_dir, seed=seed, profile=profile, rows_per_source=rows)
+    truth = fixtures.generate(out_dir, seed=seed, profile=profile, rows_per_source=rows)
     for source in sorted(truth["per_source"]):
         t = truth["per_source"][source]
         print(f"{source}: {t['rows']} rows, {t['accepted']} clean -> {t['file']}")
-    print(f"ground truth -> {os.path.join(cfg.out_dir, 'ground_truth.json')}")
+    print(f"ground truth -> {os.path.join(out_dir, 'ground_truth.json')}")
     return 0
 
 
@@ -263,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("query", parents=[shared], help="run analytic views over the lake")
     q.add_argument("ids", nargs="*", metavar="query", help=f"one of {', '.join(analytics.QUERY_IDS)} (default: all)")
     sub.add_parser("report", parents=[shared], help="emit all tables plus charts")
-    g = sub.add_parser("gen-fixtures", parents=[shared], help="write synthetic source files with ground truth")
+    g = sub.add_parser("gen-fixtures", help="write synthetic source files with ground truth")
+    g.add_argument("--out", dest="out_dir", default=RunConfig().out_dir, help="output directory")
     g.add_argument("--seed", type=int, default=1, help="fixture generator seed")
     g.add_argument("--rows", type=int, default=1000, help="rows per source")
     g.add_argument("--profile", default="paper_shaped", help="fixture profile, checked by the generator")
@@ -273,14 +276,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "gen-fixtures":
+            return cmd_gen_fixtures(_path(args.out_dir, "out_dir"), args.seed, args.profile, args.rows)
         cfg = resolve_config(args)
         if args.command == "ingest":
             return cmd_ingest(cfg)
         if args.command == "query":
             return cmd_query(cfg, args.ids)
-        if args.command == "report":
-            return cmd_query(cfg, [], charts=True)
-        return cmd_gen_fixtures(cfg, args.seed, args.profile, args.rows)
+        return cmd_query(cfg, [], charts=True)  # report
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

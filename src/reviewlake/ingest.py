@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from reviewlake import clean
 from reviewlake.clean import DATE_FORMAT_IDS, SENTIMENT_SCHEMES
-from reviewlake.errors import ConfigurationError, CsvParseError, MappingFileError
+from reviewlake.errors import CsvParseError, MappingFileError
 from reviewlake.model import RawRecord, RejectRecord, SOURCES, UnifiedDraft, new_record
 
 FIELD_CAP = 1 << 20  # one field may not exceed 1 MiB
@@ -32,13 +32,9 @@ _CHUNK = 1 << 18
 _MAX_JSON_LINE = 1 << 24
 _QUOTE = 0x22
 _CR = 0x0D
+_BOM = b"\xef\xbb\xbf"
 # one decoder for every line: json.loads with parse hooks builds a new one per call
 _decode_json = json.JSONDecoder(parse_int=str, parse_float=str, parse_constant=str).decode
-
-
-def _check_source(source: str) -> None:
-    if source not in SOURCES:
-        raise ConfigurationError(f"unknown source {source!r}, expected one of {SOURCES}")
 
 
 # ---------------------------------------------------------------------------
@@ -55,11 +51,15 @@ def _scan_records(stream, dl: int, caps: list[int]):
     start (record start or right after a delimiter); elsewhere it is content.
     Unterminated quote at end of input aborts with the opening quote's byte
     offset. Zero-length records (blank lines) come out as ("blank", None) so
-    the caller can keep a conservation count.
+    the caller can keep a conservation count. A UTF-8 BOM that starts the
+    stream is skipped here, so a quote right after it opens the header's
+    first field; offsets still count from the stream's first byte.
     """
     read = stream.read
-    buf = b""
+    buf = read(len(_BOM))
     base = 0  # file offset of buf[0]
+    if buf == _BOM:
+        buf, base = b"", len(_BOM)
     rstart = 0  # record start within buf
     spos = 0  # scan resume position
     inq = False
@@ -204,9 +204,8 @@ def parse_csv(stream, delimiter: str = ",", *, source: str, stats: dict | None =
     row number; when a stats dict is given its "blank_lines" entry counts
     them. File-level damage (no header, duplicate header names,
     unterminated quote) raises CsvParseError instead of rejecting.
-    ``delimiter`` is a mapping's, which loading the mapping has checked.
+    ``source`` and ``delimiter`` are a mapping's, which loading it has checked.
     """
-    _check_source(source)
     dlb = delimiter.encode("ascii")
     caps = [2 * FIELD_CAP + 65536]
     header: tuple[str, ...] | None = None
@@ -220,8 +219,6 @@ def parse_csv(stream, delimiter: str = ",", *, source: str, stats: dict | None =
         if header is None:
             if kind == "big":
                 raise CsvParseError(f"header record exceeds {caps[0]} bytes")
-            if rec.startswith(b"\xef\xbb\xbf"):
-                rec = rec[3:]
             fields = _split_fields(rec, dlb)
             if fields is None:
                 raise CsvParseError("quoting desynchronized in header")
@@ -270,9 +267,9 @@ def parse_jsonl(stream, *, source: str, stats: dict | None = None):
     text), booleans become "true"/"false", null becomes the empty string.
     Nested objects or arrays reject the line as unsupported_shape; malformed
     JSON is bad_json; blank lines are skipped without a row number and
-    counted under "blank_lines" in the optional stats dict.
+    counted under "blank_lines" in the optional stats dict. ``source`` is a
+    mapping's, which loading it has checked.
     """
-    _check_source(source)
     readline = stream.readline
     row = 0
     while True:
@@ -304,6 +301,9 @@ def parse_jsonl(stream, *, source: str, stats: dict | None = None):
             obj = _decode_json(text)
         except ValueError as exc:
             yield RejectRecord(source, row, "bad_json", str(exc)[:120])
+            continue
+        except RecursionError:  # nested deeper than the decoder goes: not flat either way
+            yield RejectRecord(source, row, "unsupported_shape", "nested too deep to decode")
             continue
         if obj.__class__ is not dict:
             yield RejectRecord(source, row, "unsupported_shape", "top-level value is not an object")
@@ -397,7 +397,7 @@ def load_mapping(path: str) -> SourceMapping:
             obj = json.load(fh)
     except OSError as exc:
         raise MappingFileError(f"{path}: {exc}") from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MappingFileError(f"{path}: not valid JSON: {exc}") from None
     return _mapping_from_obj(obj, path)
 
@@ -405,7 +405,6 @@ def load_mapping(path: str) -> SourceMapping:
 @lru_cache(maxsize=None)
 def default_mapping(source: str) -> SourceMapping:
     """The bundled mapping for a source; user mapping files override it."""
-    _check_source(source)
     blob = resources.files("reviewlake").joinpath(f"data/mappings/{source}.json").read_text("utf-8")
     return _mapping_from_obj(json.loads(blob), f"builtin mapping {source!r}")
 

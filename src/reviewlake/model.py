@@ -1,10 +1,11 @@
 """Shared domain records: raw rows, unified reviews, rejects, result tables.
 
-Records are NamedTuples: immutable and cheap to construct. They stay in the
-process that made them: ingest workers write their records to the lake
-themselves, and query and report fold the views in one process. No class
-here is a dataclass: importing ``dataclasses`` pulls in ``inspect`` and its
-tokenizer, a fixed cost that every command would pay at start-up.
+Every record, result tables included, is a NamedTuple: immutable, cheap to
+construct, and compared by value. Records stay in the process that made
+them: ingest workers write their records to the lake themselves, and query
+and report fold the views in one process. No class here is a dataclass:
+importing ``dataclasses`` pulls in ``inspect`` and its tokenizer, a fixed
+cost that every command would pay at start-up.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ UPVOTE_MAX = int(sys.float_info.max)
 UPVOTE_MAX_DIGITS = len(str(UPVOTE_MAX))
 
 
-class AggTable:
+class AggTable(NamedTuple):
     """Result of a group-by query: a header plus ordered, sorted rows.
 
     Rows are tuples whose leading entries are the group-key fields; they are
@@ -116,26 +117,7 @@ class AggTable:
     cells) and is never serialized into the table itself.
     """
 
-    __slots__ = ("name", "columns", "rows", "notes")
-
-    def __init__(
-        self, name: str, columns: tuple[str, ...], rows: list[tuple], notes: tuple[str, ...] = ()
-    ):
-        bad = [r for r in rows if len(r) != len(columns)]
-        if bad:
-            raise ValueError(f"table {name!r}: row arity {len(bad[0])} != {len(columns)} columns")
-        self.name = name
-        self.columns = columns
-        self.rows = rows
-        self.notes = notes
-
-    def _fields(self) -> tuple:
-        return (self.name, self.columns, self.rows, self.notes)
-
-    def __eq__(self, other):
-        if other.__class__ is not AggTable:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "AggTable(name={!r}, columns={!r}, rows={!r}, notes={!r})".format(*self._fields())
+    name: str
+    columns: tuple[str, ...]
+    rows: list[tuple]
+    notes: tuple[str, ...] = ()

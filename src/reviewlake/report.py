@@ -18,8 +18,6 @@ from typing import Callable, NamedTuple
 from reviewlake.errors import ConfigurationError
 from reviewlake.model import AggTable
 
-TABLE_FORMATS = ("csv", "json")
-
 #: Series colors, assigned by first appearance order, cycled past eight.
 PALETTE = (
     "#4e79a7",
@@ -67,14 +65,16 @@ def table_to_json_bytes(table: AggTable) -> bytes:
     return ("[\n" + ",\n".join(lines) + "\n]\n").encode("utf-8")
 
 
+#: Table format -> serializer.
+_TABLE_WRITERS = {"csv": table_to_csv_bytes, "json": table_to_json_bytes}
+
+#: The formats ``--format`` and the ``format`` key take.
+TABLE_FORMATS = tuple(_TABLE_WRITERS)
+
+
 def emit_table(table: AggTable, fmt: str, path: str) -> str:
-    """Write the table to path as csv or json; returns the path."""
-    if fmt == "csv":
-        blob = table_to_csv_bytes(table)
-    elif fmt == "json":
-        blob = table_to_json_bytes(table)
-    else:
-        raise ConfigurationError(f"unknown table format {fmt!r}, expected one of {TABLE_FORMATS}")
+    """Write the table to path in ``fmt``, one of TABLE_FORMATS; returns the path."""
+    blob = _TABLE_WRITERS[fmt](table)
     with open(path, "wb") as fh:
         fh.write(blob)
     return path

@@ -292,7 +292,7 @@ def load_manifest(lake_dir: str) -> LakeManifest:
         raise CorruptLakeError(f"{lake_dir}: no readable manifest: {exc}") from None
     try:
         doc = json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CorruptLakeError(f"{path}: not valid JSON: {exc}") from None
     try:
         per_source = {}
@@ -420,7 +420,7 @@ def _check_rejects(lake_dir: str, manifest: LakeManifest) -> None:
         for lineno, line in enumerate(fh, start=1):
             try:
                 doc = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise CorruptLakeError(f"{path}:{lineno}: bad JSON: {exc}") from None
             try:
                 r = RejectRecord(doc["source"], doc["row_number"], doc["reason"], doc["detail"])

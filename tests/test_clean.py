@@ -207,11 +207,6 @@ def test_unknown_labels_reject():
         assert ei.value.reason == "bad_label"
 
 
-def test_unknown_scheme_is_config_error():
-    with pytest.raises(ConfigurationError):
-        map_sentiment("positive", "thumbs")
-
-
 # ---------------------------------------------------------------------------
 # upvotes
 # ---------------------------------------------------------------------------

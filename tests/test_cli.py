@@ -111,6 +111,17 @@ def test_seed_belongs_to_gen_fixtures_only(lake_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flags", [["--lake", "x"], ["--format", "json"], ["--partitions", "7"], ["--threads", "9"], ["--config", "c.json"]]
+)
+def test_gen_fixtures_refuses_the_flags_it_does_not_read(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as ei:
+        cli.run(["gen-fixtures", "--out", str(tmp_path / "d"), "--rows", "5", *flags])
+    assert ei.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         '{"sources": []',  # not valid JSON
@@ -282,6 +293,65 @@ def test_stoplist_env_override(data_dir, tmp_path, monkeypatch):
     manifest = json.loads((lake / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["stoplist_checksum"] == clean.load_stoplist(str(sp)).checksum
     assert manifest["stoplist_checksum"] != clean.default_stoplist().checksum
+
+
+@pytest.mark.parametrize("via", ["env", "config"])
+def test_a_stoplist_that_is_not_utf8_is_exit_2(data_dir, tmp_path, monkeypatch, capsys, via):
+    sp = tmp_path / "stops.txt"
+    sp.write_bytes(b"the\n\xff\xfe\n")
+    doc = json.loads((data_dir / "config.json").read_text(encoding="utf-8"))
+    for entry in doc["sources"]:
+        entry["path"] = str(data_dir / entry["path"])
+    if via == "env":
+        monkeypatch.setenv("REVIEWLAKE_STOPLIST", str(sp))
+    else:
+        doc["stoplist"] = sp.name
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.run(["ingest", "--config", str(cfg), "--lake", str(tmp_path / "lake")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sp}: stoplist is not UTF-8: ") and err.count("\n") == 1
+    assert not (tmp_path / "lake").exists()
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("where", ["config", "mapping", "manifest", "rejects", "source row"])
+def test_json_nested_past_the_decoder_depth_is_refused_like_bad_json(lake_dir, tmp_path, capsys, where):
+    """RFC 8259 lets a reader limit nesting. The decoder's limit is each
+    reader's error for bad JSON, or a row's reject, never a RecursionError."""
+    cfg, mapping, lake = tmp_path / "cfg.json", tmp_path / "map.json", tmp_path / "lake"
+    row = {"app_name": "A", "timestamp_created": "1600000000", "voted_up": True, "votes_up": 1, "review": "fine game"}
+    (tmp_path / "steam.jsonl").write_text(json.dumps(row) + '\n{"a": ' + _DEEP + "}\n", encoding="utf-8")
+    mapping.write_text(_DEEP, encoding="utf-8")
+    source = {"source": "steam", "path": "steam.jsonl"} | ({"mapping": mapping.name} if where == "mapping" else {})
+    cfg.write_text('{"sources": ' + _DEEP + "}" if where == "config" else json.dumps({"sources": [source]}))
+    rejects = len((lake_dir / "rejects.jsonl").read_bytes().splitlines())
+    if where in ("manifest", "rejects"):
+        shutil.copytree(lake_dir, lake)
+        name = "manifest.json" if where == "manifest" else "rejects.jsonl"
+        with open(lake / name, "w" if where == "manifest" else "a", encoding="utf-8") as fh:
+            fh.write(_DEEP + "\n")
+        code = cli.run(["query", "--lake", str(lake), "--out", str(tmp_path / "out")])
+    else:
+        code = cli.run(["ingest", "--config", str(cfg), "--lake", str(lake)])
+    expected = {
+        "config": (2, f"error: config {cfg}: not valid JSON: "),
+        "mapping": (1, f"error: {mapping}: not valid JSON: "),
+        "manifest": (1, f"error: {lake / 'manifest.json'}: not valid JSON: "),
+        "rejects": (1, f"error: {lake / 'rejects.jsonl'}:{rejects + 1}: bad JSON: "),
+        "source row": (0, ""),
+    }[where]
+    err = capsys.readouterr().err
+    assert (code, err[: len(expected[1])]) == expected
+    if code:
+        assert "maximum recursion depth" in err and err.count("\n") == 1
+    else:
+        assert json.loads((lake / "rejects.jsonl").read_text(encoding="utf-8")) == {
+            "source": "steam", "row_number": 2, "reason": "unsupported_shape", "detail": "nested too deep to decode"
+        }
+        assert json.loads((lake / "manifest.json").read_text(encoding="utf-8"))["per_source"]["steam"]["accepted"] == 1
 
 
 def test_threads_do_not_change_lake_bytes(data_dir, tmp_path, monkeypatch):

@@ -47,6 +47,12 @@ def test_crlf_and_bom():
     assert out == [RawRecord("steam", 1, {"a": "1", "b": "2"})]
 
 
+def test_bom_before_a_quoted_first_header_field():
+    # the quote after the BOM opens the field for the boundary scan too
+    out = rows_of(b'\xef\xbb\xbf"a\nb",c\n1,2\n')
+    assert out == [RawRecord("steam", 1, {"a\nb": "1", "c": "2"})]
+
+
 def test_blank_lines_counted_not_numbered():
     stats = {}
     out = rows_of(b"a,b\n\n1,2\n\r\n3,4\n", stats=stats)
@@ -178,6 +184,18 @@ _RECORD_PIECE = st.sampled_from([b",", b";", b'"', b'""', b"a", b"bc", b" ", b"\
 def test_split_fields_matches_the_field_by_field_reference(pieces, dl):
     rec = b"".join(pieces)
     assert ingest._split_fields(rec, dl) == _reference_split_fields(rec, dl)
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([b"", _BOM]), st.lists(st.sampled_from([b",", b'"', b"\n", b"\r", b"a", _BOM]), max_size=20))
+def test_the_boundary_scan_and_the_field_split_never_disagree(head, pieces):
+    try:
+        rows_of(head + b"".join(pieces))
+    except CsvParseError as exc:
+        assert "desynchronized" not in str(exc)
 
 
 # ---------------------------------------------------------------------------

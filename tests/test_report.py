@@ -58,9 +58,7 @@ def test_json_empty_table():
     assert report.table_to_json_bytes(AggTable("t", ("v",), [])) == b"[]\n"
 
 
-def test_table_checks_row_arity_and_compares_by_value():
-    with pytest.raises(ValueError, match=r"table 't': row arity 1 != 2 columns"):
-        AggTable("t", ("a", "b"), [(1, 2), (3,), (4, 5, 6)])
+def test_table_compares_by_value():
     assert AggTable("t", ("a",), [(1,)]) == AggTable("t", ("a",), [(1,)])
     assert AggTable("t", ("a",), [(1,)]) != AggTable("t", ("a",), [(1,)], ("a note",))
 
@@ -70,8 +68,6 @@ def test_emit_table_formats(tmp_path):
     assert Path(p).read_bytes().startswith(b"year,source,count\n2019,yelp,1\n")
     p = report.emit_table(T, "json", str(tmp_path / "t.json"))
     assert json.loads(Path(p).read_bytes())[0] == {"year": 2019, "source": "yelp", "count": 1}
-    with pytest.raises(ConfigurationError):
-        report.emit_table(T, "tsv", str(tmp_path / "t.tsv"))
 
 
 # ---------------------------------------------------------------------------
