@@ -30,7 +30,7 @@ from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from reviewlake.engine import AggSpec, Metric, PartitionedDataset, group_aggregate
-from reviewlake.model import AggTable
+from reviewlake.model import AggTable, new_record
 
 WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
 
@@ -56,7 +56,7 @@ class Rollup(NamedTuple):
 def _to_profile_row(r) -> ProfileRow:
     length = len(r.review_text)
     bucket = BUCKET_CAP if length >= BUCKET_CAP else (length // BUCKET_WIDTH) * BUCKET_WIDTH
-    return ProfileRow(r.source, r.sentiment, bucket, length, r.upvotes)
+    return new_record(ProfileRow, (r.source, r.sentiment, bucket, length, r.upvotes))
 
 
 _CALENDAR = AggSpec(

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from reviewlake import analytics, engine, report, store
 from reviewlake.errors import ConfigurationError, MappingFileError, ReviewLakeError
-from reviewlake.model import SOURCES
+from reviewlake.model import SOURCES, fork_context
 
 
 class SourceSpec(NamedTuple):
@@ -171,7 +171,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
             work = functools.partial(_ingest_source, writer, stops)
             results = None
             if cfg.threads > 1 and len(jobs) > 1:
-                ctx = _fork_context()
+                ctx = fork_context()
                 if ctx is not None:
                     # workers die on Pool.terminate's SIGTERM instead of raising
                     reset = functools.partial(signal.signal, signal.SIGTERM, signal.SIG_DFL)
@@ -187,15 +187,6 @@ def cmd_ingest(cfg: RunConfig) -> int:
         signal.signal(signal.SIGTERM, previous)
     print(store.manifest_to_json(manifest), end="")
     return 0
-
-
-def _fork_context():
-    import multiprocessing  # only a multi-worker ingest pays for the import
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +264,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: C0, DEL, C1 and the two Unicode line separators, as repr spells them:
+#: a path holding one must not split the one ``error:`` line.
+_UNPRINTABLE = {c: repr(chr(c))[1:-1] for c in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)}
+
+
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -285,16 +281,15 @@ def run(argv: list[str] | None = None) -> int:
             return cmd_query(cfg, args.ids)
         return cmd_query(cfg, [], charts=True)  # report
     except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = str(exc), 2
     except ReviewLakeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message, code = str(exc), 1
     except OSError as exc:
         name = getattr(exc, "filename", None)
         where = f" ({name})" if name else ""
-        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
-        return 1
+        message, code = f"{exc.strerror or exc}{where}", 1
+    print(f"error: {message.translate(_UNPRINTABLE)}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -14,6 +14,13 @@ of review length with negative reviews running longer (imdb swapped), and
 upvotes that grow with length and lean negative. The "uniform" profile
 keeps everything except the calendar flat.
 
+Each source's rows come from its own stream, ``random.Random(f"{seed}:{source}")``,
+so the four files are independent tasks: forked worker processes write
+them, one per usable core up to four, and the bytes do not depend on how
+many workers there are. The ground truth is assembled in source order
+once every worker has finished. Where the platform cannot fork, the same
+per-source function runs in-process.
+
 Review text is assembled from a stopword-free vocabulary so that its
 cleaned length equals a planted target exactly, then dressed with noise
 that the cleaner provably removes: punctuation runs, digits, non-ASCII
@@ -38,14 +45,18 @@ from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import itertools
 import json
 import os
 import random
 from bisect import bisect_right
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from reviewlake.clean import MONTH_NAMES
-from reviewlake.errors import ConfigurationError
+from reviewlake.errors import ConfigurationError, ReviewLakeError
+from reviewlake.model import SOURCES, fork_context
 
 PROFILES = ("uniform", "paper_shaped")
 
@@ -428,20 +439,49 @@ def _generate_source(source: str, rng: random.Random, n: int, profile: str, out)
     return truth
 
 
+def _write_source(out_dir: str, seed: int, profile: str, rows: int, source: str) -> dict:
+    """Write one source's file from its own seeded stream; returns its ground truth.
+
+    The one unit of work of ``generate``, in a worker process or in-process.
+    """
+    rng = random.Random(f"{seed}:{source}")
+    path = os.path.join(out_dir, _FILES[source])
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        return _generate_source(source, rng, rows, profile, fh)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def generate(out_dir: str, seed: int = 1, profile: str = "paper_shaped", rows_per_source: int = 1000) -> dict:
-    """Write the four source files plus ground truth; returns the truth dict."""
+    """Write the four source files plus ground truth; returns the truth dict.
+
+    Each source is written by a forked worker, up to one per usable core,
+    and every worker is joined before this returns or raises. A worker's
+    exception re-raises here with its own type; a worker that dies is a
+    ``ReviewLakeError``.
+    """
     if profile not in PROFILES:
         raise ConfigurationError(f"unknown profile {profile!r}, expected one of {PROFILES}")
     if rows_per_source < 1:
         raise ConfigurationError("rows_per_source must be at least 1")
 
     os.makedirs(out_dir, exist_ok=True)
-    per_source = {}
-    for source in ("amazon", "imdb", "steam", "yelp"):
-        rng = random.Random(f"{seed}:{source}")
-        path = os.path.join(out_dir, _FILES[source])
-        with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            per_source[source] = _generate_source(source, rng, rows_per_source, profile, fh)
+    work = functools.partial(_write_source, out_dir, seed, profile, rows_per_source)
+    ctx = fork_context()
+    if ctx is None:
+        results = list(map(work, SOURCES))
+    else:
+        try:
+            with ProcessPoolExecutor(min(len(SOURCES), _usable_cores()), mp_context=ctx) as pool:
+                results = list(pool.map(work, SOURCES))
+        except BrokenProcessPool:
+            raise ReviewLakeError(f"a worker process writing the fixtures in {out_dir} died") from None
+    per_source = dict(zip(SOURCES, results))
 
     truth = {
         "seed": seed,
@@ -462,9 +502,7 @@ def generate(out_dir: str, seed: int = 1, profile: str = "paper_shaped", rows_pe
         fh.write("\n")
 
     config = {
-        "sources": [
-            {"source": s, "path": _FILES[s]} for s in ("amazon", "imdb", "steam", "yelp")
-        ],
+        "sources": [{"source": s, "path": _FILES[s]} for s in SOURCES],
         "lake_dir": "lake",
         "out_dir": "out",
     }

@@ -47,6 +47,9 @@ REJECTS_NAME = "rejects.jsonl"
 
 # the C encoder json.dumps ends in for a str, with its default ensure_ascii
 _encode_str = json.encoder.encode_basestring_ascii
+# the C decoder json.loads uses for a str: _decode_str(s, 1) decodes the JSON
+# string that opens at s[0] and returns (value, end)
+_decode_str = json.decoder.scanstring
 # lines LakeWriter.stage gathers before one write
 _BATCH = 128
 
@@ -375,11 +378,16 @@ def read_lake(lake_dir: str) -> list[UnifiedReview]:
         with fh:
             for lineno, line in enumerate(fh, start=1):
                 m = match(line)
-                # an escaped name must be the writer's one spelling of its value
-                if m is None or m[6] != source or ("\\" in m[1] and _encode_str(json.loads(m[1])) != m[1]):
+                if m is None or m[6] != source:
                     raise CorruptLakeError(f"{path}:{lineno}: not a record line as the writer writes it")
-                name, day, sentiment, upvotes, text, _ = m.groups()
-                name = json.loads(name) if "\\" in name else name[1:-1]
+                spelled, day, sentiment, upvotes, text, _ = m.groups()
+                if "\\" not in spelled:
+                    name = spelled[1:-1]
+                else:
+                    name = _decode_str(spelled, 1)[0]
+                    # an escaped name must be the writer's one spelling of its value
+                    if _encode_str(name) != spelled:
+                        raise CorruptLakeError(f"{path}:{lineno}: not a record line as the writer writes it")
                 date = dates.get(day)
                 if date is None:
                     try:

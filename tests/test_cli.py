@@ -566,6 +566,23 @@ def test_unknown_fixture_profile_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("name", ["a\nb.csv", "a\rb.csv", "a\x1bb.csv", "a\x85b.csv", "a\u2028b.csv", "café.csv"])
+def test_a_path_is_printed_on_the_one_error_line(tmp_path, capsys, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sources": [{"source": "yelp", "path": name}]}), encoding="utf-8")
+    assert cli.run(["ingest", "--config", str(cfg), "--lake", str(tmp_path / "lake")]) == 1
+    err = capsys.readouterr().err
+    shown = repr(name)[1:-1]  # control characters escaped, printable non-ASCII as it is
+    assert err.splitlines() == [f"error: No such file or directory ({tmp_path / shown})"]
+
+
+def test_a_worker_oserror_keeps_its_type_and_is_exit_1(tmp_path, capsys):
+    out = tmp_path / "d"
+    (out / "imdb.jsonl").mkdir(parents=True)  # the imdb worker cannot open its file
+    assert cli.run(["gen-fixtures", "--out", str(out), "--rows", "20"]) == 1
+    assert capsys.readouterr().err == f"error: Is a directory ({out / 'imdb.jsonl'})\n"
+
+
 def _run_cli(args, env=None):
     """One CLI command in a fresh interpreter, so stderr is all it printed."""
     env = dict(env or os.environ)

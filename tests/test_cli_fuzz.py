@@ -42,8 +42,9 @@ _VALID_CONFIG = {
     "stoplist": "stop.txt",
 }
 
-# every path, a junk string included (no "/" or "."), stays in the run's directory
-_PATHS = st.sampled_from(["yelp.csv", "steam.jsonl", "map.json", "stop.txt", "lake", "out", "nowhere", ""])
+# every path, a junk string included (no "/" or "."), stays in the run's directory;
+# "a\nb" is a name an error line must print without breaking it
+_PATHS = st.sampled_from(["yelp.csv", "steam.jsonl", "map.json", "stop.txt", "lake", "out", "nowhere", "a\nb", ""])
 _JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-1, 2) | st.floats() | st.text("aé", max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("aé", max_size=3), inner, max_size=3),

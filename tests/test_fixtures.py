@@ -5,6 +5,8 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +15,7 @@ from reviewlake.errors import ConfigurationError
 from reviewlake.model import RejectRecord
 
 SOURCES = ("amazon", "imdb", "steam", "yelp")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fixtures.__file__)))
 
 
 def file_hashes(d):
@@ -161,6 +164,69 @@ PINNED_DIGESTS = {
 def test_seed_keeps_its_bytes(tmp_path, seed, profile, rows):
     fixtures.generate(str(tmp_path), seed=seed, profile=profile, rows_per_source=rows)
     assert file_hashes(tmp_path) == PINNED_DIGESTS[seed, profile, rows]
+
+
+def _python(script, *args, **kwargs):
+    """A fresh interpreter running script; its stdout and stderr as text."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, check=False, **kwargs
+    )
+
+
+_GEN_FIXTURES = """
+import os, sys
+from reviewlake import cli
+print(len(os.sched_getaffinity(0)))
+sys.exit(cli.run(["gen-fixtures", "--out", sys.argv[1], "--seed", "1", "--rows", "500"]))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs settable CPU affinity"
+)
+def test_bytes_do_not_depend_on_the_core_count(tmp_path):
+    one_cpu = {min(os.sched_getaffinity(0))}
+
+    def pin():
+        os.sched_setaffinity(0, one_cpu)
+
+    try:
+        one = _python(_GEN_FIXTURES, str(tmp_path / "one"), timeout=120, preexec_fn=pin)
+    except subprocess.SubprocessError:  # the preexec_fn raised
+        pytest.skip("CPU affinity cannot be set here")
+    every = _python(_GEN_FIXTURES, str(tmp_path / "every"), timeout=120)
+    assert one.returncode == every.returncode == 0, one.stderr + every.stderr
+    assert one.stdout.split("\n")[0] == "1" != every.stdout.split("\n")[0]  # one worker, then several
+    assert file_hashes(tmp_path / "one") == file_hashes(tmp_path / "every") == PINNED_DIGESTS[1, "paper_shaped", 500]
+
+
+_DEAD_WORKER = """
+import os, sys
+from reviewlake import cli, fixtures
+
+write = fixtures._write_source
+
+def dies_on_imdb(out_dir, seed, profile, rows, source):
+    if source == "imdb":
+        os._exit(3)
+    return write(out_dir, seed, profile, rows, source)
+
+fixtures._write_source = dies_on_imdb
+code = cli.run(["gen-fixtures", "--out", sys.argv[1], "--rows", "50"])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+sys.exit(code)
+"""
+
+
+def test_a_dead_worker_is_one_error_line_and_leaves_no_child(tmp_path):
+    proc = _python(_DEAD_WORKER, str(tmp_path / "d"), timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [f"error: a worker process writing the fixtures in {tmp_path / 'd'} died"]
+    assert proc.stdout == "no child left\n"
 
 
 def _reference_mangle(rng, word):
