@@ -13,6 +13,10 @@ Rejected rows are never fatal; they are tallied and land in the lake's
 reject file. A SIGTERM during ingest removes the staging directory, leaves
 any earlier lake as it was, and exits 1.
 
+``ingest --threads N`` forks its workers; there is no other start method.
+So the tool is POSIX-only: the one platform without ``fork``, Windows,
+also refuses to open a directory for the fsync that a lake commit needs.
+
 ``query`` and ``report`` name no view: ``report.CHARTS`` says how each is
 drawn. Only ``ingest`` imports the parsing and cleaning modules, so
 ``query`` and ``report`` start without compiling them.
@@ -29,7 +33,7 @@ from typing import NamedTuple
 
 from reviewlake import analytics, engine, report, store
 from reviewlake.errors import ConfigurationError, MappingFileError, ReviewLakeError
-from reviewlake.model import SOURCES, fork_context
+from reviewlake.model import SOURCES
 
 
 class SourceSpec(NamedTuple):
@@ -143,9 +147,7 @@ def _ingest_source(writer: store.LakeWriter, stops, spec: SourceSpec) -> tuple[s
     mapping = ingest.load_mapping(spec.mapping) if spec.mapping else ingest.default_mapping(source)
     if mapping.source != source:
         raise MappingFileError(f"mapping {spec.mapping} is for {mapping.source!r}, not {source!r}")
-    counts: dict = {}
-    stats = writer.stage(source, ingest.iter_source(spec.path, mapping, stops, counts))
-    return source, stats._replace(blank_lines=counts.get("blank_lines", 0))
+    return source, writer.stage(source, ingest.iter_source(spec.path, mapping, stops))
 
 
 def _raise_on_sigterm(signum, frame):
@@ -169,15 +171,14 @@ def cmd_ingest(cfg: RunConfig) -> int:
         writer = store.LakeWriter(cfg.lake_dir)
         try:
             work = functools.partial(_ingest_source, writer, stops)
-            results = None
             if cfg.threads > 1 and len(jobs) > 1:
-                ctx = fork_context()
-                if ctx is not None:
-                    # workers die on Pool.terminate's SIGTERM instead of raising
-                    reset = functools.partial(signal.signal, signal.SIGTERM, signal.SIG_DFL)
-                    with ctx.Pool(min(cfg.threads, len(jobs)), initializer=reset) as pool:
-                        results = pool.map(work, jobs)
-            if results is None:
+                import multiprocessing  # only an ingest that fans out pays for the import
+
+                # workers die on Pool.terminate's SIGTERM instead of raising
+                reset = functools.partial(signal.signal, signal.SIGTERM, signal.SIG_DFL)
+                with multiprocessing.get_context("fork").Pool(min(cfg.threads, len(jobs)), initializer=reset) as pool:
+                    results = pool.map(work, jobs)
+            else:
                 results = [work(j) for j in jobs]
             manifest = writer.commit(dict(results), created_at, stops.checksum)
         except BaseException:
@@ -199,8 +200,10 @@ _QUERY_FNS = analytics.QUERIES
 def cmd_query(cfg: RunConfig, ids: list[str], charts: bool = False) -> int:
     """Write each view's table, and with ``charts`` its bar chart; no ids means all.
 
-    Every table is computed before the first file is written, so a view
-    that fails leaves ``out/`` as it was.
+    Every table is computed before the first file is written, and every
+    file is written under a hidden temporary name before any is renamed to
+    its own, so a view or a write that fails leaves ``out/`` as it was.
+    ``out/`` itself is never replaced: it may hold other files.
     """
     for qid in ids:
         if qid not in _QUERY_FNS:
@@ -213,12 +216,30 @@ def cmd_query(cfg: RunConfig, ids: list[str], charts: bool = False) -> int:
             engine.PartitionedDataset.from_records(store.read_lake(cfg.lake_dir), cfg.partitions)
         )
     tables = {qid: _QUERY_FNS[qid](cube) for qid in ids or analytics.QUERY_IDS}
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    out_dir = cfg.out_dir
+    exts = (cfg.format, "svg") if charts else (cfg.format,)
+    staged: list[tuple[str, str]] = []  # (temporary path, final path), in write order
+
+    def temporary(name: str) -> str:
+        tmp = os.path.join(out_dir, f".{name}.tmp-{os.getpid()}")
+        staged.append((tmp, os.path.join(out_dir, name)))
+        return tmp
+
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        for qid, table in tables.items():
+            report.emit_table(table, cfg.format, temporary(f"{qid}.{cfg.format}"))
+            if charts:
+                report.emit_bar_chart(report.CHARTS[qid], table, temporary(f"{qid}.svg"))
+        for tmp, final in staged:
+            os.replace(tmp, final)
+    except BaseException:
+        for tmp, _ in staged:
+            if os.path.lexists(tmp):
+                os.remove(tmp)
+        raise
     for qid, table in tables.items():
-        out = os.path.join(cfg.out_dir, qid)
-        paths = [report.emit_table(table, cfg.format, f"{out}.{cfg.format}")]
-        if charts:
-            paths.append(report.emit_bar_chart(report.CHARTS[qid], table, f"{out}.svg"))
+        paths = (os.path.join(out_dir, f"{qid}.{ext}") for ext in exts)
         print(f"{qid}: {len(table.rows)} rows -> {', '.join(paths)}")
         for note in table.notes:
             print(f"  note: {note}")

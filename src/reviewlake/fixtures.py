@@ -18,8 +18,9 @@ Each source's rows come from its own stream, ``random.Random(f"{seed}:{source}")
 so the four files are independent tasks: forked worker processes write
 them, one per usable core up to four, and the bytes do not depend on how
 many workers there are. The ground truth is assembled in source order
-once every worker has finished. Where the platform cannot fork, the same
-per-source function runs in-process.
+once every worker has finished. The workers fork, as every worker pool in
+reviewlake does, so the generator is POSIX-only like the rest of the tool:
+Windows, the one platform without ``fork``, could not commit a lake either.
 
 Review text is assembled from a stopword-free vocabulary so that its
 cleaned length equals a planted target exactly, then dressed with noise
@@ -48,6 +49,7 @@ import datetime
 import functools
 import itertools
 import json
+import multiprocessing
 import os
 import random
 from bisect import bisect_right
@@ -56,7 +58,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from reviewlake.clean import MONTH_NAMES
 from reviewlake.errors import ConfigurationError, ReviewLakeError
-from reviewlake.model import SOURCES, fork_context
+from reviewlake.model import SOURCES
 
 PROFILES = ("uniform", "paper_shaped")
 
@@ -442,7 +444,7 @@ def _generate_source(source: str, rng: random.Random, n: int, profile: str, out)
 def _write_source(out_dir: str, seed: int, profile: str, rows: int, source: str) -> dict:
     """Write one source's file from its own seeded stream; returns its ground truth.
 
-    The one unit of work of ``generate``, in a worker process or in-process.
+    The one unit of work of ``generate``, run in a forked worker process.
     """
     rng = random.Random(f"{seed}:{source}")
     path = os.path.join(out_dir, _FILES[source])
@@ -472,15 +474,12 @@ def generate(out_dir: str, seed: int = 1, profile: str = "paper_shaped", rows_pe
 
     os.makedirs(out_dir, exist_ok=True)
     work = functools.partial(_write_source, out_dir, seed, profile, rows_per_source)
-    ctx = fork_context()
-    if ctx is None:
-        results = list(map(work, SOURCES))
-    else:
-        try:
-            with ProcessPoolExecutor(min(len(SOURCES), _usable_cores()), mp_context=ctx) as pool:
-                results = list(pool.map(work, SOURCES))
-        except BrokenProcessPool:
-            raise ReviewLakeError(f"a worker process writing the fixtures in {out_dir} died") from None
+    ctx = multiprocessing.get_context("fork")
+    try:
+        with ProcessPoolExecutor(min(len(SOURCES), _usable_cores()), mp_context=ctx) as pool:
+            results = list(pool.map(work, SOURCES))
+    except BrokenProcessPool:
+        raise ReviewLakeError(f"a worker process writing the fixtures in {out_dir} died") from None
     per_source = dict(zip(SOURCES, results))
 
     truth = {

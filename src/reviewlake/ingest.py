@@ -2,6 +2,11 @@
 :func:`iter_source`, the one loop that turns a source file into cleaned
 reviews and rejects.
 
+Every parser yields one item per data record or blank line: a RawRecord,
+a RejectRecord, or None for a blank line. The header yields nothing. So
+each physical row of a source has exactly one item, and the lake writer
+tallies all of them in one place.
+
 The CSV reader works on raw bytes in bounded memory: a quote-aware scan
 finds record boundaries (quoted fields may hold delimiters, doubled-quote
 escapes, and embedded newlines), each record is split and UTF-8 decoded on
@@ -50,8 +55,8 @@ def _scan_records(stream, dl: int, caps: list[int]):
     Boundaries honor RFC-4180 quoting. A quote opens a field only at a field
     start (record start or right after a delimiter); elsewhere it is content.
     Unterminated quote at end of input aborts with the opening quote's byte
-    offset. Zero-length records (blank lines) come out as ("blank", None) so
-    the caller can keep a conservation count. A UTF-8 BOM that starts the
+    offset. Zero-length records (blank lines) come out as ("blank", None),
+    so the caller can give each one its own item. A UTF-8 BOM that starts the
     stream is skipped here, so a quote right after it opens the header's
     first field; offsets still count from the stream's first byte.
     """
@@ -195,14 +200,14 @@ def _split_fields(rec: bytes, dl: bytes) -> list[bytes] | None:
             return out
 
 
-def parse_csv(stream, delimiter: str = ",", *, source: str, stats: dict | None = None):
+def parse_csv(stream, delimiter: str = ",", *, source: str):
     """Parse a CSV byte stream into RawRecords, yielding RejectRecords for
-    rows that fail structurally (ragged_row, oversize_field, bad_encoding).
+    rows that fail structurally (ragged_row, oversize_field, bad_encoding)
+    and None for each blank line.
 
     The first record is the header and sets the expected field count. Row
-    numbers are 1-based over non-blank data records. Blank lines consume no
-    row number; when a stats dict is given its "blank_lines" entry counts
-    them. File-level damage (no header, duplicate header names,
+    numbers are 1-based over non-blank data records: a blank line takes no
+    row number. File-level damage (no header, duplicate header names,
     unterminated quote) raises CsvParseError instead of rejecting.
     ``source`` and ``delimiter`` are a mapping's, which loading it has checked.
     """
@@ -213,8 +218,7 @@ def parse_csv(stream, delimiter: str = ",", *, source: str, stats: dict | None =
     row = 0
     for kind, rec in _scan_records(stream, dlb[0], caps):
         if kind == "blank":
-            if stats is not None:
-                stats["blank_lines"] = stats.get("blank_lines", 0) + 1
+            yield None
             continue
         if header is None:
             if kind == "big":
@@ -260,15 +264,14 @@ def parse_csv(stream, delimiter: str = ",", *, source: str, stats: dict | None =
 # ---------------------------------------------------------------------------
 
 
-def parse_jsonl(stream, *, source: str, stats: dict | None = None):
+def parse_jsonl(stream, *, source: str):
     """Parse one flat JSON object per line into RawRecords.
 
     Numbers keep their source spelling (parse hooks return the literal
     text), booleans become "true"/"false", null becomes the empty string.
     Nested objects or arrays reject the line as unsupported_shape; malformed
-    JSON is bad_json; blank lines are skipped without a row number and
-    counted under "blank_lines" in the optional stats dict. ``source`` is a
-    mapping's, which loading it has checked.
+    JSON is bad_json; a blank line yields None and takes no row number.
+    ``source`` is a mapping's, which loading it has checked.
     """
     readline = stream.readline
     row = 0
@@ -286,8 +289,7 @@ def parse_jsonl(stream, *, source: str, stats: dict | None = None):
             continue
         stripped = line.strip()
         if not stripped:
-            if stats is not None:
-                stats["blank_lines"] = stats.get("blank_lines", 0) + 1
+            yield None
             continue
         row += 1
         try:
@@ -438,24 +440,24 @@ def adapt(record: RawRecord, mapping: SourceMapping) -> UnifiedDraft | RejectRec
 # ---------------------------------------------------------------------------
 
 
-def iter_source(path: str, mapping: SourceMapping, stops, stats: dict | None = None):
-    """Parse, adapt and clean one source file; one item per parsed row.
+def iter_source(path: str, mapping: SourceMapping, stops):
+    """Parse, adapt and clean one source file; one item per data record or
+    blank line.
 
-    Yields a UnifiedReview for each accepted row and a RejectRecord for
-    each rejected one, in file order. A ``.jsonl`` or ``.ndjson`` file is
-    JSON lines; anything else is CSV with the mapping's delimiter. Blank
-    lines are counted under "blank_lines" in the optional stats dict. A
-    fatal CsvParseError names the file, and the byte offset (from 0) where
-    it is known.
+    Yields, in file order, a UnifiedReview for each accepted row, a
+    RejectRecord for each rejected one and None for each blank line. A
+    ``.jsonl`` or ``.ndjson`` file is JSON lines; anything else is CSV with
+    the mapping's delimiter. A fatal CsvParseError names the file, and the
+    byte offset (from 0) where it is known.
     """
     source = mapping.source
     adapt_ = adapt
     cleaner = clean.clean_review
     with open(path, "rb") as fh:
         if path.endswith((".jsonl", ".ndjson")):
-            items = parse_jsonl(fh, source=source, stats=stats)
+            items = parse_jsonl(fh, source=source)
         else:
-            items = parse_csv(fh, delimiter=mapping.delimiter, source=source, stats=stats)
+            items = parse_csv(fh, delimiter=mapping.delimiter, source=source)
         try:
             for item in items:
                 if item.__class__ is RawRecord:

@@ -5,9 +5,12 @@ construct, and compared by value. Records stay in the process that made
 them: ingest workers write their records to the lake themselves, and query
 and report fold the views in one process. No class here is a dataclass:
 importing ``dataclasses`` pulls in ``inspect`` and its tokenizer, a fixed
-cost that every command would pay at start-up. ``fork_context`` is the
-one start method of every worker pool, ingest's and the fixture
-generator's.
+cost that every command would pay at start-up.
+
+Every worker pool, ingest's and the fixture generator's, forks, with no
+other start method, so reviewlake is POSIX-only. The one platform without
+``fork``, Windows, also refuses to open a directory for the fsync that a
+lake commit needs, so ingest could not finish there anyway.
 """
 
 from __future__ import annotations
@@ -20,21 +23,6 @@ from typing import NamedTuple
 #: its fields in C, without the class's Python-level ``__new__``. The row
 #: path builds its records this way; ``fields`` must hold every field.
 new_record = tuple.__new__
-
-
-def fork_context():
-    """The ``fork`` start method's context, or None where the platform has none.
-
-    Every worker pool forks, so workers inherit the modules the parent has
-    loaded instead of starting an interpreter and importing them again.
-    Without fork, callers run the same work in-process.
-    """
-    import multiprocessing  # only a command that fans out pays for the import
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
 
 
 #: Supported review sources, in canonical order.

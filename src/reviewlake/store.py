@@ -6,6 +6,10 @@ per source that contributed accepted records, and ``rejects.jsonl``.
 :class:`LakeWriter` is the only writer: it builds the whole lake in a
 hidden temp directory next to the target, fsyncs it, and renames it into
 place, so readers never observe a partial lake, even after a crash.
+:meth:`LakeWriter.stage` is the one loop over a source's items, one per
+data record or blank line: it writes each record and reject line as its
+item arrives and counts every item into exactly one tally, so the
+manifest's counts conserve the source's rows by construction.
 
 A valid lake holds what :class:`LakeWriter` writes and nothing else.
 :func:`read_lake` requires the manifest to be byte for byte the one the
@@ -50,12 +54,11 @@ _encode_str = json.encoder.encode_basestring_ascii
 # the C decoder json.loads uses for a str: _decode_str(s, 1) decodes the JSON
 # string that opens at s[0] and returns (value, end)
 _decode_str = json.decoder.scanstring
-# lines LakeWriter.stage gathers before one write
-_BATCH = 128
 
 
 class SourceStats(NamedTuple):
-    """One source's tallies; ingest fills ``blank_lines`` in after staging."""
+    """One source's tallies, all counted by :meth:`LakeWriter.stage`: each
+    item, one per data record or blank line, lands in exactly one of them."""
 
     accepted: int
     blank_lines: int
@@ -175,36 +178,33 @@ class LakeWriter:
         return os.path.join(self.tmp, f"rejects-{source}.part")
 
     def stage(self, source: str, items) -> SourceStats:
-        """Write one source's UnifiedReviews and RejectRecords, in order.
+        """Write and tally one source's items, one per data record or blank line.
 
-        Each file gets its lines in batches of up to _BATCH per write.
-        Returns the source's tallies; blank_lines is left for the caller.
+        A UnifiedReview is written as a record line, a RejectRecord as a
+        reject line, each as its item arrives; None is a blank line, which
+        is only counted. Returns the source's complete tallies.
         """
-        accepted = 0
+        accepted = blank_lines = 0
         reasons: dict[str, int] = {}
         to_json = review_to_json
         rj_json = reject_to_json
-        lines: list[str] = []
-        rejects: list[str] = []
         rec_path = os.path.join(self.tmp, f"{source}.jsonl")
         with open(rec_path, "w", encoding="utf-8", newline="\n") as out, open(
             self._reject_part(source), "w", encoding="utf-8", newline="\n"
         ) as rej:
+            write, write_reject = out.write, rej.write
             for item in items:
-                if item.__class__ is RejectRecord:
+                if item is None:
+                    blank_lines += 1
+                elif item.__class__ is RejectRecord:
                     reasons[item.reason] = reasons.get(item.reason, 0) + 1
-                    rejects.append(rj_json(item))
-                    if len(rejects) == _BATCH:
-                        _write_lines(rej, rejects)
+                    write_reject(rj_json(item) + "\n")
                 else:
-                    lines.append(to_json(item))
-                    if len(lines) == _BATCH:
-                        accepted += _write_lines(out, lines)
-            accepted += _write_lines(out, lines)
-            _write_lines(rej, rejects)
+                    write(to_json(item) + "\n")
+                    accepted += 1
         if accepted == 0:
             os.remove(rec_path)
-        return SourceStats(accepted, 0, reasons)
+        return SourceStats(accepted, blank_lines, reasons)
 
     def commit(
         self, per_source: dict[str, SourceStats], created_at: str, stoplist_checksum: str
@@ -235,17 +235,6 @@ class LakeWriter:
     def abort(self) -> None:
         if not self._done:
             shutil.rmtree(self.tmp, ignore_errors=True)
-
-
-def _write_lines(fh, lines: list[str]) -> int:
-    """Write ``lines`` as newline-ended lines in one call, empty the list
-    and return how many there were."""
-    n = len(lines)
-    if n:
-        lines.append("")
-        fh.write("\n".join(lines))
-        lines.clear()
-    return n
 
 
 def _remove_old_lakes(target: str) -> None:

@@ -11,7 +11,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from reviewlake import clean, fixtures, ingest
-from reviewlake.model import RejectRecord
+from reviewlake.model import UnifiedReview
 
 #: (criterion number, "PASS"/"FAIL"/"SKIP", description) in run order.
 acceptance_results: list[tuple[int, str, str]] = []
@@ -32,7 +32,7 @@ def run_pipeline(dirpath: str, truth: dict):
     for src in ("amazon", "imdb", "steam", "yelp"):
         path = os.path.join(dirpath, truth["per_source"][src]["file"])
         items = ingest.iter_source(path, ingest.default_mapping(src), stops)
-        reviews += [r for r in items if r.__class__ is not RejectRecord]
+        reviews += [r for r in items if r.__class__ is UnifiedReview]
     return reviews
 
 

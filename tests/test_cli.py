@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, config resolution, and the full
 gen-fixtures -> ingest -> query -> report chain on a small corpus."""
 
+import errno
 import hashlib
 import json
 import os
@@ -838,6 +839,32 @@ def test_a_failing_view_leaves_the_output_directory_empty(lake_dir, tmp_path, mo
     assert cli.run(["report", "--lake", str(lake_dir), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: length_upvotes failed\n"
     assert list(out.iterdir()) == []
+
+
+def test_a_failed_write_leaves_every_output_file_as_it_was(lake_dir, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    names = [f"{q}.{ext}" for q in analytics.QUERY_IDS for ext in ("csv", "svg")]
+    for name in names:
+        (out / name).write_bytes(b"old\n")
+    emit_bar_chart = cli.report.emit_bar_chart
+    calls = []
+
+    def full_disk_on_the_fourth_chart(spec, table, path):
+        calls.append(path)
+        if len(calls) == 4:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return emit_bar_chart(spec, table, path)
+
+    # four tables and three charts are written in full before the fourth chart fails
+    monkeypatch.setattr(cli.report, "emit_bar_chart", full_disk_on_the_fourth_chart)
+    capsys.readouterr()
+    assert cli.run(["report", "--lake", str(lake_dir), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: No space left on device\n" and captured.out == ""
+    assert len(calls) == 4
+    assert sorted(os.listdir(out)) == sorted(names)
+    assert all((out / name).read_bytes() == b"old\n" for name in names)
 
 
 def test_sigterm_during_ingest_removes_staging_and_keeps_the_lake(data_dir, tmp_path, monkeypatch, capsys):

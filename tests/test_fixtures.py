@@ -58,36 +58,19 @@ def test_truth_layout(tmp_path):
 
 
 def full_pipeline_tally(dirpath, truth, src):
-    """Replays ingest+clean for one source, tallying every outcome."""
-    t = truth["per_source"][src]
-    mapping = ingest.default_mapping(src)
-    stops = clean.default_stoplist()
-    stats: dict = {}
+    """Runs ingest's own loop over one source, tallying every item's fate."""
+    path = os.path.join(dirpath, truth["per_source"][src]["file"])
     accepted = []
     reasons: dict = {}
-
-    def reject(r):
-        reasons[r.reason] = reasons.get(r.reason, 0) + 1
-
-    with open(os.path.join(dirpath, t["file"]), "rb") as fh:
-        if t["format"] == "jsonl":
-            it = ingest.parse_jsonl(fh, source=src, stats=stats)
+    blanks = 0
+    for item in ingest.iter_source(path, ingest.default_mapping(src), clean.default_stoplist()):
+        if item is None:
+            blanks += 1
+        elif item.__class__ is RejectRecord:
+            reasons[item.reason] = reasons.get(item.reason, 0) + 1
         else:
-            it = ingest.parse_csv(fh, delimiter=mapping.delimiter, source=src, stats=stats)
-        for item in it:
-            if item.__class__ is RejectRecord:
-                reject(item)
-                continue
-            a = ingest.adapt(item, mapping)
-            if a.__class__ is RejectRecord:
-                reject(a)
-                continue
-            r = clean.clean_review(a, stops, mapping)
-            if r.__class__ is RejectRecord:
-                reject(r)
-            else:
-                accepted.append(r)
-    return accepted, reasons, stats.get("blank_lines", 0)
+            accepted.append(item)
+    return accepted, reasons, blanks
 
 
 @pytest.mark.parametrize("src", SOURCES)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reviewlake import ingest
+from reviewlake import clean, fixtures, ingest
 from reviewlake.errors import CsvParseError, MappingFileError
 from reviewlake.ingest import (
     FIELD_CAP,
@@ -23,8 +23,8 @@ from reviewlake.ingest import (
 from reviewlake.model import RawRecord, RejectRecord
 
 
-def rows_of(data: bytes, source="steam", delimiter=",", stats=None):
-    return list(parse_csv(io.BytesIO(data), delimiter=delimiter, source=source, stats=stats))
+def rows_of(data: bytes, source="steam", delimiter=","):
+    return list(parse_csv(io.BytesIO(data), delimiter=delimiter, source=source))
 
 
 def test_plain_csv():
@@ -54,10 +54,15 @@ def test_bom_before_a_quoted_first_header_field():
 
 
 def test_blank_lines_counted_not_numbered():
-    stats = {}
-    out = rows_of(b"a,b\n\n1,2\n\r\n3,4\n", stats=stats)
-    assert [r.row_number for r in out] == [1, 2]
-    assert stats["blank_lines"] == 2
+    # one item per line but the header: None in each blank line's place
+    out = rows_of(b"\na,b\n\n1,2\n\r\n3,4\n")
+    assert out == [
+        None,
+        None,
+        RawRecord("steam", 1, {"a": "1", "b": "2"}),
+        None,
+        RawRecord("steam", 2, {"a": "3", "b": "4"}),
+    ]
 
 
 def test_mid_field_quote_is_literal():
@@ -203,8 +208,8 @@ def test_the_boundary_scan_and_the_field_split_never_disagree(head, pieces):
 # ---------------------------------------------------------------------------
 
 
-def jl(data: bytes, stats=None):
-    return list(parse_jsonl(io.BytesIO(data), source="imdb", stats=stats))
+def jl(data: bytes):
+    return list(parse_jsonl(io.BytesIO(data), source="imdb"))
 
 
 def test_jsonl_happy_path_and_scalar_conversion():
@@ -256,10 +261,22 @@ def test_jsonl_field_cap_holds_on_the_all_string_path_and_the_other():
 
 
 def test_jsonl_blank_lines():
-    stats = {}
-    out = jl(b'{"a": "1"}\n\n  \n{"a": "2"}\n', stats=stats)
-    assert [r.row_number for r in out] == [1, 2]
-    assert stats["blank_lines"] == 2
+    out = jl(b'{"a": "1"}\n\n  \n{"a": "2"}\n')
+    assert out == [RawRecord("imdb", 1, {"a": "1"}), None, None, RawRecord("imdb", 2, {"a": "2"})]
+
+
+# ---------------------------------------------------------------------------
+# one source file
+# ---------------------------------------------------------------------------
+
+
+def test_iter_source_yields_one_item_per_row_or_blank_line(tmp_path):
+    truth = fixtures.generate(str(tmp_path), seed=5, rows_per_source=600)
+    stops = clean.default_stoplist()
+    for src, t in truth["per_source"].items():
+        items = list(ingest.iter_source(str(tmp_path / t["file"]), default_mapping(src), stops))
+        assert len(items) == t["rows"] + t["blank_lines"], src
+        assert items.count(None) == t["blank_lines"], src
 
 
 # ---------------------------------------------------------------------------

@@ -37,15 +37,16 @@ def sample_rejects():
 
 
 def build_lake(path, items, blanks=None, checksum=""):
-    """Stage each source's items and commit, as ingest does."""
+    """Stage each source's items, with a None item per blank line, and
+    commit, as ingest does."""
     by_source = {}
     for item in items:
         by_source.setdefault(item.source, []).append(item)
+    for src, n in (blanks or {}).items():
+        by_source.setdefault(src, []).extend([None] * n)
     writer = store.LakeWriter(str(path))
     try:
         per_source = {src: writer.stage(src, its) for src, its in by_source.items()}
-        for src, n in (blanks or {}).items():
-            per_source[src] = per_source[src]._replace(blank_lines=n)
         return writer.commit(per_source, store.lake_timestamp(), checksum)
     except BaseException:
         writer.abort()
