@@ -203,11 +203,15 @@ def cmd_query(cfg: RunConfig, ids: list[str], charts: bool = False) -> int:
     Every table is computed before the first file is written, and every
     file is written under a hidden temporary name before any is renamed to
     its own, so a view or a write that fails leaves ``out/`` as it was.
-    ``out/`` itself is never replaced: it may hold other files.
+    ``out/`` itself is never replaced: it may hold other files, but it may
+    not be the lake or lie inside it, since a lake holds nothing else.
     """
     for qid in ids:
         if qid not in _QUERY_FNS:
             raise ConfigurationError(f"unknown query {qid!r}, expected one of {analytics.QUERY_IDS}")
+    lake = os.path.realpath(cfg.lake_dir)
+    if os.path.commonpath([lake, os.path.realpath(cfg.out_dir)]) == lake:
+        raise ConfigurationError(f"out_dir {cfg.out_dir!r} is the lake {cfg.lake_dir!r} or a directory in it")
     # records and group states are acyclic: the collector would only rescan
     # them. Nothing names the records, so they are freed inside the pause;
     # left alive, they would be scanned once the collector resumes.

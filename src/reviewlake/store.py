@@ -2,24 +2,23 @@
 distributed store at desk scale.
 
 Layout inside a lake directory: ``manifest.json``, one ``<source>.jsonl``
-per source that contributed accepted records, and ``rejects.jsonl``.
-:class:`LakeWriter` is the only writer: it builds the whole lake in a
-hidden temp directory next to the target, fsyncs it, and renames it into
-place, so readers never observe a partial lake, even after a crash.
+per source that contributed accepted records, and ``rejects.jsonl``;
+:func:`load_manifest` holds that rule. :class:`LakeWriter` is the only
+writer: it builds the whole lake in a hidden temp directory next to the
+target, fsyncs it, and renames it into place, so readers never observe a
+partial lake, even after a crash.
 :meth:`LakeWriter.stage` is the one loop over a source's items, one per
 data record or blank line: it writes each record and reject line as its
 item arrives and counts every item into exactly one tally, so the
 manifest's counts conserve the source's rows by construction.
 
 A valid lake holds what :class:`LakeWriter` writes and nothing else.
-:func:`read_lake` requires the manifest to be byte for byte the one the
-writer makes of its counts, the directory to hold exactly the files those
-counts name, every record line to be exactly what :func:`review_to_json`
-writes followed by ``\n``, and each reject line to be what the writer
-writes with tallies per source and reason equal to the manifest's. A
-record line therefore has one spelling: added whitespace, another escape
-of the same character, a raw non-ASCII byte, a CRLF ending or a missing
-final newline is refused as loudly as a wrong value.
+:func:`read_lake` also requires every record line to be exactly what
+:func:`review_to_json` writes followed by ``\n``, and each reject line to
+be what the writer writes with tallies per source and reason equal to the
+manifest's. A record line therefore has one spelling: added whitespace,
+another escape of the same character, a raw non-ASCII byte, a CRLF ending
+or a missing final newline is refused as loudly as a wrong value.
 """
 
 from __future__ import annotations
@@ -158,18 +157,24 @@ def manifest_to_json(m: LakeManifest) -> str:
 class LakeWriter:
     """Builds a lake in a hidden staging directory next to the target.
 
-    The only code that knows the lake layout. ``stage`` writes one source's
-    accepted records to ``<source>.jsonl`` and its rejects to a per-source
-    part file; it changes no writer state, so forked workers can stage
-    sources side by side. ``commit`` merges the reject parts in source
-    order, writes the manifest, fsyncs every file and the staging
-    directory, renames the directory over the target and fsyncs the parent.
+    The only code that knows the lake layout. The target is resolved once,
+    so a linked lake is replaced where it lives. It and its reserved aside
+    ``.<lake>.old`` are checked before a row is read. ``stage`` writes one
+    source's accepted records to ``<source>.jsonl`` and its rejects to a
+    per-source part file; it changes no writer state, so forked workers
+    can stage sources side by side. ``commit`` merges the reject parts in
+    source order, writes the manifest, fsyncs every file and the staging
+    directory, renames an old lake onto the aside (removing a stale one),
+    renames the directory into place, fsyncs the parent and removes the
+    aside. A crash leaves at most the aside, which the next commit removes.
     """
 
     def __init__(self, target_dir: str):
-        self.target = os.path.abspath(target_dir)
+        self.target = os.path.realpath(target_dir)
+        self.parent, name = os.path.split(self.target)
+        self.aside = os.path.join(self.parent, f".{name}.old")
         _check_target(self.target)  # refuse before a row is read, not only at commit
-        self.parent = os.path.dirname(self.target)
+        _check_target(self.aside)
         os.makedirs(self.parent, exist_ok=True)
         self.tmp = tempfile.mkdtemp(prefix=".lake-tmp-", dir=self.parent)
         self._done = False
@@ -223,13 +228,15 @@ class LakeWriter:
         for name in sorted(os.listdir(tmp)):
             _fsync(os.path.join(tmp, name))
         _fsync(tmp)
-        target = self.target
-        if _check_target(target):
-            os.rename(target, target + f".old-{os.getpid()}")
-        os.rename(tmp, target)
+        if _check_target(self.target):
+            if _check_target(self.aside):
+                shutil.rmtree(self.aside)
+            os.rename(self.target, self.aside)
+        os.rename(tmp, self.target)
         self._done = True
         _fsync(self.parent)
-        _remove_old_lakes(target)
+        if _check_target(self.aside):
+            shutil.rmtree(self.aside)
         return manifest
 
     def abort(self) -> None:
@@ -237,31 +244,18 @@ class LakeWriter:
             shutil.rmtree(self.tmp, ignore_errors=True)
 
 
-def _remove_old_lakes(target: str) -> None:
-    """Remove every ``<lake>.old-<pid>`` sibling of a committed lake.
-
-    That is this commit's old lake, and any that a commit which crashed
-    between its two renames left behind.
-    """
-    parent, base = os.path.split(target)
-    prefix = base + ".old-"
-    for name in os.listdir(parent):
-        pid = name[len(prefix):]
-        if name.startswith(prefix) and pid.isascii() and pid.isdecimal():
-            shutil.rmtree(os.path.join(parent, name))
-
-
-def _check_target(target: str) -> bool:
-    """Refuse a lake target that a commit must not replace; return whether it exists.
-
-    A file, or a non-empty directory without a manifest, is a ConfigurationError.
-    """
-    if not os.path.exists(target):
+def _check_target(path: str) -> bool:
+    """Refuse what a commit must not replace or remove: anything but an empty
+    directory or a lake as :func:`load_manifest` defines it. Return whether it exists."""
+    if not os.path.lexists(path):
         return False
-    if not os.path.isdir(target):
-        raise ConfigurationError(f"{target}: exists and is not a directory")
-    if os.listdir(target) and not os.path.exists(os.path.join(target, MANIFEST_NAME)):
-        raise ConfigurationError(f"{target}: refusing to replace a non-empty directory that is not a lake")
+    if os.path.islink(path) or not os.path.isdir(path):
+        raise ConfigurationError(f"{path}: exists and is not a directory")
+    if os.listdir(path):
+        try:
+            load_manifest(path)
+        except CorruptLakeError as exc:
+            raise ConfigurationError(f"refusing to replace what is not a lake: {exc}") from None
     return True
 
 
@@ -275,7 +269,8 @@ def _fsync(path: str) -> None:
 
 
 def load_manifest(lake_dir: str) -> LakeManifest:
-    """The lake's manifest; its bytes must be the ones the writer makes of its counts."""
+    """The lake's manifest, and the one definition of a lake directory: the
+    bytes the writer makes of its counts, beside exactly the files they name."""
     path = os.path.join(lake_dir, MANIFEST_NAME)
     try:
         with open(path, "rb") as fh:
@@ -315,6 +310,12 @@ def load_manifest(lake_dir: str) -> LakeManifest:
             raise CorruptLakeError(
                 f"{path}:{lineno}: not what the writer writes for these counts: expected {expected}"
             )
+    files = set(manifest.record_files) | {MANIFEST_NAME, REJECTS_NAME}
+    listed = set(os.listdir(lake_dir))
+    if listed != files:
+        raise CorruptLakeError(
+            f"{lake_dir}: a lake with these counts holds exactly {sorted(files)!r}, not {sorted(listed)!r}"
+        )
     return manifest
 
 
@@ -339,16 +340,9 @@ def read_lake(lake_dir: str) -> list[UnifiedReview]:
     for a record of that file's source, ``"\\n"`` included, with a real
     date inside the window and at most UPVOTE_MAX upvotes. Whether the text
     is stopword-free under some list is only knowable through the manifest
-    checksum, so it is not re-judged here. The directory must hold exactly
-    the files the manifest's counts name, and every count must match.
+    checksum, so it is not re-judged here. Every count must match.
     """
     manifest = load_manifest(lake_dir)
-    files = set(manifest.record_files) | {MANIFEST_NAME, REJECTS_NAME}
-    listed = set(os.listdir(lake_dir))
-    if listed != files:
-        raise CorruptLakeError(
-            f"{lake_dir}: a lake with these counts holds exactly {sorted(files)!r}, not {sorted(listed)!r}"
-        )
     records: list[UnifiedReview] = []
     append = records.append
     match = _record_line

@@ -547,18 +547,41 @@ def test_bad_source_date_epoch_is_exit_2_before_any_lake(data_dir, tmp_path, mon
     assert os.listdir(out) == []  # neither the lake nor a .lake-tmp-* staging directory
 
 
-def test_ingest_refuses_a_non_lake_target_before_reading_a_row(data_dir, tmp_path, monkeypatch, capsys):
+def test_ingest_refuses_a_non_lake_target_before_reading_a_row(data_dir, lake_dir, tmp_path, monkeypatch, capsys):
     def no_rows_read(*args):
         raise AssertionError("a source was read before the lake target was checked")
 
     monkeypatch.setattr(cli, "_ingest_source", no_rows_read)
-    target = tmp_path / "precious"
-    target.mkdir()
-    (target / "thesis.txt").write_text("do not lose", encoding="utf-8")
-    assert cli.run(["ingest", "--config", str(data_dir / "config.json"), "--lake", str(target)]) == 2
-    assert "not a lake" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["precious"]  # no .lake-tmp-* staging directory
-    assert [p.name for p in target.iterdir()] == ["thesis.txt"]
+    thesis = tmp_path / "thesis"
+    thesis.mkdir()
+    (thesis / "thesis.txt").write_text("do not lose", encoding="utf-8")
+    web_app = tmp_path / "precious"  # a manifest.json that is not the writer's
+    web_app.mkdir()
+    (web_app / "manifest.json").write_text('{"name": "app"}', encoding="utf-8")
+    (web_app / "thesis.txt").write_text("do not lose", encoding="utf-8")
+    lake_and_backup = tmp_path / "lake"  # a lake, plus a file no lake holds
+    shutil.copytree(lake_dir, lake_and_backup)
+    (lake_and_backup / "amazon.jsonl.bak").write_bytes((lake_dir / "amazon.jsonl").read_bytes())
+    targets = {target: sha_tree(target) for target in (thesis, web_app, lake_and_backup)}
+    for target, before in targets.items():
+        assert cli.run(["ingest", "--config", str(data_dir / "config.json"), "--lake", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "not a lake" in err and err.count("\n") == 1, err
+        assert sha_tree(target) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lake", "precious", "thesis"]  # no staging directory
+
+
+@pytest.mark.parametrize("inside", ["", "sub"], ids=["the_lake", "a_directory_in_it"])
+def test_query_and_report_refuse_an_out_inside_the_lake(lake_dir, tmp_path, capsys, inside):
+    lake = tmp_path / "lake"
+    shutil.copytree(lake_dir, lake)
+    before = sha_tree(lake)
+    for command in (["query"], ["report"]):
+        assert cli.run(command + ["--lake", str(lake), "--out", str(lake / inside)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out_dir") and err.count("\n") == 1, err
+        assert sha_tree(lake) == before
+    assert cli.run(["query", "--lake", str(lake), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_unknown_fixture_profile_is_exit_2(tmp_path, capsys):
@@ -610,6 +633,12 @@ def _exit_code_cases(data_dir, tmp_path, lake_dir):
     (corrupt / "manifest.json").write_text("{not json")
     a_file = tmp_path / "a_file"
     a_file.write_text("not a lake")
+    foreign = tmp_path / "foreign"
+    foreign.mkdir()
+    (foreign / "manifest.json").write_text('{"name": "app"}')
+    extra = tmp_path / "extra"
+    shutil.copytree(lake_dir, extra)
+    (extra / "amazon.jsonl.bak").write_text("")
     config = str(data_dir / "config.json")
     out = str(tmp_path / "out")
     return [
@@ -622,6 +651,9 @@ def _exit_code_cases(data_dir, tmp_path, lake_dir):
         ("corrupt manifest", ["query", "--lake", str(corrupt), "--out", out], {}, 1),
         ("ingest into a --lake that is a file", ["ingest", "--config", config, "--lake", str(a_file)], {}, 2),
         ("query a --lake that is a file", ["query", "--lake", str(a_file), "--out", out], {}, 1),
+        ("ingest into a foreign manifest.json", ["ingest", "--config", config, "--lake", str(foreign)], {}, 2),
+        ("ingest into a lake with an extra file", ["ingest", "--config", config, "--lake", str(extra)], {}, 2),
+        ("report --out inside the lake", ["report", "--lake", str(lake_dir), "--out", str(lake_dir / "o")], {}, 2),
     ]
 
 

@@ -157,6 +157,10 @@ _NOT_UTF8 = [(0, _WHOLE, b"the\n\xff\xfe\n")]
     damage=("stop.txt", _NOT_UTF8),
 )
 @example(command="ingest", rows=0, flags=[], config=_VALID, env={}, damage=("stop.txt", _NOT_UTF8))
+# a lake with a file no lake holds is not replaced; no output goes into the lake
+@example(command="ingest", rows=0, flags=[], config=_VALID, env={}, damage=("lake/extra", [(0, 0, b"x")]))
+@example(command="query", rows=0, flags=[["--out", "lake"]], config=None, env={}, damage=None)
+@example(command="report", rows=0, flags=[["--out", "lake"]], config=None, env={}, damage=None)
 def test_every_run_exits_0_1_or_2_with_at_most_one_error_line(inputs, command, rows, flags, config, env, damage):
     files = dict(inputs)
     if damage is not None:

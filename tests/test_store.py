@@ -1,8 +1,11 @@
 """Lake writing, read-back validation, atomicity, and corruption detection."""
 
+import contextlib
 import datetime
+import io
 import json
 import os
+import shutil
 import string
 import sys
 import tempfile
@@ -123,23 +126,127 @@ def test_interrupted_write_leaves_no_lake(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "steam.csv", "yelp.csv"]
 
 
-def test_ingest_removes_old_lakes_a_crashed_commit_left(tmp_path):
+def steam_ingest(tmp_path, lake):
+    """The argv of an ingest of one steam row into ``lake``."""
     (tmp_path / "steam.csv").write_text(
         "app_name,timestamp_created,voted_up,votes_up,review\nGame,1600000000,true,3,great fun\n"
     )
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sources": [{"source": "steam", "path": "steam.csv"}]}))
-    lake = tmp_path / "lake"
-    ingest = ["ingest", "--config", str(cfg), "--lake", str(lake)]
-    (tmp_path / "lake.old-backup").mkdir()  # not <digits>, so not a commit's
-    # a crash between the two renames leaves the old lake and no lake
+    return ["ingest", "--config", str(cfg), "--lake", str(lake)]
+
+
+def tree(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+def test_ingest_removes_old_lakes_a_crashed_commit_left(tmp_path, monkeypatch, capsys):
+    lake, aside = tmp_path / "lake", tmp_path / ".lake.old"
+    ingest = steam_ingest(tmp_path, lake)
+    # siblings that only look like old lakes are the user's
     write_sample(tmp_path / "lake.old-4242")
-    assert cli.run(ingest) == 0
-    # a crash after them leaves the old lake beside the new one
     write_sample(tmp_path / "lake.old-77")
+    (tmp_path / "lake.old-backup").mkdir()
+    (tmp_path / "lake.old-20240101").mkdir()
+    (tmp_path / "lake.old-20240101" / "notes.txt").write_text("keep", encoding="utf-8")
+    # a crash between the two renames leaves the old lake aside and no lake
+    write_sample(aside)
     assert cli.run(ingest) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "lake", "lake.old-backup", "steam.csv"]
+    # a crash after them leaves the old lake aside beside the new one
+    write_sample(aside)
+    assert cli.run(ingest) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "lake", "lake.old-20240101", "lake.old-4242", "lake.old-77", "lake.old-backup", "steam.csv",
+    ]
+    assert (tmp_path / "lake.old-20240101" / "notes.txt").read_text(encoding="utf-8") == "keep"
     assert [r.review_text for r in store.read_lake(str(lake))] == ["great fun"]
+    # an aside that is not a lake is refused before a row is read
+    shutil.rmtree(lake)
+    aside.mkdir()
+    (aside / "notes.txt").write_text("keep", encoding="utf-8")
+
+    def no_rows_read(*args):
+        raise AssertionError("a source was read before the aside was checked")
+
+    monkeypatch.setattr(cli, "_ingest_source", no_rows_read)
+    capsys.readouterr()
+    assert cli.run(ingest) == 2
+    assert "not a lake" in capsys.readouterr().err
+    assert tree(aside) == {"notes.txt": b"keep"}
+    assert not lake.exists() and not list(tmp_path.glob(".lake-tmp-*"))
+
+
+def test_a_linked_lake_is_replaced_where_it_lives(tmp_path):
+    lake, real = tmp_path / "lake", tmp_path / "real"
+    write_sample(real)
+    lake.symlink_to("real")
+    ingest = steam_ingest(tmp_path, lake)
+    assert cli.run(ingest) == 0
+    assert cli.run(ingest) == 0
+    assert os.readlink(lake) == "real"
+    assert [r.review_text for r in store.read_lake(str(lake))] == ["great fun"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "lake", "real", "steam.csv"]
+
+
+KILLED = 99
+
+
+def _ingest_killed_at_rename(argv, k, after):
+    """Run ``argv`` in a forked child whose k-th ``os.rename`` ends the
+    process just before or just after renaming; return the exit code,
+    KILLED if the child died there."""
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the test run
+        code = 3
+        try:
+            rename, calls = os.rename, []
+
+            def dying_rename(src, dst):
+                calls.append(src)
+                if len(calls) == k and not after:
+                    os._exit(KILLED)
+                rename(src, dst)
+                if len(calls) == k:
+                    os._exit(KILLED)
+
+            # the child only stages and commits, so every rename is commit's
+
+            os.rename = dying_rename
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.run(argv)
+        finally:
+            os._exit(code)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+@pytest.mark.parametrize("stale_aside", [False, True])
+def test_a_commit_killed_at_any_rename_leaves_the_old_or_the_new_lake(tmp_path, monkeypatch, capsys, stale_aside):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    lake, aside = tmp_path / "lake", tmp_path / ".lake.old"
+    ingest = steam_ingest(tmp_path, lake)
+    assert cli.run(ingest) == 0
+    new = tree(lake)
+    for k in range(1, 10):
+        for after in (False, True):
+            shutil.rmtree(lake, ignore_errors=True)
+            shutil.rmtree(aside, ignore_errors=True)
+            write_sample(lake)
+            old = tree(lake)
+            if stale_aside:
+                build_lake(aside, [R("imdb", text="Stale")])
+            code = _ingest_killed_at_rename(ingest, k, after)
+            if code == 0:  # commit renames fewer than k times: twice
+                assert k == 3 and not aside.exists() and tree(lake) == new
+                return
+            assert code == KILLED, (k, after)
+            if lake.exists():
+                assert tree(lake) in (old, new), (k, after)
+                store.read_lake(str(lake))
+            else:
+                assert tree(aside) == old, (k, after)
+            assert cli.run(ingest) == 0
+            assert not aside.exists() and tree(lake) == new
+    raise AssertionError("commit renamed more than 9 times")
 
 
 def test_read_rejects_tampered_lines(tmp_path):
