@@ -7,10 +7,6 @@ per source that contributed accepted records, and ``rejects.jsonl``;
 writer: it builds the whole lake in a hidden temp directory next to the
 target, fsyncs it, and renames it into place, so readers never observe a
 partial lake, even after a crash.
-:meth:`LakeWriter.stage` is the one loop over a source's items, one per
-data record or blank line: it writes each record and reject line as its
-item arrives and counts every item into exactly one tally, so the
-manifest's counts conserve the source's rows by construction.
 
 A valid lake holds what :class:`LakeWriter` writes and nothing else.
 :func:`read_lake` also requires every record line to be exactly what
@@ -157,16 +153,14 @@ def manifest_to_json(m: LakeManifest) -> str:
 class LakeWriter:
     """Builds a lake in a hidden staging directory next to the target.
 
-    The only code that knows the lake layout. The target is resolved once,
-    so a linked lake is replaced where it lives. It and its reserved aside
-    ``.<lake>.old`` are checked before a row is read. ``stage`` writes one
-    source's accepted records to ``<source>.jsonl`` and its rejects to a
-    per-source part file; it changes no writer state, so forked workers
-    can stage sources side by side. ``commit`` merges the reject parts in
-    source order, writes the manifest, fsyncs every file and the staging
-    directory, renames an old lake onto the aside (removing a stale one),
-    renames the directory into place, fsyncs the parent and removes the
-    aside. A crash leaves at most the aside, which the next commit removes.
+    The target is resolved once, so a linked lake is replaced where it
+    lives; it and its reserved aside ``.<lake>.old`` are checked before a
+    row is read. ``stage`` writes one source's records and reject part; it
+    changes no writer state, so forked workers can stage sources side by
+    side. ``commit`` finishes and fsyncs the staging directory, renames an
+    old lake onto the aside and the staging directory into place, fsyncs
+    the parent and removes the aside. A crash leaves at most the aside,
+    which the next commit removes, and stranded ``.lake-tmp-*`` directories.
     """
 
     def __init__(self, target_dir: str):
@@ -228,16 +222,23 @@ class LakeWriter:
         for name in sorted(os.listdir(tmp)):
             _fsync(os.path.join(tmp, name))
         _fsync(tmp)
+        aside = _check_target(self.aside)  # a crashed commit's
         if _check_target(self.target):
-            if _check_target(self.aside):
-                shutil.rmtree(self.aside)
+            if aside:
+                self._discard_aside()
             os.rename(self.target, self.aside)
+            aside = True
         os.rename(tmp, self.target)
         self._done = True
         _fsync(self.parent)
-        if _check_target(self.aside):
-            shutil.rmtree(self.aside)
+        if aside:
+            self._discard_aside()
         return manifest
+
+    def _discard_aside(self) -> None:
+        """Remove the aside by way of a staging name, so a cut-short removal never leaves part of it."""
+        os.rename(self.aside, self.tmp + "-old")
+        shutil.rmtree(self.tmp + "-old")
 
     def abort(self) -> None:
         if not self._done:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import string
 import sys
 import tempfile
@@ -191,62 +192,81 @@ def test_a_linked_lake_is_replaced_where_it_lives(tmp_path):
 KILLED = 99
 
 
-def _ingest_killed_at_rename(argv, k, after):
-    """Run ``argv`` in a forked child whose k-th ``os.rename`` ends the
-    process just before or just after renaming; return the exit code,
+def _ingest_cut_short(argv, op, k, after, sigterm):
+    """Run ``argv`` in a forked child whose k-th ``os.<op>`` inside commit
+    is cut short just before or just after the call: by ``os._exit``, or by
+    a SIGTERM, which ingest turns into an error. Return the exit code,
     KILLED if the child died there."""
     pid = os.fork()
     if pid == 0:  # the child never returns into the test run
         code = 3
         try:
-            rename, calls = os.rename, []
+            real_op, real_commit, calls = getattr(os, op), store.LakeWriter.commit, []
 
-            def dying_rename(src, dst):
-                calls.append(src)
+            def end():
+                if sigterm:
+                    os.kill(os.getpid(), signal.SIGTERM)  # ingest's handler raises here
+                else:
+                    os._exit(KILLED)
+
+            def cut(*args, **kwargs):
+                calls.append(args)
                 if len(calls) == k and not after:
-                    os._exit(KILLED)
-                rename(src, dst)
+                    end()
+                real_op(*args, **kwargs)
                 if len(calls) == k:
-                    os._exit(KILLED)
+                    end()
 
-            # the child only stages and commits, so every rename is commit's
+            def commit(self, *args):
+                setattr(os, op, cut)
+                return real_commit(self, *args)
 
-            os.rename = dying_rename
-            with contextlib.redirect_stdout(io.StringIO()):
+            store.LakeWriter.commit = commit
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = cli.run(argv)
         finally:
             os._exit(code)
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
+@pytest.mark.parametrize("sigterm", [False, True])
+@pytest.mark.parametrize("op", ["rename", "unlink", "rmdir"])
 @pytest.mark.parametrize("stale_aside", [False, True])
-def test_a_commit_killed_at_any_rename_leaves_the_old_or_the_new_lake(tmp_path, monkeypatch, capsys, stale_aside):
+def test_a_commit_cut_short_anywhere_leaves_the_old_or_the_new_lake(
+    tmp_path, monkeypatch, capsys, stale_aside, op, sigterm
+):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     lake, aside = tmp_path / "lake", tmp_path / ".lake.old"
     ingest = steam_ingest(tmp_path, lake)
     assert cli.run(ingest) == 0
     new = tree(lake)
-    for k in range(1, 10):
+    build_lake(aside, [R("imdb", text="Stale")])
+    stale = tree(aside)
+    for k in range(1, 20):
         for after in (False, True):
-            shutil.rmtree(lake, ignore_errors=True)
-            shutil.rmtree(aside, ignore_errors=True)
+            for path in list(tmp_path.glob("*lake*")):
+                shutil.rmtree(path)
             write_sample(lake)
             old = tree(lake)
             if stale_aside:
                 build_lake(aside, [R("imdb", text="Stale")])
-            code = _ingest_killed_at_rename(ingest, k, after)
-            if code == 0:  # commit renames fewer than k times: twice
-                assert k == 3 and not aside.exists() and tree(lake) == new
+            code = _ingest_cut_short(ingest, op, k, after, sigterm)
+            if code == 0:  # commit made fewer than k such calls
+                assert k > 1 and not aside.exists() and tree(lake) == new
+                # renames: the stale aside away, the old lake aside, the new lake in, the aside away
+                assert op != "rename" or k == 4 + stale_aside
                 return
-            assert code == KILLED, (k, after)
+            assert code == (1 if sigterm else KILLED), (k, after)
             if lake.exists():
                 assert tree(lake) in (old, new), (k, after)
                 store.read_lake(str(lake))
             else:
                 assert tree(aside) == old, (k, after)
-            assert cli.run(ingest) == 0
+            # whatever the cut left aside is a whole lake, never part of one
+            assert not aside.exists() or tree(aside) in (old, stale), (k, after)
+            assert cli.run(ingest) == 0, capsys.readouterr().err
             assert not aside.exists() and tree(lake) == new
-    raise AssertionError("commit renamed more than 9 times")
+    raise AssertionError(f"commit called os.{op} more than 19 times")
 
 
 def test_read_rejects_tampered_lines(tmp_path):
