@@ -4,14 +4,14 @@ Settings come from an optional JSON file plus flags, flags winning field
 by field. ``_SETTINGS`` holds one check per setting, for a config key and
 its flag alike. Relative paths in the file resolve against the file's own
 directory, so a config can travel with its data; an empty path is refused.
-``gen-fixtures`` reads no settings: it takes ``--out``, ``--seed``,
-``--rows`` and ``--profile`` and nothing else.
+``gen-fixtures`` reads no settings: it takes ``--out``, ``--seed`` and
+``--rows`` and nothing else.
 
 Exit codes: 0 on success, 1 on unreadable input or a corrupt mapping or
 lake, 2 on configuration errors (argparse uses 2 for bad flags already).
 Rejected rows are never fatal; they are tallied and land in the lake's
-reject file. A SIGTERM during ingest removes the staging directory, leaves
-any earlier lake as it was, and exits 1.
+reject file. A SIGTERM during ingest exits 1 and leaves any earlier lake
+as it was, unless the new lake was already renamed in (ROADMAP item 6).
 
 ``ingest --threads N`` forks its workers; there is no other start method.
 So the tool is POSIX-only: the one platform without ``fork``, Windows,
@@ -250,10 +250,10 @@ def cmd_query(cfg: RunConfig, ids: list[str], charts: bool = False) -> int:
     return 0
 
 
-def cmd_gen_fixtures(out_dir: str, seed: int, profile: str, rows: int) -> int:
+def cmd_gen_fixtures(out_dir: str, seed: int, rows: int) -> int:
     from reviewlake import fixtures  # the generator is not loaded by the other commands
 
-    truth = fixtures.generate(out_dir, seed=seed, profile=profile, rows_per_source=rows)
+    truth = fixtures.generate(out_dir, seed=seed, rows_per_source=rows)
     for source in sorted(truth["per_source"]):
         t = truth["per_source"][source]
         print(f"{source}: {t['rows']} rows, {t['accepted']} clean -> {t['file']}")
@@ -271,21 +271,21 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help="JSON config file")
     shared.add_argument("--lake", dest="lake_dir", help="lake directory (overrides config)")
     shared.add_argument("--out", dest="out_dir", help="output directory (overrides config)")
-    shared.add_argument("--format", choices=report.TABLE_FORMATS, help="table format")
-    shared.add_argument("--partitions", type=int, help="dataset partition count")
-    shared.add_argument("--threads", type=int, help="ingest worker process count")
+    shared.add_argument("--threads", type=int, help="ingest worker count; query and report accept and ignore it")
+    tables = argparse.ArgumentParser(add_help=False)
+    tables.add_argument("--format", choices=report.TABLE_FORMATS, help="table format")
+    tables.add_argument("--partitions", type=int, help="dataset partition count")
 
     p = argparse.ArgumentParser(prog="reviewlake", description="review ETL and analytics")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("ingest", parents=[shared], help="parse, clean, and stage all configured sources")
-    q = sub.add_parser("query", parents=[shared], help="run analytic views over the lake")
+    q = sub.add_parser("query", parents=[shared, tables], help="run analytic views over the lake")
     q.add_argument("ids", nargs="*", metavar="query", help=f"one of {', '.join(analytics.QUERY_IDS)} (default: all)")
-    sub.add_parser("report", parents=[shared], help="emit all tables plus charts")
+    sub.add_parser("report", parents=[shared, tables], help="emit all tables plus charts")
     g = sub.add_parser("gen-fixtures", help="write synthetic source files with ground truth")
     g.add_argument("--out", dest="out_dir", default=RunConfig().out_dir, help="output directory")
     g.add_argument("--seed", type=int, default=1, help="fixture generator seed")
     g.add_argument("--rows", type=int, default=1000, help="rows per source")
-    g.add_argument("--profile", default="paper_shaped", help="fixture profile, checked by the generator")
     return p
 
 
@@ -298,7 +298,7 @@ def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gen-fixtures":
-            return cmd_gen_fixtures(_path(args.out_dir, "out_dir"), args.seed, args.profile, args.rows)
+            return cmd_gen_fixtures(_path(args.out_dir, "out_dir"), args.seed, args.rows)
         cfg = resolve_config(args)
         if args.command == "ingest":
             return cmd_ingest(cfg)

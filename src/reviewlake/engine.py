@@ -86,25 +86,16 @@ def gc_paused():
 class PartitionedDataset:
     """Records split round-robin into a fixed number of partitions."""
 
-    __slots__ = ("partitions", "partition_count", "total_len")
+    __slots__ = ("partitions",)
 
     def __init__(self, partitions):
-        partitions = tuple(partitions)
-        self.partitions = partitions
-        self.partition_count = len(partitions)
-        self.total_len = sum(len(p) for p in partitions)
+        self.partitions = tuple(partitions)
 
     @classmethod
     def from_records(cls, records, partition_count: int) -> "PartitionedDataset":
         """Distribute records round-robin: partition p gets indices p, p+N, p+2N, ..."""
         records = list(records)
         return cls(records[i::partition_count] for i in range(partition_count))
-
-    def __len__(self) -> int:
-        return self.total_len
-
-    def __repr__(self) -> str:
-        return f"PartitionedDataset({self.partition_count} partitions, {self.total_len} records)"
 
     def map(self, f) -> "PartitionedDataset":
         """Element-wise image under a pure total function; structure preserved."""

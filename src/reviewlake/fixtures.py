@@ -11,8 +11,7 @@ The "paper_shaped" profile plants the structure the analytic views are
 expected to surface: weekend-heavy posting for yelp and imdb with an
 amazon weekend dip, a Nov/Dec surge for amazon and imdb, geometric decay
 of review length with negative reviews running longer (imdb swapped), and
-upvotes that grow with length and lean negative. The "uniform" profile
-keeps everything except the calendar flat.
+upvotes that grow with length and lean negative. It is the only profile.
 
 Each source's rows come from its own stream, ``random.Random(f"{seed}:{source}")``,
 so the four files are independent tasks: forked worker processes write
@@ -59,8 +58,6 @@ from concurrent.futures.process import BrokenProcessPool
 from reviewlake.clean import MONTH_NAMES
 from reviewlake.errors import ConfigurationError, ReviewLakeError
 from reviewlake.model import SOURCES
-
-PROFILES = ("uniform", "paper_shaped")
 
 FIRST_YEAR = 2018
 LAST_YEAR = 2022
@@ -147,23 +144,21 @@ _EOL = {"amazon": "\r\n", "yelp": "\n", "steam": "\n"}
 _EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
 
 
-def _day_population(source: str, profile: str):
+def _day_population(source: str):
     """All days in the covered years with this source's sampling weight."""
-    shaped = profile == "paper_shaped"
     days = []
     weights = []
     d = datetime.date(FIRST_YEAR, 1, 1)
     one = datetime.timedelta(days=1)
     while d.year <= LAST_YEAR:
-        w = _YEAR_W[source][d.year - FIRST_YEAR] if shaped else 1.0
-        if shaped:
-            wd = d.isoweekday()
-            if source in ("yelp", "imdb") and wd in (6, 7, 1):
-                w *= 3.0
-            elif source == "amazon" and wd in (6, 7):
-                w *= 0.5
-            if source in ("amazon", "imdb") and d.month in (11, 12):
-                w *= 2.0
+        w = _YEAR_W[source][d.year - FIRST_YEAR]
+        wd = d.isoweekday()
+        if source in ("yelp", "imdb") and wd in (6, 7, 1):
+            w *= 3.0
+        elif source == "amazon" and wd in (6, 7):
+            w *= 0.5
+        if source in ("amazon", "imdb") and d.month in (11, 12):
+            w *= 2.0
         days.append(d)
         weights.append(w)
         d += one
@@ -313,7 +308,7 @@ _NEUTRAL_LABEL = {"amazon": "3", "yelp": "neutral", "imdb": "neutral"}
 _BROKEN_BYTE = "\udcff"
 
 
-def _generate_source(source: str, rng: random.Random, n: int, profile: str, out) -> dict:
+def _generate_source(source: str, rng: random.Random, n: int, out) -> dict:
     """Write one source's rows to the text file out; returns its ground truth."""
     is_jsonl = source == "imdb"
     reasons = _JSONL_REASONS if is_jsonl else _CSV_REASONS
@@ -336,7 +331,7 @@ def _generate_source(source: str, rng: random.Random, n: int, profile: str, out)
     decay = _DECAY_IMDB if source == "imdb" else _DECAY
     pools = [_length_pool(rng, n_by_class[0], decay[0]), _length_pool(rng, n_by_class[1], decay[1])]
 
-    days, cum = _day_population(source, profile)
+    days, cum = _day_population(source)
     total, hi = cum[-1] + 0.0, len(days) - 1
     rand = rng.random
     names = _NAMES[source]
@@ -441,7 +436,7 @@ def _generate_source(source: str, rng: random.Random, n: int, profile: str, out)
     return truth
 
 
-def _write_source(out_dir: str, seed: int, profile: str, rows: int, source: str) -> dict:
+def _write_source(out_dir: str, seed: int, rows: int, source: str) -> dict:
     """Write one source's file from its own seeded stream; returns its ground truth.
 
     The one unit of work of ``generate``, run in a forked worker process.
@@ -449,7 +444,7 @@ def _write_source(out_dir: str, seed: int, profile: str, rows: int, source: str)
     rng = random.Random(f"{seed}:{source}")
     path = os.path.join(out_dir, _FILES[source])
     with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        return _generate_source(source, rng, rows, profile, fh)
+        return _generate_source(source, rng, rows, fh)
 
 
 def _usable_cores() -> int:
@@ -459,21 +454,23 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def generate(out_dir: str, seed: int = 1, profile: str = "paper_shaped", rows_per_source: int = 1000) -> dict:
+def generate(out_dir: str, seed: int = 1, rows_per_source: int = 1000) -> dict:
     """Write the four source files plus ground truth; returns the truth dict.
 
     Each source is written by a forked worker, up to one per usable core,
     and every worker is joined before this returns or raises. A worker's
     exception re-raises here with its own type; a worker that dies is a
-    ``ReviewLakeError``.
+    ``ReviewLakeError``. A file in out_dir that this does not write, a
+    lake's manifest.json say, is a ``ConfigurationError`` raised first.
     """
-    if profile not in PROFILES:
-        raise ConfigurationError(f"unknown profile {profile!r}, expected one of {PROFILES}")
     if rows_per_source < 1:
         raise ConfigurationError("rows_per_source must be at least 1")
 
     os.makedirs(out_dir, exist_ok=True)
-    work = functools.partial(_write_source, out_dir, seed, profile, rows_per_source)
+    for name in sorted(set(os.listdir(out_dir)) - {*_FILES.values(), "ground_truth.json", "config.json"}):
+        if not os.path.isdir(os.path.join(out_dir, name)):
+            raise ConfigurationError(f"out_dir {out_dir!r} holds {name!r}, a file gen-fixtures does not write")
+    work = functools.partial(_write_source, out_dir, seed, rows_per_source)
     ctx = multiprocessing.get_context("fork")
     try:
         with ProcessPoolExecutor(min(len(SOURCES), _usable_cores()), mp_context=ctx) as pool:
@@ -484,7 +481,7 @@ def generate(out_dir: str, seed: int = 1, profile: str = "paper_shaped", rows_pe
 
     truth = {
         "seed": seed,
-        "profile": profile,
+        "profile": "paper_shaped",
         "rows_per_source": rows_per_source,
         "per_source": per_source,
         "planted": {

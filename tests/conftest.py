@@ -40,6 +40,6 @@ def run_pipeline(dirpath: str, truth: dict):
 def corpus10k(tmp_path_factory):
     """Seed-1 shaped corpus at 10k rows per source, cleaned once per session."""
     d = tmp_path_factory.mktemp("corpus10k")
-    truth = fixtures.generate(str(d), seed=1, profile="paper_shaped", rows_per_source=10000)
+    truth = fixtures.generate(str(d), seed=1, rows_per_source=10000)
     reviews = run_pipeline(str(d), truth)
     return {"dir": str(d), "truth": truth, "reviews": reviews}

@@ -112,7 +112,11 @@ def test_seed_belongs_to_gen_fixtures_only(lake_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--lake", "x"], ["--format", "json"], ["--partitions", "7"], ["--threads", "9"], ["--config", "c.json"]]
+    "flags",
+    [
+        ["--lake", "x"], ["--format", "json"], ["--partitions", "7"], ["--threads", "9"], ["--config", "c.json"],
+        ["--profile", "uniform"],
+    ],
 )
 def test_gen_fixtures_refuses_the_flags_it_does_not_read(tmp_path, capsys, flags):
     with pytest.raises(SystemExit) as ei:
@@ -584,10 +588,37 @@ def test_query_and_report_refuse_an_out_inside_the_lake(lake_dir, tmp_path, caps
     assert cli.run(["query", "--lake", str(lake), "--out", str(tmp_path / "out")]) == 0
 
 
-def test_unknown_fixture_profile_is_exit_2(tmp_path, capsys):
-    assert cli.run(["gen-fixtures", "--out", str(tmp_path / "d"), "--profile", "weird"]) == 2
-    assert "error: unknown profile 'weird'" in capsys.readouterr().err
-    assert not (tmp_path / "d").exists()
+def test_gen_fixtures_refuses_an_out_that_holds_a_file_it_does_not_write(lake_dir, tmp_path, capsys):
+    lake = tmp_path / "lake"
+    shutil.copytree(lake_dir, lake)
+    before = sha_tree(lake)
+    assert cli.run(["gen-fixtures", "--out", str(lake), "--rows", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: out_dir {str(lake)!r} holds 'amazon.jsonl', a file gen-fixtures does not write\n"
+    assert sha_tree(lake) == before
+    assert cli.run(["query", "--lake", str(lake), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_gen_fixtures_writes_again_into_a_corpus_that_holds_its_lake(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert cli.run(["gen-fixtures", "--out", str(corpus), "--rows", "20"]) == 0
+    first = sha_tree(corpus)
+    assert cli.run(["ingest", "--config", str(corpus / "config.json")]) == 0
+    assert cli.run(["report", "--config", str(corpus / "config.json")]) == 0
+    lake, out = sha_tree(corpus / "lake"), sha_tree(corpus / "out")
+    assert cli.run(["gen-fixtures", "--out", str(corpus), "--rows", "20"]) == 0
+    assert sorted(os.listdir(corpus)) == sorted([*first, "lake", "out"])
+    assert {name: hashlib.sha256((corpus / name).read_bytes()).hexdigest() for name in first} == first
+    assert (sha_tree(corpus / "lake"), sha_tree(corpus / "out")) == (lake, out)
+
+
+@pytest.mark.parametrize("flags", [["--format", "json"], ["--partitions", "2"]])
+def test_ingest_refuses_the_table_flags(data_dir, tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as ei:
+        cli.run(["ingest", "--config", str(data_dir / "config.json"), "--lake", str(tmp_path / "lake"), *flags])
+    assert ei.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []  # neither the lake nor a .lake-tmp-* staging directory
 
 
 @pytest.mark.parametrize("name", ["a\nb.csv", "a\rb.csv", "a\x1bb.csv", "a\x85b.csv", "a\u2028b.csv", "café.csv"])

@@ -161,6 +161,9 @@ _NOT_UTF8 = [(0, _WHOLE, b"the\n\xff\xfe\n")]
 @example(command="ingest", rows=0, flags=[], config=_VALID, env={}, damage=("lake/extra", [(0, 0, b"x")]))
 @example(command="query", rows=0, flags=[["--out", "lake"]], config=None, env={}, damage=None)
 @example(command="report", rows=0, flags=[["--out", "lake"]], config=None, env={}, damage=None)
+# gen-fixtures writes no source file into a lake; ingest takes no table flag
+@example(command="gen-fixtures", rows=20, flags=[["--out", "lake"]], config=None, env={}, damage=None)
+@example(command="ingest", rows=0, flags=[["--partitions", "2"]], config=_VALID, env={}, damage=None)
 def test_every_run_exits_0_1_or_2_with_at_most_one_error_line(inputs, command, rows, flags, config, env, damage):
     files = dict(inputs)
     if damage is not None:

@@ -108,23 +108,17 @@ def test_vocab_avoids_stopwords():
 
 
 def test_rejects_bad_arguments(tmp_path):
-    with pytest.raises(ConfigurationError):
-        fixtures.generate(str(tmp_path), profile="weird")
+    with pytest.raises(TypeError):
+        fixtures.generate(str(tmp_path), profile="paper_shaped")  # the one corpus shape takes no option
     with pytest.raises(ConfigurationError):
         fixtures.generate(str(tmp_path), rows_per_source=0)
-
-
-def test_uniform_profile_generates(tmp_path):
-    truth = fixtures.generate(str(tmp_path), seed=2, profile="uniform", rows_per_source=300)
-    for src in SOURCES:
-        assert truth["per_source"][src]["accepted"] > 200
 
 
 # Digests of generate()'s files, recorded before the draws were spelled out
 # with getrandbits. The benchmark's corpora and every ground truth depend on
 # these bytes, so a change to the generator's output must show up here.
 PINNED_DIGESTS = {
-    (1, "paper_shaped", 500): {
+    (1, 500): {
         "amazon.csv": "31ffb02edcec03fdd68429f3a208668bc7ca571e195c21d9533752b295499822",
         "config.json": "5c636f770eacba2f17467de5f2f5df34036833681b45e0ae7cfb16de6260dd91",
         "ground_truth.json": "ead4378386cc66ea25b2060ed85c731111800873123815f5b2ac4bf8a551f25c",
@@ -132,21 +126,13 @@ PINNED_DIGESTS = {
         "steam.csv": "978d3ca472a5c5267c7c21cf388d248743e7f82f65d679a03c4b79c08839f31b",
         "yelp.csv": "05c127f48477747077770d4170679d49d57814974317054c90738de5e01f69c0",
     },
-    (2, "uniform", 300): {
-        "amazon.csv": "469a1a0f32d0eca2ff54cd2e2e97a85e549d324cd29610b47d28402e97041240",
-        "config.json": "5c636f770eacba2f17467de5f2f5df34036833681b45e0ae7cfb16de6260dd91",
-        "ground_truth.json": "b4228c93ad3ca29f9517bc41c4f1038b8ef360bba53b235aca5a48f696e7dda2",
-        "imdb.jsonl": "023e50cb90e28c833804f94400a622a7075d0c448d835754684314170e24df54",
-        "steam.csv": "688588b24714bd857d07dff5021cff62fb333d4635fe827bff3ab93e79b5f250",
-        "yelp.csv": "12ef02445baa3baa7eb9dad195696611950cf57c8407676e2000b8c53d3f3bad",
-    },
 }
 
 
-@pytest.mark.parametrize("seed, profile, rows", sorted(PINNED_DIGESTS))
-def test_seed_keeps_its_bytes(tmp_path, seed, profile, rows):
-    fixtures.generate(str(tmp_path), seed=seed, profile=profile, rows_per_source=rows)
-    assert file_hashes(tmp_path) == PINNED_DIGESTS[seed, profile, rows]
+@pytest.mark.parametrize("seed, rows", sorted(PINNED_DIGESTS))
+def test_seed_keeps_its_bytes(tmp_path, seed, rows):
+    fixtures.generate(str(tmp_path), seed=seed, rows_per_source=rows)
+    assert file_hashes(tmp_path) == PINNED_DIGESTS[seed, rows]
 
 
 def _python(script, *args, **kwargs):
@@ -181,7 +167,7 @@ def test_bytes_do_not_depend_on_the_core_count(tmp_path):
     every = _python(_GEN_FIXTURES, str(tmp_path / "every"), timeout=120)
     assert one.returncode == every.returncode == 0, one.stderr + every.stderr
     assert one.stdout.split("\n")[0] == "1" != every.stdout.split("\n")[0]  # one worker, then several
-    assert file_hashes(tmp_path / "one") == file_hashes(tmp_path / "every") == PINNED_DIGESTS[1, "paper_shaped", 500]
+    assert file_hashes(tmp_path / "one") == file_hashes(tmp_path / "every") == PINNED_DIGESTS[1, 500]
 
 
 _DEAD_WORKER = """
@@ -190,10 +176,10 @@ from reviewlake import cli, fixtures
 
 write = fixtures._write_source
 
-def dies_on_imdb(out_dir, seed, profile, rows, source):
+def dies_on_imdb(out_dir, seed, rows, source):
     if source == "imdb":
         os._exit(3)
-    return write(out_dir, seed, profile, rows, source)
+    return write(out_dir, seed, rows, source)
 
 fixtures._write_source = dies_on_imdb
 code = cli.run(["gen-fixtures", "--out", sys.argv[1], "--rows", "50"])
