@@ -29,7 +29,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from reviewlake.engine import AggSpec, Metric, PartitionedDataset, group_aggregate
+from reviewlake.engine import AggSpec, Metric, PartitionedDataset, _median, group_aggregate
 from reviewlake.model import AggTable, new_record
 
 WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
@@ -142,9 +142,9 @@ def yoy_percent_change(cube: Rollup) -> AggTable:
     overall and once per sentiment class. A class with a zero prior-year
     count gets no row; the omission is listed in the table's notes. Each
     (source, split) series additionally gets a summary row with year
-    "median" holding the median of its yearly percentages. The year column
-    is a string so data years and the summary label share it; "median"
-    sorts after all 4-digit years.
+    "median" holding the engine's median of its yearly percentages. The
+    year column is a string so data years and the summary label share it;
+    "median" sorts after all 4-digit years.
     """
     base = _summed(((src, day.year, sent), n) for src, day, sent, n in cube.calendar.rows)
     by_class: dict[tuple[str, int, int], int] = {}
@@ -177,19 +177,11 @@ def yoy_percent_change(cube: Rollup) -> AggTable:
                 series[split].append(pct)
         for split, pcts in series.items():
             if pcts:
-                rows.append((src, "median", _median(pcts), split))
+                rows.append((src, "median", _median(pcts, False), split))
     rows.sort(key=lambda r: (r[0], r[1], r[3]))
     return AggTable(
         "yoy", ("source", "year", "pct_change", "sentiment_split"), rows, tuple(notes)
     )
-
-
-def _median(xs: list[float]) -> float:
-    ordered = sorted(xs)
-    h = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[h]
-    return (ordered[h - 1] + ordered[h]) / 2
 
 
 #: Query id -> view, in canonical order; the only catalog of views. The CLI
@@ -204,9 +196,3 @@ QUERIES: dict[str, Callable[[Rollup], AggTable]] = {
 }
 
 QUERY_IDS = tuple(QUERIES)
-
-
-def run_all(ds: PartitionedDataset) -> dict[str, AggTable]:
-    """All six views, keyed by query id, in canonical order, from one roll-up."""
-    cube = rollup(ds)
-    return {qid: view(cube) for qid, view in QUERIES.items()}

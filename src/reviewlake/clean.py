@@ -18,7 +18,6 @@ import datetime as _dt
 import hashlib
 import itertools
 import math
-import os
 import string
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -348,16 +347,6 @@ def default_stoplist() -> Stoplist:
     res = resources.files("reviewlake").joinpath("data/stopwords.txt")
     with resources.as_file(res) as path:
         return load_stoplist(str(path))
-
-
-def resolve_stoplist(configured_path: str | None = None) -> Stoplist:
-    """Pick the active stoplist: REVIEWLAKE_STOPLIST env, then config, then bundled."""
-    env = os.environ.get("REVIEWLAKE_STOPLIST")
-    if env:
-        return load_stoplist(env)
-    if configured_path:
-        return load_stoplist(configured_path)
-    return default_stoplist()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Exit codes: 0 on success, 1 on unreadable input or a corrupt mapping or
 lake, 2 on configuration errors (argparse uses 2 for bad flags already).
 Rejected rows are never fatal; they are tallied and land in the lake's
 reject file. A SIGTERM during ingest exits 1 and leaves any earlier lake
-as it was, unless the new lake was already renamed in (ROADMAP item 6).
+as it was, unless it lands once the new lake is renamed into place: from
+that commit point on it is ignored, and ingest finishes and exits 0.
 
 ``ingest --threads N`` forks its workers; there is no other start method.
 So the tool is POSIX-only: the one platform without ``fork``, Windows,
@@ -136,22 +137,15 @@ def resolve_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _ingest_source(writer: store.LakeWriter, stops, spec: SourceSpec) -> tuple[str, store.SourceStats]:
-    """Parse, adapt, and clean one source file into the staging directory.
+def _ingest_source(writer: store.LakeWriter, stops, job) -> tuple[str, store.SourceStats]:
+    """Parse, adapt, and clean one (path, mapping) job into the staging directory.
 
     Runs in the parent or in a forked worker.
     """
     from reviewlake import ingest  # already loaded by cmd_ingest
 
-    source = spec.source
-    mapping = ingest.load_mapping(spec.mapping) if spec.mapping else ingest.default_mapping(source)
-    if mapping.source != source:
-        raise MappingFileError(f"mapping {spec.mapping} is for {mapping.source!r}, not {source!r}")
-    return source, writer.stage(source, ingest.iter_source(spec.path, mapping, stops))
-
-
-def _raise_on_sigterm(signum, frame):
-    raise ReviewLakeError("ingest interrupted by SIGTERM")
+    path, mapping = job
+    return mapping.source, writer.stage(mapping.source, ingest.iter_source(path, mapping, stops))
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -159,14 +153,26 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
     # loaded here, before any fork, so pool workers inherit them compiled;
     # _ingest_source imports ingest again from sys.modules
-    from reviewlake import clean, ingest  # noqa: F401
+    from reviewlake import clean, ingest
 
     if not cfg.sources:
         raise ConfigurationError("no sources configured; provide a config file with a sources list")
     created_at = store.lake_timestamp()
-    stops = clean.resolve_stoplist(cfg.stoplist)
-    jobs = sorted(cfg.sources)
-    previous = signal.signal(signal.SIGTERM, _raise_on_sigterm)
+    stops = clean.load_stoplist(cfg.stoplist) if cfg.stoplist else clean.default_stoplist()
+    jobs = []  # (path, mapping) per source: every mapping is checked before a row is read
+    for spec in sorted(cfg.sources):
+        mapping = ingest.load_mapping(spec.mapping) if spec.mapping else ingest.default_mapping(spec.source)
+        if mapping.source != spec.source:
+            raise MappingFileError(f"mapping {spec.mapping} is for {mapping.source!r}, not {spec.source!r}")
+        jobs.append((spec.path, mapping))
+    writer = None
+
+    def on_sigterm(signum, frame):
+        # once commit has renamed the new lake into place, let it finish and exit 0
+        if writer is None or not writer.committed:
+            raise ReviewLakeError("ingest interrupted by SIGTERM")
+
+    previous = signal.signal(signal.SIGTERM, on_sigterm)
     try:
         writer = store.LakeWriter(cfg.lake_dir)
         try:

@@ -27,9 +27,10 @@ A fan-out of forked folds per view measured slower than this on 20k rows.
 A query makes two aggregations in all: the analytics module builds its two
 roll-up tables here and derives the six views from them.
 
-Only record values come from outside, so only they are checked here. The
-specs are the analytics module's own, and the CLI has checked the
-partition count before a dataset is built.
+Records are read by attribute, as the NamedTuples the analytics module
+folds. Only record values come from outside, so only they are checked
+here. The specs are the analytics module's own, and the CLI has checked
+the partition count before a dataset is built.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from fractions import Fraction
 from math import isfinite
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 from reviewlake.errors import QueryTypeError
@@ -102,10 +103,6 @@ class PartitionedDataset:
         return PartitionedDataset([f(r) for r in part] for part in self.partitions)
 
 
-def from_records(records, partition_count: int) -> PartitionedDataset:
-    return PartitionedDataset.from_records(records, partition_count)
-
-
 # ---------------------------------------------------------------------------
 # implementation
 # ---------------------------------------------------------------------------
@@ -155,7 +152,7 @@ def _numbers(recs: list, get, field: str, key) -> tuple[list, bool]:
     """
     try:
         xs = list(map(get, recs))
-    except (AttributeError, KeyError, IndexError, TypeError) as exc:
+    except AttributeError as exc:
         raise QueryTypeError(f"metric field {field!r} of group {key!r} is unreadable: {exc!r}") from None
     if set(map(type, xs)) == {int}:
         return xs, True
@@ -166,9 +163,9 @@ def _numbers(recs: list, get, field: str, key) -> tuple[list, bool]:
     return [v if v.__class__ is int else v + 0.0 for v in xs], False  # -0.0 + 0.0 is 0.0
 
 
-def _field_reducer(m: Metric, sample):
+def _field_reducer(m: Metric):
     combine, field, label = _COMBINE[m.kind], m.field, _metric_label(m)
-    get = attrgetter(field) if hasattr(sample, field) else itemgetter(field)
+    get = attrgetter(field)
 
     def reduce(key, recs: list):
         xs, ints = _numbers(recs, get, field, key)
@@ -180,13 +177,9 @@ def _field_reducer(m: Metric, sample):
     return reduce
 
 
-def _reducers(metrics, sample) -> list:
-    """One ``(group key, group records) -> value`` function per metric.
-
-    ``sample`` is the dataset's first record: whether it has the field as an
-    attribute picks attribute or item access.
-    """
-    return [(lambda key, recs: len(recs)) if m.kind == "count" else _field_reducer(m, sample) for m in metrics]
+def _reducers(metrics) -> list:
+    """One ``(group key, group records) -> value`` function per metric."""
+    return [(lambda key, recs: len(recs)) if m.kind == "count" else _field_reducer(m) for m in metrics]
 
 
 def group_aggregate(ds: PartitionedDataset, spec: AggSpec) -> AggTable:
@@ -194,8 +187,7 @@ def group_aggregate(ds: PartitionedDataset, spec: AggSpec) -> AggTable:
 
     Output rows are sorted ascending by group key.
     """
-    sample = next((part[0] for part in ds.partitions if part), None)
-    reducers = _reducers(spec.metrics, sample)
+    reducers = _reducers(spec.metrics)
     keyf = spec.key_extractor
     groups = defaultdict(list)
     for part in ds.partitions:

@@ -158,9 +158,10 @@ class LakeWriter:
     row is read. ``stage`` writes one source's records and reject part; it
     changes no writer state, so forked workers can stage sources side by
     side. ``commit`` finishes and fsyncs the staging directory, renames an
-    old lake onto the aside and the staging directory into place, fsyncs
-    the parent and removes the aside. A crash leaves at most the aside,
-    which the next commit removes, and stranded ``.lake-tmp-*`` directories.
+    old lake onto the aside and the staging directory into place (the
+    commit point), fsyncs the parent and removes the aside. A crash leaves
+    at most the aside, which the next commit removes, and stranded
+    ``.lake-tmp-*`` directories.
     """
 
     def __init__(self, target_dir: str):
@@ -171,7 +172,6 @@ class LakeWriter:
         _check_target(self.aside)
         os.makedirs(self.parent, exist_ok=True)
         self.tmp = tempfile.mkdtemp(prefix=".lake-tmp-", dir=self.parent)
-        self._done = False
 
     def _reject_part(self, source: str) -> str:
         return os.path.join(self.tmp, f"rejects-{source}.part")
@@ -228,8 +228,7 @@ class LakeWriter:
                 self._discard_aside()
             os.rename(self.target, self.aside)
             aside = True
-        os.rename(tmp, self.target)
-        self._done = True
+        os.rename(tmp, self.target)  # the commit point
         _fsync(self.parent)
         if aside:
             self._discard_aside()
@@ -240,9 +239,19 @@ class LakeWriter:
         os.rename(self.aside, self.tmp + "-old")
         shutil.rmtree(self.tmp + "-old")
 
+    @property
+    def committed(self) -> bool:
+        """Whether commit has renamed the staging directory into place
+        (or abort has removed it).
+
+        Read from the file system, so it is true from the rename on, even
+        when asked from a signal handler that interrupts the rename's caller.
+        """
+        return not os.path.lexists(self.tmp)
+
     def abort(self) -> None:
-        if not self._done:
-            shutil.rmtree(self.tmp, ignore_errors=True)
+        """Remove the staging directory; after the commit point there is none."""
+        shutil.rmtree(self.tmp, ignore_errors=True)
 
 
 def _check_target(path: str) -> bool:

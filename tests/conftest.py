@@ -10,7 +10,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from reviewlake import clean, fixtures, ingest
+from reviewlake import analytics, clean, fixtures, ingest
 from reviewlake.model import UnifiedReview
 
 #: (criterion number, "PASS"/"FAIL"/"SKIP", description) in run order.
@@ -23,6 +23,13 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for num, status, desc in sorted(acceptance_results):
         terminalreporter.write_line(f"criterion {num:2d} {status}: {desc}")
+
+
+def run_all(ds):
+    """All six views of a dataset of UnifiedReviews, keyed by query id, in
+    canonical order, from one roll-up, as ``query`` computes them."""
+    cube = analytics.rollup(ds)
+    return {qid: view(cube) for qid, view in analytics.QUERIES.items()}
 
 
 def run_pipeline(dirpath: str, truth: dict):

@@ -22,7 +22,7 @@ import pytest
 
 import conftest
 from reviewlake import analytics, clean, cli, fixtures, ingest, report
-from reviewlake.engine import AggSpec, Metric, from_records, group_aggregate
+from reviewlake.engine import AggSpec, Metric, PartitionedDataset, group_aggregate
 from reviewlake.model import UnifiedReview
 from oracles import oracle_aggregate
 from test_dates import DAY_NAMES, WEEKDAY_ANCHORS, weekday_view_row
@@ -58,7 +58,7 @@ def lake10k(corpus10k, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def tables10k(corpus10k):
-    return analytics.run_all(from_records(corpus10k["reviews"], 8))
+    return conftest.run_all(PartitionedDataset.from_records(corpus10k["reviews"], 8))
 
 
 def sha_tree(d):
@@ -125,7 +125,7 @@ def test_criterion_1_oracle_equivalence():
                 rng.sample(_METRIC_POOL, rng.randrange(1, 5))
             )
             spec = AggSpec("rand", key_cols, key_fn, metrics)
-            ds = from_records(recs, rng.randrange(1, 17))
+            ds = PartitionedDataset.from_records(recs, rng.randrange(1, 17))
             got = group_aggregate(ds, spec)
             want = oracle_aggregate(recs, key_fn, metrics)
             assert got.rows == want, f"dataset {i}"
@@ -144,7 +144,7 @@ def test_criterion_2_partition_invariance(corpus10k):
         reviews = corpus10k["reviews"]
         blobs = []
         for parts in (1, 2, 7, 64):
-            tables = analytics.run_all(from_records(reviews, parts))
+            tables = conftest.run_all(PartitionedDataset.from_records(reviews, parts))
             blob = {}
             for qid, table in tables.items():
                 blob[qid] = (
@@ -290,7 +290,7 @@ def test_criterion_9_yoy_arithmetic():
                 recs.append(UnifiedReview(
                     "N", datetime.date(year, 1 + i % 12, 1 + i % 28), i % 2, 0, "Tt", "steam",
                 ))
-        table = analytics.yoy_percent_change(analytics.rollup(from_records(recs, 7)))
+        table = analytics.yoy_percent_change(analytics.rollup(PartitionedDataset.from_records(recs, 7)))
         by = {(r[1], r[3]): r[2] for r in table.rows}
         for year, want in (("2019", 50.0), ("2020", -20.0), ("2021", 50.0), ("median", 50.0)):
             assert abs(by[(year, "overall")] - want) <= 1e-9, year

@@ -4,8 +4,9 @@ import datetime
 
 import pytest
 
+from conftest import run_all
 from reviewlake import analytics
-from reviewlake.engine import from_records
+from reviewlake.engine import PartitionedDataset
 from reviewlake.model import UnifiedReview
 
 
@@ -14,7 +15,7 @@ def R(y, m, d, sent, up, text, src, name="N"):
 
 
 def ds_of(*recs, parts=3):
-    return analytics.rollup(from_records(list(recs), parts))
+    return analytics.rollup(PartitionedDataset.from_records(list(recs), parts))
 
 
 def test_query_ids_catalog():
@@ -24,8 +25,8 @@ def test_query_ids_catalog():
 
 
 def test_run_all_covers_catalog_in_order(corpus10k):
-    ds = from_records(corpus10k["reviews"][:500], 4)
-    tables = analytics.run_all(ds)
+    ds = PartitionedDataset.from_records(corpus10k["reviews"][:500], 4)
+    tables = run_all(ds)
     assert tuple(tables) == analytics.QUERY_IDS
     for qid, table in tables.items():
         assert table.name == qid
@@ -119,7 +120,7 @@ def test_yoy_reference_series():
         (2020, 1): 72, (2020, 0): 48,
         (2021, 1): 108, (2021, 0): 72,
     })
-    t = analytics.yoy_percent_change(analytics.rollup(from_records(recs, 5)))
+    t = analytics.yoy_percent_change(analytics.rollup(PartitionedDataset.from_records(recs, 5)))
     assert t.columns == ("source", "year", "pct_change", "sentiment_split")
     by = {(r[1], r[3]): r[2] for r in t.rows if r[0] == "steam"}
     assert abs(by[("2019", "overall")] - 50.0) < 1e-9
@@ -132,7 +133,7 @@ def test_yoy_reference_series():
 
 def test_yoy_skips_gap_years():
     recs = years("imdb", {(2018, 1): 5, (2021, 1): 10, (2022, 1): 20})
-    t = analytics.yoy_percent_change(analytics.rollup(from_records(recs, 2)))
+    t = analytics.yoy_percent_change(analytics.rollup(PartitionedDataset.from_records(recs, 2)))
     pairs = {(r[1], r[3]) for r in t.rows}
     assert ("2021", "overall") not in pairs  # 2020 absent, no defined change
     assert ("2022", "overall") in pairs
@@ -140,7 +141,7 @@ def test_yoy_skips_gap_years():
 
 def test_yoy_zero_prior_sentiment_is_noted_not_invented():
     recs = years("yelp", {(2019, 1): 5, (2020, 1): 8, (2020, 0): 3})
-    t = analytics.yoy_percent_change(analytics.rollup(from_records(recs, 2)))
+    t = analytics.yoy_percent_change(analytics.rollup(PartitionedDataset.from_records(recs, 2)))
     cells = {(r[1], r[3]) for r in t.rows}
     assert ("2020", "negative") not in cells
     assert any("negative" in n and "2020" in n for n in t.notes)
@@ -150,7 +151,7 @@ def test_yoy_zero_prior_sentiment_is_noted_not_invented():
 
 def test_yoy_zero_current_is_minus_hundred():
     recs = years("yelp", {(2019, 0): 4, (2019, 1): 4, (2020, 1): 8})
-    t = analytics.yoy_percent_change(analytics.rollup(from_records(recs, 1)))
+    t = analytics.yoy_percent_change(analytics.rollup(PartitionedDataset.from_records(recs, 1)))
     by = {(r[1], r[3]): r[2] for r in t.rows}
     assert abs(by[("2020", "negative")] - -100.0) < 1e-9
 
@@ -158,14 +159,14 @@ def test_yoy_zero_current_is_minus_hundred():
 def test_yoy_median_even_series():
     # overall changes +100, +50: median 75
     recs = years("steam", {(2018, 1): 10, (2019, 1): 20, (2020, 1): 30})
-    t = analytics.yoy_percent_change(analytics.rollup(from_records(recs, 3)))
+    t = analytics.yoy_percent_change(analytics.rollup(PartitionedDataset.from_records(recs, 3)))
     by = {(r[1], r[3]): r[2] for r in t.rows}
     assert abs(by[("median", "overall")] - 75.0) < 1e-9
 
 
 def test_empty_dataset_all_views():
-    ds = from_records([], 2)
-    for qid, table in analytics.run_all(ds).items():
+    ds = PartitionedDataset.from_records([], 2)
+    for qid, table in run_all(ds).items():
         assert table.rows == [], qid
 
 
@@ -176,9 +177,9 @@ def test_empty_dataset_all_views():
 
 def test_partition_and_worker_invariance_on_corpus(corpus10k):
     reviews = corpus10k["reviews"][:3000]
-    base = analytics.run_all(from_records(reviews, 1))
-    alt = analytics.run_all(from_records(reviews, 13))
-    par = analytics.run_all(from_records(reviews, 4))
+    base = run_all(PartitionedDataset.from_records(reviews, 1))
+    alt = run_all(PartitionedDataset.from_records(reviews, 13))
+    par = run_all(PartitionedDataset.from_records(reviews, 4))
     for qid in analytics.QUERY_IDS:
         assert base[qid].rows == alt[qid].rows, qid
         assert base[qid].rows == par[qid].rows, qid

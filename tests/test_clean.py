@@ -18,7 +18,6 @@ from reviewlake.clean import (
     map_sentiment,
     parse_upvotes,
     remove_stopwords,
-    resolve_stoplist,
     strip_non_alpha,
     trim_outer,
 )
@@ -260,18 +259,6 @@ def test_load_stoplist_rejects_bad_entries(tmp_path):
     p.write_text("the\nwith space\n", encoding="utf-8")
     with pytest.raises(ConfigurationError):
         load_stoplist(str(p))
-
-
-def test_resolve_stoplist_priority(tmp_path, monkeypatch):
-    a = tmp_path / "a.txt"
-    a.write_text("alpha\n", encoding="utf-8")
-    b = tmp_path / "b.txt"
-    b.write_text("beta\n", encoding="utf-8")
-    monkeypatch.delenv("REVIEWLAKE_STOPLIST", raising=False)
-    assert resolve_stoplist(None).checksum == default_stoplist().checksum
-    assert resolve_stoplist(str(a)).words == frozenset({"alpha"})
-    monkeypatch.setenv("REVIEWLAKE_STOPLIST", str(b))
-    assert resolve_stoplist(str(a)).words == frozenset({"beta"})
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from reviewlake import analytics, clean, cli, fixtures
+from reviewlake import analytics, clean, cli, fixtures, ingest
 from reviewlake.engine import PartitionedDataset
 from reviewlake.errors import QueryTypeError
 
@@ -289,34 +289,75 @@ def test_mapping_with_a_quote_delimiter_is_exit_1(data_dir, tmp_path, capsys):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "map.json"]
 
 
-def test_stoplist_env_override(data_dir, tmp_path, monkeypatch):
-    sp = tmp_path / "stops.txt"
-    sp.write_text("the\nzebra\n")
-    monkeypatch.setenv("REVIEWLAKE_STOPLIST", str(sp))
-    lake = tmp_path / "lake"
-    assert cli.run(["ingest", "--config", str(data_dir / "config.json"), "--lake", str(lake)]) == 0
-    manifest = json.loads((lake / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["stoplist_checksum"] == clean.load_stoplist(str(sp)).checksum
-    assert manifest["stoplist_checksum"] != clean.default_stoplist().checksum
-
-
-@pytest.mark.parametrize("via", ["env", "config"])
-def test_a_stoplist_that_is_not_utf8_is_exit_2(data_dir, tmp_path, monkeypatch, capsys, via):
-    sp = tmp_path / "stops.txt"
-    sp.write_bytes(b"the\n\xff\xfe\n")
+@pytest.mark.parametrize(
+    "mapping, why",
+    [('{"source": "yelp"', "not valid JSON"), (json.dumps(ingest.default_mapping("steam")._asdict()), "is for 'steam'")],
+    ids=["not_json", "other_source"],
+)
+def test_every_mapping_is_checked_before_a_row_is_read(data_dir, tmp_path, monkeypatch, capsys, mapping, why):
+    # yelp sorts last, so a check made per source as it is read would parse the other three first
+    (tmp_path / "yelp_map.json").write_text(mapping, encoding="utf-8")
     doc = json.loads((data_dir / "config.json").read_text(encoding="utf-8"))
     for entry in doc["sources"]:
         entry["path"] = str(data_dir / entry["path"])
-    if via == "env":
-        monkeypatch.setenv("REVIEWLAKE_STOPLIST", str(sp))
-    else:
-        doc["stoplist"] = sp.name
+        if entry["source"] == "yelp":
+            entry["mapping"] = "yelp_map.json"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
+    read = []
+    real_iter_source = ingest.iter_source
+
+    def spy(path, *args):
+        read.append(os.path.basename(path))
+        return real_iter_source(path, *args)
+
+    monkeypatch.setattr(ingest, "iter_source", spy)
+    assert cli.run(["ingest", "--config", str(cfg), "--lake", str(tmp_path / "lake"), "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert why in err and err.count("\n") == 1
+    assert read == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "yelp_map.json"]  # no .lake-tmp-*
+
+
+def _config_with_stoplist(data_dir, tmp_path, stoplist):
+    """A copy of the corpus config in tmp_path, with ``stoplist`` set unless it is None."""
+    doc = json.loads((data_dir / "config.json").read_text(encoding="utf-8"))
+    for entry in doc["sources"]:
+        entry["path"] = str(data_dir / entry["path"])
+    if stoplist is not None:
+        doc["stoplist"] = stoplist
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    return cfg
+
+
+def test_stoplist_comes_from_the_config_key_or_else_the_bundled_list(data_dir, tmp_path):
+    sp = tmp_path / "stops.txt"
+    sp.write_text("the\nzebra\n")
+    for stoplist, stops in (("stops.txt", clean.load_stoplist(str(sp))), (None, clean.default_stoplist())):
+        lake = tmp_path / "lake"
+        cfg = _config_with_stoplist(data_dir, tmp_path, stoplist)
+        assert cli.run(["ingest", "--config", str(cfg), "--lake", str(lake)]) == 0
+        manifest = json.loads((lake / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["stoplist_checksum"] == stops.checksum
+    assert clean.load_stoplist(str(sp)).checksum != clean.default_stoplist().checksum
+
+
+def test_a_stoplist_that_is_not_utf8_is_exit_2(data_dir, tmp_path, capsys):
+    sp = tmp_path / "stops.txt"
+    sp.write_bytes(b"the\n\xff\xfe\n")
+    cfg = _config_with_stoplist(data_dir, tmp_path, sp.name)
     assert cli.run(["ingest", "--config", str(cfg), "--lake", str(tmp_path / "lake")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {sp}: stoplist is not UTF-8: ") and err.count("\n") == 1
     assert not (tmp_path / "lake").exists()
+
+
+def test_a_missing_stoplist_is_exit_1(data_dir, tmp_path, capsys):
+    cfg = _config_with_stoplist(data_dir, tmp_path, "gone.txt")
+    assert cli.run(["ingest", "--config", str(cfg), "--lake", str(tmp_path / "lake")]) == 1
+    assert capsys.readouterr().err == f"error: No such file or directory ({tmp_path / 'gone.txt'})\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # no lake, no staging directory
 
 
 _DEEP = "[" * 100_000 + "]" * 100_000

@@ -90,7 +90,6 @@ _ENVS = st.fixed_dictionaries(
     {},
     optional={
         "SOURCE_DATE_EPOCH": st.sampled_from(["", "0", "1700000000", "-1", "253402300800", "١٢"]) | _ENV_TEXT,
-        "REVIEWLAKE_STOPLIST": _PATHS,
     },
 )
 # (offset, bytes cut, bytes inserted): offsets past the end append
@@ -151,11 +150,7 @@ _NOT_UTF8 = [(0, _WHOLE, b"the\n\xff\xfe\n")]
     command="ingest", rows=0, flags=[], config=_VALID, env={},
     damage=("steam.jsonl", [(_WHOLE, 0, b'{"a": ' + _DEEP + b"}\n")]),
 )
-# a stoplist that is not UTF-8, from the environment and from the config
-@example(
-    command="ingest", rows=0, flags=[], config=_YELP_ONLY, env={"REVIEWLAKE_STOPLIST": "stop.txt"},
-    damage=("stop.txt", _NOT_UTF8),
-)
+# a stoplist that is not UTF-8, from the config
 @example(command="ingest", rows=0, flags=[], config=_VALID, env={}, damage=("stop.txt", _NOT_UTF8))
 # a lake with a file no lake holds is not replaced; no output goes into the lake
 @example(command="ingest", rows=0, flags=[], config=_VALID, env={}, damage=("lake/extra", [(0, 0, b"x")]))
@@ -182,7 +177,6 @@ def test_every_run_exits_0_1_or_2_with_at_most_one_error_line(inputs, command, r
             with open(os.path.join(tmp, name), "wb") as fh:
                 fh.write(blob)
         os.environ.pop("SOURCE_DATE_EPOCH", None)
-        os.environ.pop("REVIEWLAKE_STOPLIST", None)
         os.environ.update(env)
         err = io.StringIO()
         os.chdir(tmp)  # relative paths, the default lake and out included, stay in tmp

@@ -13,7 +13,7 @@ import pytest
 
 from reviewlake import analytics
 from reviewlake.clean import CleanRejection, normalize_date
-from reviewlake.engine import from_records
+from reviewlake.engine import PartitionedDataset
 from reviewlake.model import UnifiedReview
 
 # (iso date, ISO weekday 1=Monday..7=Sunday), verified by hand
@@ -47,7 +47,7 @@ DAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday",
 def weekday_view_row(iso):
     """The per_weekday row of a dataset holding one review dated ``iso``."""
     rec = UnifiedReview("N", datetime.date.fromisoformat(iso), 1, 0, "Tt", "steam")
-    (row,) = analytics.reviews_per_weekday(analytics.rollup(from_records([rec], 1))).rows
+    (row,) = analytics.reviews_per_weekday(analytics.rollup(PartitionedDataset.from_records([rec], 1))).rows
     return row
 
 

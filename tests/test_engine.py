@@ -15,14 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_aggregate
-from reviewlake.engine import AggSpec, Metric, from_records, group_aggregate
+from reviewlake.engine import AggSpec, Metric, PartitionedDataset, group_aggregate
 from reviewlake.errors import QueryTypeError
 
 Rec = collections.namedtuple("Rec", "k v w")
+KV = collections.namedtuple("KV", "k v")
+K = collections.namedtuple("K", "k")  # a record without the metric field
 
 
 def _key_k(r):
-    return r["k"] if isinstance(r, dict) else r.k
+    return r.k
 
 
 def _spec(metrics, key_columns=("k",)):
@@ -43,17 +45,17 @@ def assert_rows_identical(got, want):
 
 
 def test_round_robin_layout_and_inverse():
-    ds = from_records(list(range(10)), 3)
+    ds = PartitionedDataset.from_records(list(range(10)), 3)
     assert list(ds.partitions) == [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]]
 
 
 def test_more_partitions_than_records():
-    ds = from_records([1, 2], 5)
+    ds = PartitionedDataset.from_records([1, 2], 5)
     assert list(ds.partitions) == [[1], [2], [], [], []]
 
 
 def test_map_preserves_layout():
-    ds = from_records(list(range(7)), 2).map(lambda x: x * 10)
+    ds = PartitionedDataset.from_records(list(range(7)), 2).map(lambda x: x * 10)
     assert list(ds.partitions) == [[0, 20, 40, 60], [10, 30, 50]]
 
 
@@ -63,7 +65,7 @@ def test_map_preserves_layout():
 
 
 def test_count_groups():
-    ds = from_records([{"k": "a"}, {"k": "b"}, {"k": "a"}], 2)
+    ds = PartitionedDataset.from_records([K("a"), K("b"), K("a")], 2)
     t = group_aggregate(ds, _spec([Metric("count")]))
     assert t.columns == ("k", "count")
     assert_rows_identical(t.rows, [("a", 2), ("b", 1)])
@@ -71,7 +73,7 @@ def test_count_groups():
 
 def test_all_metrics_small_case():
     recs = [Rec("a", 1, 2.5), Rec("a", 4, 0.5), Rec("b", 7, 1.0)]
-    ds = from_records(recs, 2)
+    ds = PartitionedDataset.from_records(recs, 2)
     spec = AggSpec(
         "t",
         ("k",),
@@ -86,7 +88,7 @@ def test_all_metrics_small_case():
 
 def test_int_sum_stays_exact_past_float_precision():
     big = 2**60 + 1
-    ds = from_records([{"k": 0, "v": big}, {"k": 0, "v": big}], 2)
+    ds = PartitionedDataset.from_records([KV(0, big), KV(0, big)], 2)
     t = group_aggregate(ds, _spec([Metric("sum", "v")]))
     assert t.rows == [(0, 2 * big)]
     assert t.rows[0][1].__class__ is int
@@ -95,7 +97,7 @@ def test_int_sum_stays_exact_past_float_precision():
 def test_float_sum_uses_exact_accumulation():
     # 0.1 added ten times in float drifts; exact accumulation must not
     vals = [0.1] * 10
-    ds = from_records([{"k": 0, "v": v} for v in vals], 3)
+    ds = PartitionedDataset.from_records([KV(0, v) for v in vals], 3)
     t = group_aggregate(ds, _spec([Metric("sum", "v")]))
     from fractions import Fraction
 
@@ -103,20 +105,20 @@ def test_float_sum_uses_exact_accumulation():
 
 
 def test_mean_of_ints_is_float():
-    ds = from_records([{"k": 0, "v": 1}, {"k": 0, "v": 2}], 1)
+    ds = PartitionedDataset.from_records([KV(0, 1), KV(0, 2)], 1)
     t = group_aggregate(ds, _spec([Metric("mean", "v")]))
     assert t.rows == [(0, 1.5)]
 
 
 def test_median_odd_keeps_int_class():
-    ds = from_records([{"k": 0, "v": 3}, {"k": 0, "v": 1}, {"k": 0, "v": 2}], 2)
+    ds = PartitionedDataset.from_records([KV(0, 3), KV(0, 1), KV(0, 2)], 2)
     t = group_aggregate(ds, _spec([Metric("median", "v")]))
     assert t.rows == [(0, 2)]
     assert t.rows[0][1].__class__ is int
 
 
 def test_median_even_averages_middle_pair():
-    ds = from_records([{"k": 0, "v": v} for v in (4, 1, 3, 2)], 3)
+    ds = PartitionedDataset.from_records([KV(0, v) for v in (4, 1, 3, 2)], 3)
     t = group_aggregate(ds, _spec([Metric("median", "v")]))
     assert t.rows == [(0, 2.5)]
 
@@ -125,46 +127,46 @@ def test_median_tie_between_int_and_float_is_order_independent():
     rows = []
     for perm in ([2, 2.0, 1], [2.0, 2, 1], [1, 2.0, 2]):
         for parts in (1, 2, 3):
-            ds = from_records([{"k": 0, "v": v} for v in perm], parts)
+            ds = PartitionedDataset.from_records([KV(0, v) for v in perm], parts)
             t = group_aggregate(ds, _spec([Metric("median", "v")]))
             rows.append((t.rows[0][1], t.rows[0][1].__class__))
     assert len(set(rows)) == 1
 
 
 def test_min_max_tie_prefers_int():
-    ds = from_records([{"k": 0, "v": 2.0}, {"k": 0, "v": 2}], 2)
+    ds = PartitionedDataset.from_records([KV(0, 2.0), KV(0, 2)], 2)
     t = group_aggregate(ds, _spec([Metric("min", "v"), Metric("max", "v")]))
     assert t.rows[0][1].__class__ is int
     assert t.rows[0][2].__class__ is int
 
 
 def test_negative_zero_normalizes():
-    ds = from_records([{"k": 0, "v": -0.0}], 1)
+    ds = PartitionedDataset.from_records([KV(0, -0.0)], 1)
     t = group_aggregate(ds, _spec([Metric("min", "v"), Metric("sum", "v")]))
     assert math.copysign(1.0, t.rows[0][1]) == 1.0
     assert math.copysign(1.0, t.rows[0][2]) == 1.0
 
 
 def test_bool_is_not_numeric():
-    ds = from_records([{"k": 0, "v": True}], 1)
+    ds = PartitionedDataset.from_records([KV(0, True)], 1)
     with pytest.raises(QueryTypeError):
         group_aggregate(ds, _spec([Metric("sum", "v")]))
 
 
 def test_inf_rejected():
-    ds = from_records([{"k": 0, "v": math.inf}], 1)
+    ds = PartitionedDataset.from_records([KV(0, math.inf)], 1)
     with pytest.raises(QueryTypeError):
         group_aggregate(ds, _spec([Metric("mean", "v")]))
 
 
 def test_missing_field_is_a_query_type_error():
-    ds = from_records([{"k": 0}], 1)
+    ds = PartitionedDataset.from_records([K(0)], 1)
     with pytest.raises(QueryTypeError):
         group_aggregate(ds, _spec([Metric("sum", "v")]))
 
 
 def test_scalar_key_and_tuple_key():
-    ds = from_records([Rec("a", 1, 1.0), Rec("a", 2, 2.0)], 1)
+    ds = PartitionedDataset.from_records([Rec("a", 1, 1.0), Rec("a", 2, 2.0)], 1)
     t1 = group_aggregate(ds, AggSpec("t", ("k",), lambda r: r.k, [Metric("count")]))
     assert t1.rows == [("a", 2)]
     t2 = group_aggregate(ds, AggSpec("t", ("k", "v"), lambda r: (r.k, r.v), [Metric("count")]))
@@ -172,7 +174,7 @@ def test_scalar_key_and_tuple_key():
 
 
 def test_empty_dataset_yields_empty_table():
-    t = group_aggregate(from_records([], 4), _spec([Metric("count")]))
+    t = group_aggregate(PartitionedDataset.from_records([], 4), _spec([Metric("count")]))
     assert t.rows == []
 
 
@@ -186,13 +188,12 @@ _METRIC_KINDS = ("count", "sum", "mean", "median", "min", "max")
 def random_dataset(rng):
     """A small dataset plus a random spec, exercising every code path."""
     n = rng.randrange(0, 60)
-    use_nt = rng.random() < 0.5
     recs = []
     for _ in range(n):
         k = rng.choice("abcd")
         v = _random_number(rng)
         w = _random_number(rng)
-        recs.append(Rec(k, v, w) if use_nt else {"k": k, "v": v, "w": w})
+        recs.append(Rec(k, v, w))
     metrics = []
     for _ in range(rng.randrange(1, 5)):
         kind = rng.choice(_METRIC_KINDS)
@@ -220,7 +221,7 @@ def test_oracle_equivalence_randomized_sweep():
     rng = random.Random(20260822)
     for case in range(150):
         recs, metrics, parts = random_dataset(rng)
-        ds = from_records(recs, parts)
+        ds = PartitionedDataset.from_records(recs, parts)
         spec = _spec(metrics)
         got = group_aggregate(ds, spec)
         want = oracle_aggregate(recs, _key_k, [(m.kind, m.field) for m in metrics])
@@ -233,9 +234,9 @@ def test_partition_and_worker_invariance():
     while not recs:
         recs, metrics, _ = random_dataset(rng)
     spec = _spec(metrics)
-    baseline = group_aggregate(from_records(recs, 1), spec)
+    baseline = group_aggregate(PartitionedDataset.from_records(recs, 1), spec)
     for parts in (2, 3, 7, 16):
-        t = group_aggregate(from_records(recs, parts), spec)
+        t = group_aggregate(PartitionedDataset.from_records(recs, parts), spec)
         assert_rows_identical(t.rows, baseline.rows)
 
 
@@ -249,20 +250,20 @@ _MISSING = object()
         (-math.inf, "is not a finite number: -inf (float)"),
         (True, "is not a finite number: True (bool)"),
         ("x", "is not a finite number: 'x' (str)"),
-        (_MISSING, "is unreadable: KeyError('v')"),
+        (_MISSING, """is unreadable: AttributeError("'K' object has no attribute 'v'")"""),
     ],
     ids=["nan", "inf", "bool", "str", "missing"],
 )
 def test_error_names_the_field_and_lowest_failing_group_for_any_partition_count(bad, why):
     # group 2's bad records come first in insertion order, but group 1 fails
     # first; group 1 also holds a NaN, which each expected message outranks
-    recs = [{"k": i % 3, "v": float(i)} for i in range(60)]
-    recs[2] = recs[47] = {"k": 2} if bad is _MISSING else {"k": 2, "v": bad}
-    recs[31] = {"k": 1} if bad is _MISSING else {"k": 1, "v": bad}
-    recs[4] = {"k": 1, "v": math.nan}
+    recs = [KV(i % 3, float(i)) for i in range(60)]
+    recs[2] = recs[47] = K(2) if bad is _MISSING else KV(2, bad)
+    recs[31] = K(1) if bad is _MISSING else KV(1, bad)
+    recs[4] = KV(1, math.nan)
     for parts in (1, 2, 5, 16):
         with pytest.raises(QueryTypeError) as ei:
-            group_aggregate(from_records(recs, parts), _spec([Metric("count"), Metric("sum", "v")]))
+            group_aggregate(PartitionedDataset.from_records(recs, parts), _spec([Metric("count"), Metric("sum", "v")]))
         assert str(ei.value) == f"metric field 'v' of group 1 {why}", parts
 
 
@@ -288,22 +289,22 @@ _HUGE_PAIR = [("a", 8.988465674311579e307), ("a", 8.98846567431158e307)]  # sum 
 )
 def test_oracle_equivalence_property(pairs, parts, kind):
     # both sides return identical rows, or both refuse a result outside the float range
-    recs = [{"k": k, "v": v} for k, v in pairs]
+    recs = [KV(k, v) for k, v in pairs]
     metric = Metric(kind) if kind == "count" else Metric(kind, "v")
     try:
         want = oracle_aggregate(recs, _key_k, [(metric.kind, metric.field)])
     except QueryTypeError:
         with pytest.raises(QueryTypeError):
-            group_aggregate(from_records(recs, parts), _spec([metric]))
+            group_aggregate(PartitionedDataset.from_records(recs, parts), _spec([metric]))
         return
-    got = group_aggregate(from_records(recs, parts), _spec([metric]))
+    got = group_aggregate(PartitionedDataset.from_records(recs, parts), _spec([metric]))
     assert_rows_identical(got.rows, want)
 
 
 def test_oracle_median_of_large_floats_is_finite():
     # the midpoint of two finite floats is finite; (a + b) / 2 made it inf
     (lo, hi) = (v for _, v in _HUGE_PAIR)
-    [(_, mid)] = oracle_aggregate([{"k": k, "v": v} for k, v in _HUGE_PAIR], _key_k, [("median", "v")])
+    [(_, mid)] = oracle_aggregate([KV(k, v) for k, v in _HUGE_PAIR], _key_k, [("median", "v")])
     assert math.isfinite(mid) and lo <= mid <= hi
 
 
@@ -316,6 +317,6 @@ def test_oracle_median_of_large_floats_is_finite():
     ],
 )
 def test_result_outside_float_range_names_the_group(values, kind):
-    recs = [{"k": "a", "v": v} for v in values]
+    recs = [KV("a", v) for v in values]
     with pytest.raises(QueryTypeError, match=f"{kind}_v of group 'a' is outside the float range"):
-        group_aggregate(from_records(recs, 2), _spec([Metric(kind, "v")]))
+        group_aggregate(PartitionedDataset.from_records(recs, 2), _spec([Metric(kind, "v")]))

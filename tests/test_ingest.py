@@ -203,6 +203,59 @@ def test_the_boundary_scan_and_the_field_split_never_disagree(head, pieces):
         assert "desynchronized" not in str(exc)
 
 
+@st.composite
+def _csv_documents(draw):
+    """A delimiter and a CSV text over it: every quoting form, blank lines,
+    ragged rows, LF and CRLF endings; no bare CR, BOM or duplicate header name."""
+    dl = draw(st.sampled_from([",", ";", "\t", "|"]))
+
+    def plain(min_size=0):
+        chars = st.characters(blacklist_categories=("Cs",), blacklist_characters=f'\x00\r\n"\ufeff{dl}')
+        return st.text(chars, min_size=min_size, max_size=5)
+
+    quoted = st.lists(plain() | st.sampled_from([dl, '"', "\n", "\r\n"]), max_size=4).map(
+        lambda s: '"' + "".join(s).replace('"', '""') + '"'
+    )
+    field = st.one_of(
+        plain(),
+        quoted,  # delimiters, newlines and doubled quotes inside quotes
+        st.tuples(plain(1), plain()).map('"'.join),  # a quote opened mid-field is content
+        st.tuples(quoted, plain(1)).map("".join),  # text after a closing quote is kept
+    )
+    header = draw(st.lists(plain(1), min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.lists(field, min_size=len(header), max_size=len(header)) | st.lists(field, max_size=5)))
+    lines = [dl.join(row) for row in [header, *rows]]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    return dl, text if draw(st.booleans()) else text.removesuffix(ends[-1])
+
+
+def _stdlib_items(text, dl):
+    """What parse_csv should yield for ``text``, from csv.reader's rows."""
+    import csv as stdcsv
+
+    items, header, n = [], None, 0
+    for row in stdcsv.reader(io.StringIO(text, newline=""), delimiter=dl):
+        if not row:
+            items.append(None)  # a blank line
+        elif header is None:
+            header = row
+        else:
+            n += 1
+            if len(row) == len(header):
+                items.append(RawRecord("steam", n, dict(zip(header, row))))
+            else:
+                items.append(RejectRecord("steam", n, "ragged_row", f"{len(row)} fields, expected {len(header)}"))
+    return items
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_documents())
+def test_parse_csv_reads_what_the_stdlib_csv_reader_reads(doc):
+    dl, text = doc
+    assert rows_of(text.encode("utf-8"), delimiter=dl) == _stdlib_items(text, dl)
+
+
 # ---------------------------------------------------------------------------
 # JSON lines
 # ---------------------------------------------------------------------------

@@ -195,29 +195,42 @@ KILLED = 99
 def _ingest_cut_short(argv, op, k, after, sigterm):
     """Run ``argv`` in a forked child whose k-th ``os.<op>`` inside commit
     is cut short just before or just after the call: by ``os._exit``, or by
-    a SIGTERM, which ingest turns into an error. Return the exit code,
-    KILLED if the child died there."""
+    a SIGTERM, which ingest turns into an error before the commit point.
+    Return the exit code (KILLED if the child died there) and where the cut
+    fell: None if commit made fewer than k such calls, else whether the
+    staging directory had already been renamed onto the lake."""
+    cut_read, cut_write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child never returns into the test run
         code = 3
         try:
-            real_op, real_commit, calls = getattr(os, op), store.LakeWriter.commit, []
+            os.close(cut_read)
+            real_rename, real_commit, calls, renamed_in = os.rename, store.LakeWriter.commit, [], []
 
             def end():
+                os.write(cut_write, b"1" if renamed_in else b"0")
                 if sigterm:
-                    os.kill(os.getpid(), signal.SIGTERM)  # ingest's handler raises here
+                    os.kill(os.getpid(), signal.SIGTERM)  # ingest's handler runs here
                 else:
                     os._exit(KILLED)
 
-            def cut(*args, **kwargs):
-                calls.append(args)
-                if len(calls) == k and not after:
-                    end()
-                real_op(*args, **kwargs)
-                if len(calls) == k:
-                    end()
-
             def commit(self, *args):
+                def rename(src, dst):
+                    real_rename(src, dst)
+                    if dst == self.target:
+                        renamed_in.append(src)
+
+                os.rename = rename
+                real_op = getattr(os, op)
+
+                def cut(*args, **kwargs):
+                    calls.append(args)
+                    if len(calls) == k and not after:
+                        end()
+                    real_op(*args, **kwargs)
+                    if len(calls) == k and after:
+                        end()
+
                 setattr(os, op, cut)
                 return real_commit(self, *args)
 
@@ -226,7 +239,11 @@ def _ingest_cut_short(argv, op, k, after, sigterm):
                 code = cli.run(argv)
         finally:
             os._exit(code)
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    os.close(cut_write)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    with os.fdopen(cut_read, "rb") as fh:
+        told = fh.read()
+    return code, (told == b"1" if told else None)
 
 
 @pytest.mark.parametrize("sigterm", [False, True])
@@ -250,15 +267,20 @@ def test_a_commit_cut_short_anywhere_leaves_the_old_or_the_new_lake(
             old = tree(lake)
             if stale_aside:
                 build_lake(aside, [R("imdb", text="Stale")])
-            code = _ingest_cut_short(ingest, op, k, after, sigterm)
-            if code == 0:  # commit made fewer than k such calls
-                assert k > 1 and not aside.exists() and tree(lake) == new
+            code, committed = _ingest_cut_short(ingest, op, k, after, sigterm)
+            if committed is None:  # commit made fewer than k such calls
+                assert code == 0 and k > 1 and not aside.exists() and tree(lake) == new
                 # renames: the stale aside away, the old lake aside, the new lake in, the aside away
                 assert op != "rename" or k == 4 + stale_aside
                 return
+            # renaming the new lake in is the commit point: a SIGTERM from there on lets the run finish
+            assert op != "rename" or committed == ((k, after) >= (2 + stale_aside, True)), (k, after)
+            if sigterm and committed:
+                assert code == 0 and not aside.exists() and tree(lake) == new, (k, after)
+                continue
             assert code == (1 if sigterm else KILLED), (k, after)
             if lake.exists():
-                assert tree(lake) in (old, new), (k, after)
+                assert tree(lake) in ((old,) if sigterm else (old, new)), (k, after)
                 store.read_lake(str(lake))
             else:
                 assert tree(aside) == old, (k, after)
