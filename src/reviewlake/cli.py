@@ -58,7 +58,12 @@ class RunConfig(NamedTuple):
 def _path(v, name: str, base: str = "") -> str:
     if v.__class__ is not str or not v:
         raise ConfigurationError(f"{name} must be a non-empty path string, got {v!r}")
-    return os.path.join(base, v)  # keeps an absolute v as it is
+    try:
+        if b"\0" not in os.fsencode(v):  # a NUL or a lone surrogate is no file name
+            return os.path.join(base, v)  # keeps an absolute v as it is
+    except UnicodeEncodeError:
+        pass
+    raise ConfigurationError(f"{name} is not a path the OS can take, got {v!r}")
 
 
 def _positive_int(v, name: str, base: str = "") -> int:

@@ -7,17 +7,20 @@ a RejectRecord, or None for a blank line. The header yields nothing. So
 each physical row of a source has exactly one item, and the lake writer
 tallies all of them in one place.
 
-The CSV reader works on raw bytes in bounded memory: a quote-aware scan
-finds record boundaries (quoted fields may hold delimiters, doubled-quote
-escapes, and embedded newlines), each record is split and UTF-8 decoded on
-its own, and a malformed row costs exactly one reject instead of the file.
-Records that outgrow the size cap are dropped in a resynchronizing discard
-mode, so a runaway quote cannot buffer the rest of the file.
+The CSV reader works on raw bytes in bounded memory. One quote-aware scan
+finds each record's end and each quoted field's quotes (quoted fields may
+hold delimiters, doubled-quote escapes, and embedded newlines); the split
+cuts fields at those positions without looking for quotes again. Each
+record is split and UTF-8 decoded on its own, and a malformed row costs
+exactly one reject instead of the file. Records that outgrow the size cap
+are dropped in a resynchronizing discard mode, so a runaway quote cannot
+buffer the rest of the file.
 
 Leniencies, chosen to match what common exporters emit: LF and CRLF line
-endings both end records, a UTF-8 BOM before the header is ignored, quotes
-opened mid-field are literal characters, and bytes between a closing quote
-and the next delimiter are kept as-is.
+endings both end records, a last line without one ends the same way, a
+UTF-8 BOM before the header is ignored, quotes opened mid-field are literal
+characters, and bytes between a closing quote and the next delimiter are
+kept as-is.
 """
 
 from __future__ import annotations
@@ -48,17 +51,21 @@ _decode_json = json.JSONDecoder(parse_int=str, parse_float=str, parse_constant=s
 
 
 def _scan_records(stream, dl: int, caps: list[int]):
-    """Yield ("rec", record_bytes) per CSV record, ("big", None) for records
-    dropped at the size cap (caps[0], readable each check so the caller can
-    widen it once the header fixes the column count).
+    """Yield ("rec", record_bytes, quotes) per CSV record, ("blank", None,
+    None) per blank line, and ("big", None, None) per record dropped at the
+    size cap (caps[0], readable each check so the caller can widen it once
+    the header fixes the column count).
 
-    Boundaries honor RFC-4180 quoting. A quote opens a field only at a field
-    start (record start or right after a delimiter); elsewhere it is content.
-    Unterminated quote at end of input aborts with the opening quote's byte
-    offset. Zero-length records (blank lines) come out as ("blank", None),
-    so the caller can give each one its own item. A UTF-8 BOM that starts the
-    stream is skipped here, so a quote right after it opens the header's
-    first field; offsets still count from the stream's first byte.
+    This is the one place that knows RFC-4180 quoting and where a record
+    ends. A quote opens a field only at a field start (record start or right
+    after a delimiter); elsewhere it is content. ``quotes`` is a fresh list
+    of each quoted field's (opening quote, closing quote) positions in the
+    record, for :func:`_fields`. LF ends a record, and a CR before it is
+    dropped; the last line ends the same way, as if an LF followed it. An
+    unterminated quote at end of input aborts with the opening quote's byte
+    offset. A UTF-8 BOM that starts the stream is skipped here, so a quote
+    right after it opens the header's first field; offsets still count from
+    the stream's first byte.
     """
     read = stream.read
     buf = read(len(_BOM))
@@ -68,29 +75,26 @@ def _scan_records(stream, dl: int, caps: list[int]):
     rstart = 0  # record start within buf
     spos = 0  # scan resume position
     inq = False
-    qopen = -1
+    qopen = -1  # file offset of the open quote
+    quotes: list[tuple[int, int]] = []
     discard = False
     eof = False
     while True:
         blen = len(buf)
-        stalled = False
         while spos < blen:
             if inq:
                 k = buf.find(b'"', spos)
                 if k < 0:
                     spos = blen
-                elif k + 1 < blen:
-                    if buf[k + 1] == _QUOTE:
-                        spos = k + 2  # doubled quote, stay inside
-                    else:
-                        inq = False
-                        spos = k + 1
-                elif eof:
-                    inq = False
-                    spos = k + 1
+                elif k + 1 == blen:
+                    break  # quote is the last byte: escape or close? read on
+                elif buf[k + 1] == _QUOTE:
+                    spos = k + 2  # doubled quote, stay inside
                 else:
-                    stalled = True  # quote is the last byte: escape or close?
-                    break
+                    inq = False
+                    if not discard:  # a discarded record's quotes would pile up unbounded
+                        quotes.append((qopen - base - rstart, k - rstart))  # compaction keeps these
+                    spos = k + 1
             else:
                 n = buf.find(b"\n", spos)
                 limit = n if n >= 0 else blen
@@ -107,26 +111,18 @@ def _scan_records(stream, dl: int, caps: list[int]):
                         end -= 1
                     if discard:
                         discard = False
-                        yield ("big", None)
+                        yield ("big", None, None)
                     elif end > rstart:
-                        yield ("rec", buf[rstart:end])
+                        yield ("rec", buf[rstart:end], quotes)
                     else:
-                        yield ("blank", None)
+                        yield ("blank", None, None)
+                    quotes = []
                     rstart = spos = n + 1
                 else:
                     spos = blen
-            blen = len(buf)
-        if eof and not stalled:
+        if eof:
             if inq:
                 raise CsvParseError("unterminated quoted field", byte_offset=qopen)
-            if discard:
-                yield ("big", None)
-            else:
-                end = len(buf)
-                if end > rstart and buf[end - 1] == _CR:
-                    end -= 1
-                if end > rstart:
-                    yield ("rec", buf[rstart:end])
             return
         if not discard and len(buf) - rstart > caps[0]:
             discard = True
@@ -147,57 +143,32 @@ def _scan_records(stream, dl: int, caps: list[int]):
             buf += chunk
         else:
             eof = True
+            if buf:  # bytes after the last LF: their line ends like every other
+                buf += b"\n"
 
 
-def _split_fields(rec: bytes, dl: bytes) -> list[bytes] | None:
-    """Split one complete record into raw field bytes.
+def _fields(rec: bytes, quotes: list[tuple[int, int]], dl: bytes) -> list[bytes]:
+    """Split one record into raw field bytes, given its quoted fields'
+    (opening quote, closing quote) positions from :func:`_scan_records`.
 
-    Returns None only if quoting desynchronizes from the boundary scan,
-    which would be a parser bug, not an input problem.
+    A quoted field is its content with doubled quotes undoubled, plus the
+    bytes after the closing quote up to the next delimiter.
     """
-    q = rec.find(b'"')
-    if q < 0:
+    if not quotes:
         return rec.split(dl)
     out = []
-    i = 0
-    while True:
-        # the fields before the one that holds quote q hold no quote
-        s = rec.rfind(dl, i, q)
-        if s >= 0:
-            out += rec[i:s].split(dl)
-            i = s + 1
-        if q == i:
-            j = i + 1
-            parts = []
-            while True:
-                k = rec.find(b'"', j)
-                if k < 0:
-                    return None
-                if rec[k + 1 : k + 2] == b'"':
-                    parts.append(rec[j : k + 1])  # slice keeps one of the pair
-                    j = k + 2
-                else:
-                    parts.append(rec[j:k])
-                    i = k + 1
-                    break
-            d = rec.find(dl, i)
-            if d < 0:
-                parts.append(rec[i:])
-                out.append(b"".join(parts))
-                return out
-            parts.append(rec[i:d])
-            out.append(b"".join(parts))
-        else:  # a quote inside an unquoted field is a literal character
-            d = rec.find(dl, q)
-            if d < 0:
-                out.append(rec[i:])
-                return out
-            out.append(rec[i:d])
+    i = 0  # start of the next field
+    for qo, qc in quotes:
+        if qo > i:  # the fields before this one hold no quoted field
+            out += rec[i : qo - 1].split(dl)
+        d = rec.find(dl, qc + 1)
+        if d < 0:
+            d = len(rec)
+        out.append(rec[qo + 1 : qc].replace(b'""', b'"') + rec[qc + 1 : d])
         i = d + 1
-        q = rec.find(b'"', i)
-        if q < 0:
-            out += rec[i:].split(dl)
-            return out
+    if i <= len(rec):
+        out += rec[i:].split(dl)
+    return out
 
 
 def parse_csv(stream, delimiter: str = ",", *, source: str):
@@ -216,16 +187,14 @@ def parse_csv(stream, delimiter: str = ",", *, source: str):
     header: tuple[str, ...] | None = None
     ncols = 0
     row = 0
-    for kind, rec in _scan_records(stream, dlb[0], caps):
+    for kind, rec, quotes in _scan_records(stream, dlb[0], caps):
         if kind == "blank":
             yield None
             continue
         if header is None:
             if kind == "big":
                 raise CsvParseError(f"header record exceeds {caps[0]} bytes")
-            fields = _split_fields(rec, dlb)
-            if fields is None:
-                raise CsvParseError("quoting desynchronized in header")
+            fields = _fields(rec, quotes, dlb)
             try:
                 header = tuple(f.decode("utf-8") for f in fields)
             except UnicodeDecodeError as exc:
@@ -239,9 +208,7 @@ def parse_csv(stream, delimiter: str = ",", *, source: str):
         if kind == "big":
             yield RejectRecord(source, row, "oversize_field", "record exceeds size cap")
             continue
-        fields = _split_fields(rec, dlb)
-        if fields is None:
-            raise CsvParseError(f"quoting desynchronized at row {row}")
+        fields = _fields(rec, quotes, dlb)
         if len(fields) != ncols:
             yield RejectRecord(source, row, "ragged_row", f"{len(fields)} fields, expected {ncols}")
             continue

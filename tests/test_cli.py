@@ -196,6 +196,35 @@ def test_empty_path_is_exit_2_before_any_file(lake_dir, tmp_path, monkeypatch, c
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("bad", ["a\0b", "\ud800"], ids=["nul", "lone_surrogate"])
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("ingest", "sources[0].path"),
+        ("ingest", "sources[0].mapping"),
+        ("ingest", "lake_dir"),
+        ("ingest", "stoplist"),
+        ("query", "lake_dir"),
+        ("query", "out_dir"),
+    ],
+)
+def test_a_path_the_os_cannot_take_is_exit_2(tmp_path, monkeypatch, capsys, command, setting, bad):
+    # both are valid JSON strings, yet no file name: refused where the config is read
+    source = {"source": "yelp", "path": "y.csv"}
+    doc = {"sources": [source], "lake_dir": "lake", "out_dir": "out"}
+    if setting.startswith("sources[0]."):
+        source[setting.removeprefix("sources[0].")] = bad
+    else:
+        doc[setting] = bad
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert cli.run([command, *(["per_year"] if command == "query" else []), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and f"{setting} is not a path the OS can take" in err
+    assert os.listdir(tmp_path) == ["cfg.json"]  # no lake, no .lake-tmp-* staging directory, no output
+
+
 FILE_SETTINGS = {
     "sources": [{"source": "yelp", "path": "y.csv", "mapping": "m.json"}],
     "lake_dir": "l",

@@ -43,8 +43,11 @@ _VALID_CONFIG = {
 }
 
 # every path, a junk string included (no "/" or "."), stays in the run's directory;
-# "a\nb" is a name an error line must print without breaking it
-_PATHS = st.sampled_from(["yelp.csv", "steam.jsonl", "map.json", "stop.txt", "lake", "out", "nowhere", "a\nb", ""])
+# "a\nb" is a name an error line must print without breaking it, and "a\0b" and
+# "\ud800" are valid JSON strings that no file system takes
+_PATHS = st.sampled_from(
+    ["yelp.csv", "steam.jsonl", "map.json", "stop.txt", "lake", "out", "nowhere", "a\nb", "", "a\0b", "\ud800"]
+)
 _JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-1, 2) | st.floats() | st.text("aé", max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("aé", max_size=3), inner, max_size=3),

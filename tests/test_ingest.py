@@ -65,6 +65,12 @@ def test_blank_lines_counted_not_numbered():
     ]
 
 
+def test_a_last_line_that_is_a_bare_cr_is_a_blank_line():
+    # the last line ends like any other, so this CR line is blank as "\r\n" would be
+    out = rows_of(b"a,b\n1,2\n\r")
+    assert out == [RawRecord("steam", 1, {"a": "1", "b": "2"}), None]
+
+
 def test_mid_field_quote_is_literal():
     # a quote not at a field start never opens quoting
     out = rows_of(b'a,b\nit"s,fine\n')
@@ -143,7 +149,8 @@ def test_round_trip_against_stdlib_writer():
 
 
 def _reference_split_fields(rec, dl):
-    """_split_fields as written before it split quote-free runs of fields at once."""
+    """The field split as first written, field by field, finding every quote
+    itself: a frozen reference for ingest._fields."""
     if rec.find(b'"') < 0:
         return rec.split(dl)
     out = []
@@ -181,32 +188,74 @@ def _reference_split_fields(rec, dl):
             i = d + 1
 
 
-_RECORD_PIECE = st.sampled_from([b",", b";", b'"', b'""', b"a", b"bc", b" ", b"\n"])
+_RECORD_PIECE = st.sampled_from([b",", b";", b'"', b'""', b"a", b"bc", b" ", b"\n", b"\r"])
 
 
 @settings(max_examples=1000, deadline=None)
-@given(st.lists(_RECORD_PIECE, max_size=16), st.sampled_from([b",", b";"]))
+@given(st.lists(_RECORD_PIECE, max_size=24), st.sampled_from([b",", b";"]))
 def test_split_fields_matches_the_field_by_field_reference(pieces, dl):
-    rec = b"".join(pieces)
-    assert ingest._split_fields(rec, dl) == _reference_split_fields(rec, dl)
+    scanned = []  # collected first: each record must keep its own quote list
+    try:
+        for kind, rec, quotes in ingest._scan_records(io.BytesIO(b"".join(pieces)), dl[0], [1 << 20]):
+            if kind == "rec":
+                scanned.append((rec, quotes))
+    except CsvParseError:
+        pass  # an unterminated quote: the records before it still count
+    for rec, quotes in scanned:
+        assert ingest._fields(rec, quotes, dl) == _reference_split_fields(rec, dl)
 
 
 _BOM = b"\xef\xbb\xbf"
 
 
+def _parsed(data):
+    """parse_csv's items, or its error's message and byte offset."""
+    try:
+        return rows_of(data)
+    except CsvParseError as exc:
+        return str(exc), exc.byte_offset
+
+
+def _parsed_alike_at_each_chunk_size(data):
+    """_parsed(data) at the default read size, checked equal at each small one."""
+    expected = _parsed(data)
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk in (1, 2, 3, 7):
+            mp.setattr(ingest, "_CHUNK", chunk)
+            assert _parsed(data) == expected, chunk
+    return expected
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from([b"", _BOM]), st.lists(st.sampled_from([b",", b'"', b"\n", b"\r", b"a", _BOM]), max_size=20))
-def test_the_boundary_scan_and_the_field_split_never_disagree(head, pieces):
-    try:
-        rows_of(head + b"".join(pieces))
-    except CsvParseError as exc:
-        assert "desynchronized" not in str(exc)
+def test_parse_csv_reads_the_same_at_any_chunk_size(head, pieces):
+    # records, quotes and CRLF pairs cut at every read boundary
+    _parsed_alike_at_each_chunk_size(head + b"".join(pieces))
+
+
+@pytest.mark.parametrize("tail", [b'",2\nok,"q"""\r\n', b""], ids=["closed", "unterminated"])
+def test_the_discard_mode_reads_the_same_at_any_chunk_size(monkeypatch, tail):
+    # a small FIELD_CAP leaves the record cap at about 64 KiB, so this record,
+    # longer than one default read, is discarded at every read size, quotes,
+    # delimiters and line ends inside it too
+    monkeypatch.setattr(ingest, "FIELD_CAP", 4)
+    data = b'a,b\n1,2\n"' + b'x"",\r\n' * 50000 + tail
+    parsed = _parsed_alike_at_each_chunk_size(data)
+    if tail:
+        assert parsed == [
+            RawRecord("steam", 1, {"a": "1", "b": "2"}),
+            RejectRecord("steam", 2, "oversize_field", "record exceeds size cap"),
+            RawRecord("steam", 3, {"a": "ok", "b": 'q"'}),
+        ]
+    else:
+        assert parsed == ("unterminated quoted field", 8)
 
 
 @st.composite
 def _csv_documents(draw):
     """A delimiter and a CSV text over it: every quoting form, blank lines,
-    ragged rows, LF and CRLF endings; no bare CR, BOM or duplicate header name."""
+    ragged rows, LF and CRLF endings, a last line without its end or holding
+    only CR; no other bare CR, no BOM and no duplicate header name."""
     dl = draw(st.sampled_from([",", ";", "\t", "|"]))
 
     def plain(min_size=0):
@@ -227,7 +276,7 @@ def _csv_documents(draw):
     lines = [dl.join(row) for row in [header, *rows]]
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
     text = "".join(map(str.__add__, lines, ends))
-    return dl, text if draw(st.booleans()) else text.removesuffix(ends[-1])
+    return dl, draw(st.sampled_from([text, text.removesuffix(ends[-1]), text + "\r"]))
 
 
 def _stdlib_items(text, dl):
