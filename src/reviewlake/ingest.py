@@ -52,9 +52,11 @@ _decode_json = json.JSONDecoder(parse_int=str, parse_float=str, parse_constant=s
 
 def _scan_records(stream, dl: int, caps: list[int]):
     """Yield ("rec", record_bytes, quotes) per CSV record, ("blank", None,
-    None) per blank line, and ("big", None, None) per record dropped at the
+    None) per blank line, and ("big", None, None) per record longer than the
     size cap (caps[0], readable each check so the caller can widen it once
-    the header fixes the column count).
+    the header fixes the column count). A record's length, its bytes before
+    its LF with a CR included, is judged where the record ends; a record
+    that outgrows the cap before then is discarded as it is read.
 
     This is the one place that knows RFC-4180 quoting and where a record
     ends. A quote opens a field only at a field start (record start or right
@@ -109,7 +111,7 @@ def _scan_records(stream, dl: int, caps: list[int]):
                     end = n
                     if end > rstart and buf[end - 1] == _CR:
                         end -= 1
-                    if discard:
+                    if discard or n - rstart > caps[0]:
                         discard = False
                         yield ("big", None, None)
                     elif end > rstart:
@@ -124,7 +126,7 @@ def _scan_records(stream, dl: int, caps: list[int]):
             if inq:
                 raise CsvParseError("unterminated quoted field", byte_offset=qopen)
             return
-        if not discard and len(buf) - rstart > caps[0]:
+        if not discard and len(buf) - rstart > caps[0]:  # no LF ends this record yet
             discard = True
         if discard:
             # keep one byte of context so the field-start test stays valid

@@ -10,11 +10,12 @@ partial lake, even after a crash.
 
 A valid lake holds what :class:`LakeWriter` writes and nothing else.
 :func:`read_lake` also requires every record line to be exactly what
-:func:`review_to_json` writes followed by ``\n``, and each reject line to
-be what the writer writes with tallies per source and reason equal to the
-manifest's. A record line therefore has one spelling: added whitespace,
-another escape of the same character, a raw non-ASCII byte, a CRLF ending
-or a missing final newline is refused as loudly as a wrong value.
+:func:`review_to_json` writes followed by ``\n``, and every reject line to
+be what :func:`reject_to_json` writes, with tallies per source and reason
+equal to the manifest's. Each is checked by a pattern kept beside its
+writer, so a line has one spelling: added whitespace, another escape of
+the same character, a raw non-ASCII byte, a CRLF ending or a missing final
+newline is refused as loudly as a wrong value.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ REJECTS_NAME = "rejects.jsonl"
 
 # the C encoder json.dumps ends in for a str, with its default ensure_ascii
 _encode_str = json.encoder.encode_basestring_ascii
-# the C decoder json.loads uses for a str: _decode_str(s, 1) decodes the JSON
-# string that opens at s[0] and returns (value, end)
-_decode_str = json.decoder.scanstring
 
 
 class SourceStats(NamedTuple):
@@ -63,14 +61,12 @@ class SourceStats(NamedTuple):
 class LakeManifest(NamedTuple):
     created_at: str
     per_source: dict[str, SourceStats]
-    record_files: tuple[str, ...]
     stoplist_checksum: str
 
-
-def record_files(per_source: dict[str, SourceStats]) -> tuple[str, ...]:
-    """The record files of a lake with these tallies: one ``<source>.jsonl``
-    per source with accepted records, in source order."""
-    return tuple(f"{s}.jsonl" for s in sorted(per_source) if per_source[s].accepted)
+    @property
+    def record_files(self) -> tuple[str, ...]:
+        """One ``<source>.jsonl`` per source with accepted records, in source order."""
+        return tuple(f"{s}.jsonl" for s in sorted(self.per_source) if self.per_source[s].accepted)
 
 
 def lake_timestamp() -> str:
@@ -111,19 +107,28 @@ def review_to_json(r: UnifiedReview) -> str:
     )
 
 
+# A JSON string as _encode_str spells it: printable ASCII other than a quote
+# or a backslash, or the escapes it writes, in lowercase hex. Possessive
+# quantifiers never backtrack, which keeps a line match close to the C JSON
+# decoder's speed.
+_STRING = r'"[ !#-\[\]-~]*+(?:\\(?:["\\bfnrt]|u[0-9a-f]{4})[ !#-\[\]-~]*+)*+"'
+
 # A whole line as review_to_json writes it, then "\n". The groups are: the
-# name in its quotes, as _encode_str spells it (printable ASCII other than a
-# quote or a backslash, or the escapes it writes, in lowercase hex); the date
-# in ASCII digits; sentiment; upvotes with no leading zero; the cleaned text;
-# the source. read_lake checks by value what a pattern cannot: an escaped
-# name must re-encode to itself, the date must be a day in the window and
-# upvotes at most UPVOTE_MAX. Possessive quantifiers never backtrack, which
-# keeps the match close to the C JSON decoder's speed.
+# non-empty name; the date in ASCII digits; sentiment; upvotes with no
+# leading zero; the cleaned text; the source. read_lake checks by value what
+# a pattern cannot: an escaped name must be its value's one spelling, the
+# date must be a day in the window and upvotes at most UPVOTE_MAX.
 _record_line = re.compile(
-    r'\{"name":("(?!")[ !#-\[\]-~]*+(?:\\(?:["\\bfnrt]|u[0-9a-f]{4})[ !#-\[\]-~]*+)*+")'
+    r'\{"name":((?!"")' + _STRING + r')'
     r',"creation_date":"([0-9]{4}-[0-9]{2}-[0-9]{2})","sentiment":([01]),"upvotes":(0|[1-9][0-9]*+)'
     r',"review_text":"([A-Za-z]++(?: [A-Za-z]++)*+)","source":"([a-z]++)"\}\n'
 ).fullmatch
+
+
+def _one_spelling(spelled: str) -> str | None:
+    """The value of a string _STRING matched, or None where _encode_str spells it otherwise."""
+    value = json.decoder.scanstring(spelled, 1)[0]  # the C decoder json.loads uses for a str
+    return value if _encode_str(value) == spelled else None
 
 
 def reject_to_json(r: RejectRecord) -> str:
@@ -131,6 +136,15 @@ def reject_to_json(r: RejectRecord) -> str:
         f'{{"source":"{r.source}","row_number":{r.row_number}'
         f',"reason":"{r.reason}","detail":{_encode_str(r.detail)}}}'
     )
+
+
+# A whole line as reject_to_json writes it, then "\n", with a positive row
+# number and no leading zero. The groups are the source, the reason and the
+# detail. _check_rejects checks by value an escaped detail's spelling and the
+# tally per (source, reason).
+_reject_line = re.compile(
+    r'\{"source":"([a-z]++)","row_number":[1-9][0-9]*+,"reason":"([a-z_]++)","detail":(' + _STRING + r')\}\n'
+).fullmatch
 
 
 def manifest_to_json(m: LakeManifest) -> str:
@@ -216,7 +230,7 @@ class LakeWriter:
                 with open(part, "rb") as fh:
                     shutil.copyfileobj(fh, merged)
                 os.remove(part)
-        manifest = LakeManifest(created_at, per_source, record_files(per_source), stoplist_checksum)
+        manifest = LakeManifest(created_at, per_source, stoplist_checksum)
         with open(os.path.join(tmp, MANIFEST_NAME), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(manifest_to_json(manifest))
         for name in sorted(os.listdir(tmp)):
@@ -308,7 +322,6 @@ def load_manifest(lake_dir: str) -> LakeManifest:
         manifest = LakeManifest(
             created_at=_typed(doc["created_at"], str, "created_at", path),
             per_source=per_source,
-            record_files=record_files(per_source),
             stoplist_checksum=_typed(doc["stoplist_checksum"], str, "stoplist_checksum", path),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -343,6 +356,17 @@ def _count(v, what: str, path: str) -> int:
     return v
 
 
+def _lines(path: str):
+    """Number a lake line file's lines. latin-1 makes each byte one character,
+    so a byte outside ASCII reaches the line pattern, which refuses it with its line number."""
+    try:
+        fh = open(path, encoding="latin-1", newline="\n")
+    except OSError as exc:
+        raise CorruptLakeError(f"{path}: unreadable: {exc}") from None
+    with fh:
+        yield from enumerate(fh, start=1)
+
+
 def read_lake(lake_dir: str) -> list[UnifiedReview]:
     """Load a lake's records, in record-file order, checking as it goes.
 
@@ -362,39 +386,28 @@ def read_lake(lake_dir: str) -> list[UnifiedReview]:
         path = os.path.join(lake_dir, fname)
         expected = manifest.per_source[source].accepted
         start = len(records)
-        try:
-            # latin-1 makes each byte one character, so a byte outside ASCII
-            # reaches the pattern, which refuses it with its line number
-            fh = open(path, encoding="latin-1", newline="\n")
-        except OSError as exc:
-            raise CorruptLakeError(f"{path}: listed in manifest but unreadable: {exc}") from None
-        with fh:
-            for lineno, line in enumerate(fh, start=1):
-                m = match(line)
-                if m is None or m[6] != source:
-                    raise CorruptLakeError(f"{path}:{lineno}: not a record line as the writer writes it")
-                spelled, day, sentiment, upvotes, text, _ = m.groups()
-                if "\\" not in spelled:
-                    name = spelled[1:-1]
-                else:
-                    name = _decode_str(spelled, 1)[0]
-                    # an escaped name must be the writer's one spelling of its value
-                    if _encode_str(name) != spelled:
-                        raise CorruptLakeError(f"{path}:{lineno}: not a record line as the writer writes it")
-                date = dates.get(day)
-                if date is None:
-                    try:
-                        date = _dt.date.fromisoformat(day)
-                        if not DATE_WINDOW_LO <= date <= DATE_WINDOW_HI:
-                            raise ValueError
-                    except ValueError:
-                        raise CorruptLakeError(f"{path}:{lineno}: bad creation_date {day!r}") from None
-                    dates[day] = date
-                # the digit count first, so int() never meets a count past its limit
-                count = int(upvotes) if len(upvotes) <= UPVOTE_MAX_DIGITS else -1
-                if not 0 <= count <= UPVOTE_MAX:
-                    raise CorruptLakeError(f"{path}:{lineno}: upvotes must be an integer from 0 to UPVOTE_MAX")
-                append(new_record(UnifiedReview, (name, date, int(sentiment), count, text, source)))
+        for lineno, line in _lines(path):
+            m = match(line)
+            if m is None or m[6] != source:
+                raise CorruptLakeError(f"{path}:{lineno}: not a record line as the writer writes it")
+            spelled, day, sentiment, upvotes, text, _ = m.groups()
+            name = spelled[1:-1] if "\\" not in spelled else _one_spelling(spelled)
+            if name is None:
+                raise CorruptLakeError(f"{path}:{lineno}: not a record line as the writer writes it")
+            date = dates.get(day)
+            if date is None:
+                try:
+                    date = _dt.date.fromisoformat(day)
+                    if not DATE_WINDOW_LO <= date <= DATE_WINDOW_HI:
+                        raise ValueError
+                except ValueError:
+                    raise CorruptLakeError(f"{path}:{lineno}: bad creation_date {day!r}") from None
+                dates[day] = date
+            # the digit count first, so int() never meets a count past its limit
+            count = int(upvotes) if len(upvotes) <= UPVOTE_MAX_DIGITS else -1
+            if not 0 <= count <= UPVOTE_MAX:
+                raise CorruptLakeError(f"{path}:{lineno}: upvotes must be an integer from 0 to UPVOTE_MAX")
+            append(new_record(UnifiedReview, (name, date, int(sentiment), count, text, source)))
         n = len(records) - start
         if n != expected:
             raise CorruptLakeError(f"{path}: manifest claims {expected} records, file has {n}")
@@ -403,34 +416,17 @@ def read_lake(lake_dir: str) -> list[UnifiedReview]:
 
 
 def _check_rejects(lake_dir: str, manifest: LakeManifest) -> None:
-    """Each reject line must be what the writer writes, with a positive
-    row number, and the tally per (source, reason) must equal the manifest's."""
+    """Each reject line must be what reject_to_json writes, and the tally
+    per (source, reason) must equal the manifest's."""
     path = os.path.join(lake_dir, REJECTS_NAME)
-    expected = {
-        (src, reason): n
-        for src, st in manifest.per_source.items()
-        for reason, n in st.rejected_by_reason.items()
-        if n
-    }
+    expected = {(s, k): n for s, st in manifest.per_source.items() for k, n in st.rejected_by_reason.items() if n}
     tally: dict[tuple[str, str], int] = {}
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise CorruptLakeError(f"{path}: unreadable: {exc}") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                doc = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise CorruptLakeError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            try:
-                r = RejectRecord(doc["source"], doc["row_number"], doc["reason"], doc["detail"])
-                exact = reject_to_json(r) + "\n" == line.decode("utf-8")
-            except (KeyError, TypeError, ValueError):
-                exact = False
-            if not exact or r.row_number.__class__ is not int or r.row_number < 1:
-                raise CorruptLakeError(f"{path}:{lineno}: not a reject line as the writer writes it")
-            tally[r.source, r.reason] = tally.get((r.source, r.reason), 0) + 1
+    for lineno, line in _lines(path):
+        m = _reject_line(line)
+        if m is None or ("\\" in m[3] and _one_spelling(m[3]) is None):
+            raise CorruptLakeError(f"{path}:{lineno}: not a reject line as the writer writes it")
+        key = m.group(1, 2)
+        tally[key] = tally.get(key, 0) + 1
     if tally != expected:
         src, reason = min(k for k in tally.keys() | expected.keys() if tally.get(k) != expected.get(k))
         raise CorruptLakeError(

@@ -251,6 +251,31 @@ def test_the_discard_mode_reads_the_same_at_any_chunk_size(monkeypatch, tail):
         assert parsed == ("unterminated quoted field", 8)
 
 
+_ONE_COLUMN_CAP = 1 * (2 * 4 + 3) + 65536  # parse_csv's record cap for one column at a FIELD_CAP of 4
+
+
+@pytest.mark.parametrize(
+    "record, detail",
+    [
+        (b"x" * 98000, "record exceeds size cap"),
+        (b"x" * 49000 + b"," + b"x" * 49000, "record exceeds size cap"),
+        (b"x" * _ONE_COLUMN_CAP, "field over 4 bytes"),
+        (b"x" * (_ONE_COLUMN_CAP - 1) + b"\r", "field over 4 bytes"),
+        (b"x" * _ONE_COLUMN_CAP + b"\r", "record exceeds size cap"),
+    ],
+    ids=["one_field", "two_fields", "at_the_cap", "at_the_cap_with_cr", "past_the_cap_by_its_cr"],
+)
+def test_the_record_cap_judges_the_record_not_the_reads(monkeypatch, record, detail):
+    # each record is shorter than one default read, so at the default a
+    # cap tested only when the buffer refills never saw it; its length is
+    # its bytes before the LF, a CR included
+    monkeypatch.setattr(ingest, "FIELD_CAP", 4)
+    parsed = _parsed_alike_at_each_chunk_size(b"a\n" + record + b"\n")
+    assert parsed == [RejectRecord("steam", 1, "oversize_field", detail)]
+    monkeypatch.setattr(ingest, "_CHUNK", 4099)
+    assert _parsed(b"a\n" + record + b"\n") == parsed
+
+
 @st.composite
 def _csv_documents(draw):
     """A delimiter and a CSV text over it: every quoting form, blank lines,

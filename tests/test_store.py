@@ -1,5 +1,6 @@
 """Lake writing, read-back validation, atomicity, and corruption detection."""
 
+import collections
 import contextlib
 import datetime
 import io
@@ -17,7 +18,15 @@ from hypothesis import strategies as st
 
 from reviewlake import cli, store
 from reviewlake.errors import ConfigurationError, CorruptLakeError
-from reviewlake.model import DATE_WINDOW_HI, DATE_WINDOW_LO, SOURCES, UPVOTE_MAX, RejectRecord, UnifiedReview
+from reviewlake.model import (
+    DATE_WINDOW_HI,
+    DATE_WINDOW_LO,
+    REJECT_REASONS,
+    SOURCES,
+    UPVOTE_MAX,
+    RejectRecord,
+    UnifiedReview,
+)
 
 
 def R(src, y=2020, m=5, d=4, sent=1, up=3, text="Great fun", name="N"):
@@ -365,6 +374,35 @@ def _record_file_bytes(records, source):
     return "".join(store.review_to_json(r) + "\n" for r in records if r.source == source).encode()
 
 
+def _one_byte_edited(path, data):
+    """Replace, delete or insert one byte of the file at path."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # most edits land on or just after a byte where JSON allows another
+    # spelling, or on the final newline
+    marks = [i for i, b in enumerate(raw) if b in b"{},:\\\n"]
+    at = data.draw(
+        st.one_of(
+            st.integers(0, len(raw) - 1),
+            st.sampled_from(marks),
+            st.sampled_from(marks).map(lambda i: i + 1),
+            st.just(len(raw) - 1),
+        )
+    )
+    new_byte = st.one_of(st.sampled_from(b' \t\r\n"\\/0aeuW\xc3'), st.integers(0, 255))
+    op = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+    if op == "insert":
+        raw = raw[:at] + bytes([data.draw(new_byte)]) + raw[at:]
+    elif at < len(raw):
+        new = b""
+        if op == "replace":
+            new = bytes([data.draw(new_byte.filter(lambda b: b != raw[at]))])
+        raw = raw[:at] + new + raw[at + 1:]
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    return raw
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_REVIEW, min_size=1, max_size=8), st.data())
 def test_a_lake_reads_back_exactly_and_one_edited_byte_is_refused_or_reread_exactly(reviews, data):
@@ -376,28 +414,7 @@ def test_a_lake_reads_back_exactly_and_one_edited_byte_is_refused_or_reread_exac
         manifest = build_lake(lake, reviews)
         assert store.read_lake(lake) == sorted(reviews, key=lambda r: r.source)
 
-        fname = data.draw(st.sampled_from(manifest.record_files))
-        path = os.path.join(lake, fname)
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        # most edits land on or just after a byte where JSON allows another spelling
-        marks = [i for i, b in enumerate(raw) if b in b"{},:\\\n"]
-        at = data.draw(
-            st.one_of(
-                st.integers(0, len(raw) - 1), st.sampled_from(marks), st.sampled_from(marks).map(lambda i: i + 1)
-            )
-        )
-        new_byte = st.one_of(st.sampled_from(b' \t\r\n"\\/0aeuW\xc3'), st.integers(0, 255))
-        op = data.draw(st.sampled_from(["replace", "delete", "insert"]))
-        if op == "insert":
-            raw = raw[:at] + bytes([data.draw(new_byte)]) + raw[at:]
-        elif at < len(raw):
-            new = b""
-            if op == "replace":
-                new = bytes([data.draw(new_byte.filter(lambda b: b != raw[at]))])
-            raw = raw[:at] + new + raw[at + 1:]
-        with open(path, "wb") as fh:
-            fh.write(raw)
+        _one_byte_edited(os.path.join(lake, data.draw(st.sampled_from(manifest.record_files))), data)
         try:
             back = store.read_lake(lake)
         except CorruptLakeError:
@@ -405,6 +422,42 @@ def test_a_lake_reads_back_exactly_and_one_edited_byte_is_refused_or_reread_exac
         for f in manifest.record_files:
             with open(os.path.join(lake, f), "rb") as fh:
                 assert _record_file_bytes(back, f[: -len(".jsonl")]) == fh.read()
+
+
+_REJECT = st.builds(
+    RejectRecord,
+    source=st.sampled_from(SOURCES),
+    row_number=st.integers(1, 10**6),
+    reason=st.sampled_from(sorted(REJECT_REASONS)),
+    detail=st.text(_NAME_CHAR, max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_REJECT, min_size=1, max_size=8), st.data())
+def test_a_reject_file_reads_back_and_one_edited_byte_is_refused_or_still_the_writers(rejects, data):
+    """What the writer writes reads back. After one byte of rejects.jsonl is
+    replaced, deleted or inserted, the lake is refused, unless every line is
+    still one that reject_to_json writes and the tally still equals the manifest's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        lake = os.path.join(tmp, "lake")
+        manifest = build_lake(lake, rejects)
+        assert store.read_lake(lake) == []
+
+        raw = _one_byte_edited(os.path.join(lake, store.REJECTS_NAME), data)
+        try:
+            store.read_lake(lake)
+        except CorruptLakeError:
+            return
+        *lines, last = raw.split(b"\n")
+        assert last == b""
+        tally = collections.Counter()
+        for line in lines:
+            r = RejectRecord(**json.loads(line))
+            assert r.row_number.__class__ is int and r.row_number > 0
+            assert store.reject_to_json(r).encode() == line
+            tally[r.source, r.reason] += 1
+        assert tally == {(src, k): n for src, s in manifest.per_source.items() for k, n in s.rejected_by_reason.items()}
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
@@ -496,9 +549,12 @@ def _replace_once(old, new):
     return tamper
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize(
-    "name, tamper",
-    [
+    "name, tamper, line",
+    [(name, tamper, None) for name, tamper in [
         ("manifest.json", _edit_manifest(lambda d: d["per_source"]["steam"].update(rejected_by_reason=[]))),
         ("manifest.json", _edit_manifest(lambda d: d.update(record_files=[5]))),
         # steam.jsonl holds the 2 records its count claims, so each read checks out
@@ -536,7 +592,19 @@ def _replace_once(old, new):
         ("imdb.jsonl", _replace_once("}\n", "}\r\n")),
         ("imdb.jsonl", _replace_once("}\n", "}")),
         ("imdb.jsonl", _replace_once("Inc\\u00e9", "Inc\u00e9")),
-    ],
+    ]]
+    # each of these is a reject line the writer never writes; the error names its line
+    + [("rejects.jsonl", tamper, line) for tamper, line in [
+        (_replace_once('"row_number":4,', '"row_number":0,'), 1),
+        (_replace_once('"row_number":4,', '"row_number":01,'), 1),
+        (_replace_once('"row_number":4,', '"row_number":2.0,'), 1),
+        (_replace_once('"row_number":4,', '"row_number":true,'), 1),
+        (_replace_once('"detail":"notanepoch"', '"detail":"\\u0041notanepoch"'), 1),
+        (_replace_once('"detail":"notanepoch"', '"detail":"not\u00e9poch"'), 1),
+        (_replace_once("}\n", "}\r\n"), 1),
+        (lambda text: text.removesuffix("\n"), 2),
+        (lambda text: text + _DEEP + "\n", 3),  # json.loads would raise RecursionError here
+    ]],
     ids=[
         "reasons_not_an_object", "record_file_not_a_name", "record_file_listed_twice",
         "reject_not_an_object", "reject_reason_unhashable",
@@ -547,9 +615,12 @@ def _replace_once(old, new):
         "record_space_after_comma", "record_space_after_brace", "record_trailing_spaces",
         "record_duplicate_key", "record_name_letter_escaped", "record_text_letter_escaped",
         "record_crlf", "record_no_final_newline", "record_raw_utf8",
+        "reject_row_number_zero", "reject_row_number_leading_zero", "reject_row_number_float",
+        "reject_row_number_bool", "reject_detail_letter_escaped", "reject_detail_raw_utf8",
+        "reject_crlf", "reject_no_final_newline", "reject_nested_past_the_decoder_depth",
     ],
 )
-def test_tampered_lake_is_exit_1_not_a_traceback(tmp_path, capsys, name, tamper):
+def test_tampered_lake_is_exit_1_not_a_traceback(tmp_path, capsys, name, tamper, line):
     lake = tmp_path / "lake"
     write_sample(lake)
     path = lake / name
@@ -558,6 +629,8 @@ def test_tampered_lake_is_exit_1_not_a_traceback(tmp_path, capsys, name, tamper)
     assert cli.run(["query", "per_year", "--lake", str(lake), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if line:
+        assert err == f"error: {path}:{line}: not a reject line as the writer writes it\n"
 
 
 def _edit_manifest_in_layout(edit):
