@@ -19,7 +19,6 @@ import hashlib
 import itertools
 import math
 import string
-from functools import cached_property, lru_cache
 from importlib import resources
 
 from reviewlake.errors import ConfigurationError
@@ -94,9 +93,7 @@ def remove_stopwords(s: str, stops: "Stoplist") -> str:
     A token is tested against the stoplist's spellings as it stands; only
     the words left out of them cost a ``lower()`` per token.
     """
-    if not s:
-        return ""
-    spellings, unexpanded = stops.expansion
+    spellings, unexpanded = stops.spellings, stops.unexpanded
     kept = [t for t in s.split(" ") if t not in spellings]
     if unexpanded:
         kept = [t for t in kept if t.lower() not in unexpanded]
@@ -216,12 +213,6 @@ _WINDOW_LO = (DATE_WINDOW_LO.year, DATE_WINDOW_LO.month, DATE_WINDOW_LO.day)
 _WINDOW_HI = (DATE_WINDOW_HI.year, DATE_WINDOW_HI.month, DATE_WINDOW_HI.day)
 
 
-# unbounded but small: a mapping's formats are distinct ids out of five
-@lru_cache(maxsize=None)
-def _matchers(formats: tuple[str, ...]) -> tuple:
-    return tuple(_FORMAT_MATCHERS[fmt] for fmt in formats)
-
-
 def normalize_date(raw: str, formats: tuple[str, ...]) -> _dt.date:
     """Parse with the first lexically matching format, then validate.
 
@@ -233,8 +224,8 @@ def normalize_date(raw: str, formats: tuple[str, ...]) -> _dt.date:
     """
     if not raw.isascii():
         raise CleanRejection("bad_date", raw)
-    for match in _matchers(formats):
-        ymd = match(raw)
+    for fmt in formats:
+        ymd = _FORMAT_MATCHERS[fmt](raw)
         if ymd is None:
             continue
         if _WINDOW_LO <= ymd <= _WINDOW_HI:
@@ -258,14 +249,15 @@ def parse_upvotes(raw: str) -> int:
 
     Strictly ASCII digits naming at most UPVOTE_MAX: int() alone would wave
     through signs, surrounding whitespace, underscores, and non-ASCII
-    digits. The length check runs before int(), so a long count costs no
-    conversion.
+    digits. Leading zeros are dropped before the digit count is checked, so
+    the value is judged, not its spelling, and no long count reaches int().
     """
     if raw == "":
         return 0
-    if not (raw.isascii() and raw.isdecimal()) or len(raw) > UPVOTE_MAX_DIGITS:
+    digits = raw.lstrip("0") or "0"
+    if not (raw.isascii() and raw.isdecimal()) or len(digits) > UPVOTE_MAX_DIGITS:
         raise CleanRejection("bad_upvotes", raw)
-    n = int(raw, 10)
+    n = int(digits, 10)
     if n > UPVOTE_MAX:
         raise CleanRejection("bad_upvotes", raw)
     return n
@@ -293,41 +285,35 @@ def _spellings(word: str):
 class Stoplist:
     """Lowercase stopword set plus its checksum for the lake manifest.
 
-    ``expansion`` is (spellings, unexpanded), built on first use, so code
-    that only reads ``words`` never pays for it. ``spellings`` holds every
-    string whose lower() is an expanded word, so a token needs no lower()
-    to be tested. A word of n letters has at least 2**n spellings, so the
-    words are expanded cheapest first while the total stays within
-    _SPELLING_BUDGET; the rest are ``unexpanded`` and tested through lower().
-    The bundled list expands whole, into 5,624 spellings.
+    ``spellings`` holds every string whose lower() is an expanded word, so
+    a token needs no lower() to be tested. A word of n letters has at least
+    2**n spellings, so the words are expanded cheapest first while the total
+    stays within _SPELLING_BUDGET; the rest are ``unexpanded`` and tested
+    through lower(). The bundled list expands whole, into 5,624 spellings.
     """
 
     def __init__(self, words: frozenset[str], checksum: str):
         self.words = words
         self.checksum = checksum
-
-    @cached_property
-    def expansion(self) -> tuple[frozenset[str], frozenset[str]]:
         spellings: set[str] = set()
         unexpanded = set()
         budget = _SPELLING_BUDGET
-        for cost, word in sorted((math.prod(len(_CASES[c]) for c in w), w) for w in self.words):
+        for cost, word in sorted((math.prod(len(_CASES[c]) for c in w), w) for w in words):
             if cost <= budget:
                 spellings.update(_spellings(word))
                 budget -= cost
             else:
                 unexpanded.add(word)
-        return frozenset(spellings), frozenset(unexpanded)
+        self.spellings = frozenset(spellings)
+        self.unexpanded = frozenset(unexpanded)
 
 
-def load_stoplist(path: str) -> Stoplist:
-    """Load a one-word-per-line stoplist; ``#`` starts a comment line."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _parse_stoplist(blob: bytes, origin: str) -> Stoplist:
+    """One word per line; ``#`` starts a comment line. ``origin`` names the list in errors."""
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: stoplist is not UTF-8: {exc}") from None
+        raise ConfigurationError(f"{origin}: stoplist is not UTF-8: {exc}") from None
     words = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         token = line.strip()
@@ -335,18 +321,22 @@ def load_stoplist(path: str) -> Stoplist:
             continue
         if not token.isascii() or not token.isalpha() or token != token.lower():
             raise ConfigurationError(
-                f"{path}:{lineno}: stoplist entries must be lowercase alphabetic, got {token!r}"
+                f"{origin}:{lineno}: stoplist entries must be lowercase alphabetic, got {token!r}"
             )
         words.add(token)
     return Stoplist(frozenset(words), hashlib.sha256(blob).hexdigest())
 
 
-@lru_cache(maxsize=1)
+def load_stoplist(path: str) -> Stoplist:
+    """Load a one-word-per-line stoplist file; ``#`` starts a comment line."""
+    with open(path, "rb") as fh:
+        return _parse_stoplist(fh.read(), path)
+
+
 def default_stoplist() -> Stoplist:
     """The bundled list of 127 common English function words."""
-    res = resources.files("reviewlake").joinpath("data/stopwords.txt")
-    with resources.as_file(res) as path:
-        return load_stoplist(str(path))
+    blob = resources.files("reviewlake").joinpath("data/stopwords.txt").read_bytes()
+    return _parse_stoplist(blob, "builtin stoplist")
 
 
 # ---------------------------------------------------------------------------

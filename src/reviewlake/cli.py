@@ -224,12 +224,15 @@ def cmd_query(cfg: RunConfig, ids: list[str], charts: bool = False) -> int:
     if os.path.commonpath([lake, os.path.realpath(cfg.out_dir)]) == lake:
         raise ConfigurationError(f"out_dir {cfg.out_dir!r} is the lake {cfg.lake_dir!r} or a directory in it")
     # records and group states are acyclic: the collector would only rescan
-    # them. Nothing names the records, so they are freed inside the pause;
-    # left alive, they would be scanned once the collector resumes.
+    # them. They are freed inside the pause; left alive, they would be
+    # scanned once the collector resumes.
     with engine.gc_paused():
-        cube = analytics.rollup(
-            engine.PartitionedDataset.from_records(store.read_lake(cfg.lake_dir), cfg.partitions)
-        )
+        records = store.read_lake(cfg.lake_dir)
+        # partitions never change a result, and each one costs memory: at most one per record
+        ds = engine.PartitionedDataset.from_records(records, max(1, min(cfg.partitions, len(records))))
+        del records
+        cube = analytics.rollup(ds)
+        del ds
     tables = {qid: _QUERY_FNS[qid](cube) for qid in ids or analytics.QUERY_IDS}
     out_dir = cfg.out_dir
     exts = (cfg.format, "svg") if charts else (cfg.format,)

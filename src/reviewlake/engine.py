@@ -94,8 +94,7 @@ class PartitionedDataset:
 
     @classmethod
     def from_records(cls, records, partition_count: int) -> "PartitionedDataset":
-        """Distribute records round-robin: partition p gets indices p, p+N, p+2N, ..."""
-        records = list(records)
+        """Distribute a list of records round-robin: partition p gets indices p, p+N, p+2N, ..."""
         return cls(records[i::partition_count] for i in range(partition_count))
 
     def map(self, f) -> "PartitionedDataset":

@@ -26,7 +26,6 @@ kept as-is.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
@@ -156,8 +155,6 @@ def _fields(rec: bytes, quotes: list[tuple[int, int]], dl: bytes) -> list[bytes]
     A quoted field is its content with doubled quotes undoubled, plus the
     bytes after the closing quote up to the next delimiter.
     """
-    if not quotes:
-        return rec.split(dl)
     out = []
     i = 0  # start of the next field
     for qo, qc in quotes:
@@ -373,7 +370,6 @@ def load_mapping(path: str) -> SourceMapping:
     return _mapping_from_obj(obj, path)
 
 
-@lru_cache(maxsize=None)
 def default_mapping(source: str) -> SourceMapping:
     """The bundled mapping for a source; user mapping files override it."""
     blob = resources.files("reviewlake").joinpath(f"data/mappings/{source}.json").read_text("utf-8")

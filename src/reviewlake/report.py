@@ -162,7 +162,7 @@ def chart_svg(spec: ChartSpec, table: AggTable) -> str:
 
     for i in range(1, 6):
         gy = top + ph - ph * i / 5
-        gv = lo + span * i / 5
+        gv = lo + span / 5 * i
         out.append(
             f'<line x1="{left}" y1="{gy:.2f}" x2="{left + pw}" y2="{gy:.2f}" '
             f'stroke="#ddd" stroke-width="1"/>'
@@ -187,7 +187,7 @@ def chart_svg(spec: ChartSpec, table: AggTable) -> str:
             v = cells.get((x, s))
             if v is None:
                 continue
-            bh = ph * abs(v) / span
+            bh = ph * (abs(v) / span)
             by = zero_y - bh if v >= 0 else zero_y
             out.append(
                 f'<rect x="{gx + gw * 0.15 + sj * bw:.2f}" y="{by:.2f}" '

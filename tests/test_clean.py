@@ -93,7 +93,7 @@ def _stoplist(*words):
 
 def test_every_character_that_lowers_to_a_letter_is_a_spelling():
     stops = _stoplist(*string.ascii_lowercase)
-    assert stops.expansion[1] == frozenset()
+    assert stops.unexpanded == frozenset()
     for start in range(0, sys.maxunicode + 1, 1 << 16):  # every code point, a plane at a time
         chars = [chr(c) for c in range(start, start + (1 << 16)) if c != 0x20]
         kept = [c for c in chars if c.lower() not in stops.words]
@@ -104,10 +104,10 @@ def test_every_character_that_lowers_to_a_letter_is_a_spelling():
 
 
 def test_bundled_stoplist_expands_whole():
-    spellings, unexpanded = default_stoplist().expansion
-    assert unexpanded == frozenset()
-    assert len(spellings) == 5624
-    assert {t.lower() for t in spellings} == default_stoplist().words
+    stops = default_stoplist()
+    assert stops.unexpanded == frozenset()
+    assert len(stops.spellings) == 5624
+    assert {t.lower() for t in stops.spellings} == stops.words
 
 
 _KICK = "kick"  # k has three spellings: k, K and U+212A KELVIN SIGN
@@ -131,9 +131,8 @@ _CUSTOM_TOKEN = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(st.lists(_CUSTOM_TOKEN, max_size=30))
 def test_custom_stoplist_removes_exactly_the_stopwords(tokens):
-    spellings, unexpanded = _CUSTOM.expansion
-    assert unexpanded == frozenset({_LONG})
-    assert len(spellings) == 36 + 2
+    assert _CUSTOM.unexpanded == frozenset({_LONG})
+    assert len(_CUSTOM.spellings) == 36 + 2
     kept = [t for t in tokens if t.lower() not in _CUSTOM.words]
     assert remove_stopwords(" ".join(tokens), _CUSTOM) == " ".join(kept)
 
@@ -231,7 +230,13 @@ def test_upvote_digit_cap_ignores_the_interpreter_limit(limit):
     try:
         assert parse_upvotes(str(clean.UPVOTE_MAX)) == clean.UPVOTE_MAX
         assert parse_upvotes("9" * 308) == 10**308 - 1
-        for over in (str(clean.UPVOTE_MAX + 1), "9" * 309, "1" + "0" * 309, "9" * 641):
+        # the value is judged, not the spelling: leading zeros do not count
+        assert parse_upvotes("007") == 7
+        assert parse_upvotes("0" * 309 + "1") == 1
+        assert parse_upvotes("0" * 5000) == 0
+        assert parse_upvotes("0" * 400 + str(clean.UPVOTE_MAX)) == clean.UPVOTE_MAX
+        over_max = str(clean.UPVOTE_MAX + 1)
+        for over in (over_max, "0" * 400 + over_max, "9" * 309, "1" + "0" * 309, "9" * 641):
             with pytest.raises(CleanRejection) as ei:
                 parse_upvotes(over)
             assert ei.value.reason == "bad_upvotes"

@@ -555,6 +555,9 @@ def test_upvote_count_above_the_float_range_is_a_reject_and_the_lake_reports(tmp
     capsys.readouterr()
     assert cli.run(["report", "--lake", str(lake), "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
+    for chart in (tmp_path / "out").glob("*.svg"):
+        svg = chart.read_text(encoding="utf-8")
+        assert "inf" not in svg and "nan" not in svg, chart.name
 
 
 def test_fatal_csv_error_names_the_file_and_the_byte(tmp_path):
@@ -787,7 +790,6 @@ def seed1_corpus(tmp_path_factory):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_lake_keeps_its_bytes(seed1_corpus, tmp_path, monkeypatch, capsys, threads):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    monkeypatch.delenv("REVIEWLAKE_STOPLIST", raising=False)
     lake = tmp_path / "lake"
     argv = ["ingest", "--config", str(seed1_corpus / "config.json"), "--lake", str(lake), "--threads", threads]
     assert cli.run(argv) == 0
@@ -825,7 +827,6 @@ PINNED_OUTPUT = {
 @pytest.mark.parametrize("command", [["report"], ["query", "--format", "json"]], ids=["report", "query_json"])
 def test_tables_and_charts_keep_their_bytes(seed1_corpus, tmp_path, monkeypatch, capsys, command):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    monkeypatch.delenv("REVIEWLAKE_STOPLIST", raising=False)
     lake, out = tmp_path / "lake", tmp_path / "out"
     assert cli.run(["ingest", "--config", str(seed1_corpus / "config.json"), "--lake", str(lake)]) == 0
     assert cli.run(command + ["--lake", str(lake), "--out", str(out)]) == 0
@@ -943,6 +944,22 @@ def test_all_six_views_cost_two_folds_and_one_map(lake_dir, tmp_path, monkeypatc
     assert cli.run(["query", "--lake", str(lake_dir), "--out", str(tmp_path)]) == 0
     assert len(os.listdir(tmp_path)) == 6
     assert calls == {"group_aggregate": 2, "map": 1}
+
+
+def test_query_makes_at_most_one_partition_per_record(lake_dir, tmp_path, monkeypatch):
+    from_records = PartitionedDataset.__dict__["from_records"].__func__
+    counts = []
+
+    def bounded(cls, records, partition_count):
+        if partition_count > len(records):  # fail before a billion partition lists are built
+            raise AssertionError(f"{partition_count} partitions for {len(records)} records")
+        counts.append(partition_count)
+        return from_records(cls, records, partition_count)
+
+    monkeypatch.setattr(PartitionedDataset, "from_records", classmethod(bounded))
+    assert cli.run(["query", "--lake", str(lake_dir), "--out", str(tmp_path), "--partitions", "1000000000"]) == 0
+    manifest = json.loads((lake_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert counts == [sum(st["accepted"] for st in manifest["per_source"].values())]
 
 
 def test_overflow_through_the_rollup_names_the_group_and_writes_nothing(tmp_path, capsys):

@@ -425,6 +425,11 @@ def test_default_mappings_cover_all_sources():
         assert len(m.date_formats) >= 1
 
 
+def test_each_default_mapping_is_its_own():
+    default_mapping("steam").column_map["text"] = "x"
+    assert default_mapping("steam").column_map["text"] == "review"
+
+
 def test_load_mapping_validation(tmp_path):
     good = {
         "source": "steam",

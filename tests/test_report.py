@@ -8,7 +8,7 @@ import pytest
 
 from reviewlake import analytics, report
 from reviewlake.errors import ConfigurationError
-from reviewlake.model import AggTable
+from reviewlake.model import UPVOTE_MAX, AggTable
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -144,6 +144,17 @@ def test_no_series_chart_has_no_legend():
     t = AggTable("t", ("k", "v"), [("a", 2)])
     svg = report.chart_svg(report.ChartSpec(x="k", y="v"), t)
     assert [x.get("fill") for x in svg_elems(svg, "text") if x.get("fill")] == []
+
+
+def test_chart_of_a_value_near_the_float_max_stays_finite():
+    t = AggTable("t", ("k", "v"), [("a", float(UPVOTE_MAX)), ("b", 1.0)])
+    svg = report.chart_svg(report.ChartSpec(x="k", y="v"), t)
+    assert "inf" not in svg and "nan" not in svg
+    tall, short = rect_boxes(svg)
+    assert 0 < tall["y"] and tall["y"] + tall["height"] <= report.HEIGHT
+    assert short["height"] == 0.0
+    labels = [x.text for x in svg_elems(svg, "text")]
+    assert labels == [f"{float(UPVOTE_MAX) / 5 * i:g}" for i in range(1, 6)] + ["0", "a", "b"]
 
 
 def test_empty_table_renders_no_data():
