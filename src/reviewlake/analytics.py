@@ -10,9 +10,10 @@ combine before a shuffle:
   holding the count and the sums of text lengths and upvotes, gives
   length_upvotes and sentiment_profile.
 
-Each table is one engine fold over the records, so a query of all six
-views folds over every record twice, not six times. Every count and sum is an
-int, so re-grouping them is exact, and a mean is one correctly rounded
+Each table is one engine fold over the records, named by the key columns
+above and its metrics, so a query of all six views folds over every
+record twice, not six times. Every count and sum is an int, so
+re-grouping them is exact, and a mean is one correctly rounded
 int/int division, the same value a fold over the records gives. No mean
 can leave the float range: a mean never exceeds the largest value it
 averages, and the lake holds no upvote count above ``UPVOTE_MAX``. Results
@@ -26,10 +27,9 @@ length_upvotes, sentiment_profile.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from reviewlake.engine import AggSpec, Metric, PartitionedDataset, _median, group_aggregate
+from reviewlake.engine import Metric, PartitionedDataset, _median, group_aggregate
 from reviewlake.model import AggTable, new_record
 
 WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
@@ -59,23 +59,15 @@ def _to_profile_row(r) -> ProfileRow:
     return new_record(ProfileRow, (r.source, r.sentiment, bucket, length, r.upvotes))
 
 
-_CALENDAR = AggSpec(
-    "calendar",
-    ("source", "creation_date", "sentiment"),
-    attrgetter("source", "creation_date", "sentiment"),
-    (Metric("count"),),
-)
-_LENGTHS = AggSpec(
-    "lengths",
-    ("source", "sentiment", "bucket"),
-    attrgetter("source", "sentiment", "bucket"),
-    (Metric("count"), Metric("sum", "length"), Metric("sum", "upvotes")),
-)
-
-
 def rollup(ds: PartitionedDataset) -> Rollup:
     """The calendar counts and the length profile of a dataset of UnifiedReviews."""
-    return Rollup(group_aggregate(ds, _CALENDAR), group_aggregate(ds.map(_to_profile_row), _LENGTHS))
+    calendar = group_aggregate(ds, ("source", "creation_date", "sentiment"), (Metric("count"),))
+    lengths = group_aggregate(
+        ds.map(_to_profile_row),
+        ("source", "sentiment", "bucket"),
+        (Metric("count"), Metric("sum", "length"), Metric("sum", "upvotes")),
+    )
+    return Rollup(calendar, lengths)
 
 
 def _summed(pairs) -> list[tuple]:
@@ -89,20 +81,20 @@ def _summed(pairs) -> list[tuple]:
 def reviews_per_year(cube: Rollup) -> AggTable:
     """Review counts grouped by (year, source)."""
     rows = _summed(((day.year, src), n) for src, day, _sent, n in cube.calendar.rows)
-    return AggTable("per_year", ("year", "source", "count"), rows)
+    return AggTable(("year", "source", "count"), rows)
 
 
 def reviews_per_weekday(cube: Rollup) -> AggTable:
     """Counts by ISO weekday (Monday=1) and source, with the day name."""
     base = _summed(((day.isoweekday(), src), n) for src, day, _sent, n in cube.calendar.rows)
     rows = [(wd, WEEKDAY_NAMES[wd - 1], src, n) for wd, src, n in base]
-    return AggTable("per_weekday", ("weekday", "weekday_name", "source", "count"), rows)
+    return AggTable(("weekday", "weekday_name", "source", "count"), rows)
 
 
 def reviews_per_month(cube: Rollup) -> AggTable:
     """Counts by calendar month (1-12) and source."""
     rows = _summed(((day.month, src), n) for src, day, _sent, n in cube.calendar.rows)
-    return AggTable("per_month", ("month", "source", "count"), rows)
+    return AggTable(("month", "source", "count"), rows)
 
 
 def length_upvote_profile(cube: Rollup) -> AggTable:
@@ -117,7 +109,7 @@ def length_upvote_profile(cube: Rollup) -> AggTable:
         acc[0] += n
         acc[1] += upvotes
     rows = [(bucket, n, upvotes / n) for bucket, (n, upvotes) in sorted(sums.items())]
-    return AggTable("length_upvotes", ("bucket", "review_count", "mean_upvotes"), rows)
+    return AggTable(("bucket", "review_count", "mean_upvotes"), rows)
 
 
 def sentiment_profile(cube: Rollup) -> AggTable:
@@ -129,9 +121,7 @@ def sentiment_profile(cube: Rollup) -> AggTable:
         acc[1] += length
         acc[2] += upvotes
     rows = [key + (length / n, upvotes / n, n) for key, (n, length, upvotes) in sorted(sums.items())]
-    return AggTable(
-        "sentiment_profile", ("source", "sentiment", "mean_length", "mean_upvotes", "count"), rows
-    )
+    return AggTable(("source", "sentiment", "mean_length", "mean_upvotes", "count"), rows)
 
 
 def yoy_percent_change(cube: Rollup) -> AggTable:
@@ -179,9 +169,7 @@ def yoy_percent_change(cube: Rollup) -> AggTable:
             if pcts:
                 rows.append((src, "median", _median(pcts, False), split))
     rows.sort(key=lambda r: (r[0], r[1], r[3]))
-    return AggTable(
-        "yoy", ("source", "year", "pct_change", "sentiment_split"), rows, tuple(notes)
-    )
+    return AggTable(("source", "year", "pct_change", "sentiment_split"), rows, tuple(notes))
 
 
 #: Query id -> view, in canonical order; the only catalog of views. The CLI

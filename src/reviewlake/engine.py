@@ -1,11 +1,14 @@
 """Partitioned in-memory datasets with exact, order-independent group-bys.
 
 Records live in N round-robin partitions. Transformations are pure and
-element-wise. An aggregation takes two steps in the calling process: it
-walks the partitions in order and appends each record to its group's list,
-then, group by group in ascending key order, computes each metric over the
-group's values. A metric depends only on which values a group holds, never
-on their order, so results are byte-identical for any partition count:
+element-wise. An aggregation is its key columns and its metrics, as in a
+``groupBy(*cols)``: a record's group key is read from those columns, so
+a table's header always says what its rows hold. It takes two steps in
+the calling process: it walks the partitions in order and appends each
+record to its group's list, then, group by group in ascending key order,
+computes each metric over the group's values. A metric depends only on
+which values a group holds, never on their order, so results are
+byte-identical for any partition count:
 
 * ``count`` is the group's size
 * all-int values use the builtin sum, min, max and sort; a sum stays an int
@@ -29,8 +32,8 @@ roll-up tables here and derives the six views from them.
 
 Records are read by attribute, as the NamedTuples the analytics module
 folds. Only record values come from outside, so only they are checked
-here. The specs are the analytics module's own, and the CLI has checked
-the partition count before a dataset is built.
+here. The key columns and metrics are the analytics module's own, and the
+CLI has checked the partition count before a dataset is built.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import isfinite
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple
+from typing import NamedTuple
 
 from reviewlake.errors import QueryTypeError
 from reviewlake.model import AggTable
@@ -52,19 +55,6 @@ class Metric(NamedTuple):
 
     kind: str
     field: str | None = None
-
-
-class AggSpec(NamedTuple):
-    """A group-by query: key columns, a key function, and the metrics per group.
-
-    ``key_extractor`` should return a tuple matching ``key_columns``; a bare
-    scalar is accepted for single-column keys.
-    """
-
-    name: str
-    key_columns: tuple[str, ...]
-    key_extractor: Callable[[Any], Any]
-    metrics: tuple[Metric, ...]
 
 
 @contextmanager
@@ -181,13 +171,14 @@ def _reducers(metrics) -> list:
     return [(lambda key, recs: len(recs)) if m.kind == "count" else _field_reducer(m) for m in metrics]
 
 
-def group_aggregate(ds: PartitionedDataset, spec: AggSpec) -> AggTable:
-    """Group records by key and compute the spec's metrics exactly.
+def group_aggregate(ds: PartitionedDataset, key_columns: tuple[str, ...], metrics) -> AggTable:
+    """Group records by their ``key_columns`` and compute each metric exactly.
 
-    Output rows are sorted ascending by group key.
+    The table's columns are the key columns, then one label per metric
+    (``count``, ``sum_upvotes``, ...). Rows are sorted ascending by group key.
     """
-    reducers = _reducers(spec.metrics)
-    keyf = spec.key_extractor
+    reducers = _reducers(metrics)
+    keyf = attrgetter(*key_columns)  # one column gives a bare value, several a tuple
     groups = defaultdict(list)
     for part in ds.partitions:
         for rec in part:
@@ -196,6 +187,6 @@ def group_aggregate(ds: PartitionedDataset, spec: AggSpec) -> AggTable:
     # group by group, metric by metric: the first error is the lowest failing group's
     values = [reduce(key, groups[key]) for key in keys for reduce in reducers]
     per_row = zip(*[iter(values)] * len(reducers))  # consecutive runs of one row's values
-    rows = [(key if isinstance(key, tuple) else (key,)) + row for key, row in zip(keys, per_row)]
-    columns = tuple(spec.key_columns) + tuple(_metric_label(m) for m in spec.metrics)
-    return AggTable(spec.name, columns, rows)
+    leads = [(key,) for key in keys] if len(key_columns) == 1 else keys
+    rows = [lead + row for lead, row in zip(leads, per_row)]
+    return AggTable(tuple(key_columns) + tuple(map(_metric_label, metrics)), rows)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from reviewlake import clean
 from reviewlake.clean import DATE_FORMAT_IDS, SENTIMENT_SCHEMES
-from reviewlake.errors import CsvParseError, MappingFileError
+from reviewlake.errors import CsvParseError, MappingFileError, naming
 from reviewlake.model import RawRecord, RejectRecord, SOURCES, UnifiedDraft, new_record
 
 FIELD_CAP = 1 << 20  # one field may not exceed 1 MiB
@@ -418,7 +418,7 @@ def iter_source(path: str, mapping: SourceMapping, stops):
     source = mapping.source
     adapt_ = adapt
     cleaner = clean.clean_review
-    with open(path, "rb") as fh:
+    with naming(path), open(path, "rb") as fh:  # a failed read names the source, not the lake file
         if path.endswith((".jsonl", ".ndjson")):
             items = parse_jsonl(fh, source=source)
         else:

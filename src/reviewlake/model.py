@@ -120,10 +120,11 @@ class AggTable(NamedTuple):
     Rows are tuples whose leading entries are the group-key fields; they are
     sorted ascending by those fields so serialized output is deterministic.
     ``notes`` carries non-tabular side information (e.g. omitted undefined
-    cells) and is never serialized into the table itself.
+    cells) and is never serialized into the table itself. A table carries
+    no name: a view's table is named by its query id in
+    ``analytics.QUERIES``, and the roll-up's by their ``Rollup`` fields.
     """
 
-    name: str
     columns: tuple[str, ...]
     rows: list[tuple]
     notes: tuple[str, ...] = ()

@@ -15,7 +15,7 @@ import json
 from math import isfinite
 from typing import Callable, NamedTuple
 
-from reviewlake.errors import ConfigurationError
+from reviewlake.errors import ConfigurationError, naming
 from reviewlake.model import AggTable
 
 #: Series colors, assigned by first appearance order, cycled past eight.
@@ -75,7 +75,7 @@ TABLE_FORMATS = tuple(_TABLE_WRITERS)
 def emit_table(table: AggTable, fmt: str, path: str) -> str:
     """Write the table to path in ``fmt``, one of TABLE_FORMATS; returns the path."""
     blob = _TABLE_WRITERS[fmt](table)
-    with open(path, "wb") as fh:
+    with naming(path), open(path, "wb") as fh:
         fh.write(blob)
     return path
 
@@ -209,7 +209,7 @@ def chart_svg(spec: ChartSpec, table: AggTable) -> str:
 
 def emit_bar_chart(spec: ChartSpec, table: AggTable, path: str) -> str:
     """Render and write one chart; returns the path."""
-    with open(path, "wb") as fh:
+    with naming(path), open(path, "wb") as fh:
         fh.write(chart_svg(spec, table).encode("utf-8"))
     return path
 

@@ -29,7 +29,7 @@ import tempfile
 from itertools import zip_longest
 from typing import NamedTuple
 
-from reviewlake.errors import ConfigurationError, CorruptLakeError
+from reviewlake.errors import ConfigurationError, CorruptLakeError, naming
 from reviewlake.model import (
     DATE_WINDOW_HI,
     DATE_WINDOW_LO,
@@ -201,20 +201,21 @@ class LakeWriter:
         reasons: dict[str, int] = {}
         to_json = review_to_json
         rj_json = reject_to_json
-        rec_path = os.path.join(self.tmp, f"{source}.jsonl")
-        with open(rec_path, "w", encoding="utf-8", newline="\n") as out, open(
-            self._reject_part(source), "w", encoding="utf-8", newline="\n"
-        ) as rej:
-            write, write_reject = out.write, rej.write
-            for item in items:
-                if item is None:
-                    blank_lines += 1
-                elif item.__class__ is RejectRecord:
-                    reasons[item.reason] = reasons.get(item.reason, 0) + 1
-                    write_reject(rj_json(item) + "\n")
-                else:
-                    write(to_json(item) + "\n")
-                    accepted += 1
+        rec_path, rej_path = os.path.join(self.tmp, f"{source}.jsonl"), self._reject_part(source)
+        # a failed write, or flush at close, names the file it was for
+        with naming(rej_path), open(rej_path, "w", encoding="utf-8", newline="\n") as rej:
+            with naming(rec_path), open(rec_path, "w", encoding="utf-8", newline="\n") as out:
+                write, write_reject = out.write, rej.write
+                for item in items:
+                    if item is None:
+                        blank_lines += 1
+                    elif item.__class__ is RejectRecord:
+                        reasons[item.reason] = reasons.get(item.reason, 0) + 1
+                        with naming(rej_path):
+                            write_reject(rj_json(item) + "\n")
+                    else:
+                        write(to_json(item) + "\n")
+                        accepted += 1
         if accepted == 0:
             os.remove(rec_path)
         return SourceStats(accepted, blank_lines, reasons)
@@ -224,14 +225,15 @@ class LakeWriter:
     ) -> LakeManifest:
         """Finish the lake from every staged source's stats and rename it into place."""
         tmp = self.tmp
-        with open(os.path.join(tmp, REJECTS_NAME), "wb") as merged:
+        merged_path, manifest_path = os.path.join(tmp, REJECTS_NAME), os.path.join(tmp, MANIFEST_NAME)
+        with naming(merged_path), open(merged_path, "wb") as merged:
             for source in sorted(per_source):
                 part = self._reject_part(source)
                 with open(part, "rb") as fh:
                     shutil.copyfileobj(fh, merged)
                 os.remove(part)
         manifest = LakeManifest(created_at, per_source, stoplist_checksum)
-        with open(os.path.join(tmp, MANIFEST_NAME), "w", encoding="utf-8", newline="\n") as fh:
+        with naming(manifest_path), open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(manifest_to_json(manifest))
         for name in sorted(os.listdir(tmp)):
             _fsync(os.path.join(tmp, name))
@@ -287,7 +289,8 @@ def _fsync(path: str) -> None:
     """Flush a file's or a directory's data and metadata to disk."""
     fd = os.open(path, os.O_RDONLY)
     try:
-        os.fsync(fd)
+        with naming(path):
+            os.fsync(fd)
     finally:
         os.close(fd)
 

@@ -931,9 +931,9 @@ def test_all_six_views_cost_two_folds_and_one_map(lake_dir, tmp_path, monkeypatc
     group_aggregate = cli.analytics.group_aggregate
     ds_map = PartitionedDataset.map
 
-    def counting_aggregate(ds, spec):
+    def counting_aggregate(ds, key_columns, metrics):
         calls["group_aggregate"] += 1
-        return group_aggregate(ds, spec)
+        return group_aggregate(ds, key_columns, metrics)
 
     def counting_map(ds, f):
         calls["map"] += 1

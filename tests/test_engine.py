@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_aggregate
-from reviewlake.engine import AggSpec, Metric, PartitionedDataset, group_aggregate
+from reviewlake.engine import Metric, PartitionedDataset, group_aggregate
 from reviewlake.errors import QueryTypeError
 
 Rec = collections.namedtuple("Rec", "k v w")
@@ -25,10 +25,6 @@ K = collections.namedtuple("K", "k")  # a record without the metric field
 
 def _key_k(r):
     return r.k
-
-
-def _spec(metrics, key_columns=("k",)):
-    return AggSpec("t", key_columns, _key_k, metrics)
 
 
 def assert_rows_identical(got, want):
@@ -66,7 +62,7 @@ def test_map_preserves_layout():
 
 def test_count_groups():
     ds = PartitionedDataset.from_records([K("a"), K("b"), K("a")], 2)
-    t = group_aggregate(ds, _spec([Metric("count")]))
+    t = group_aggregate(ds, ("k",), [Metric("count")])
     assert t.columns == ("k", "count")
     assert_rows_identical(t.rows, [("a", 2), ("b", 1)])
 
@@ -74,14 +70,9 @@ def test_count_groups():
 def test_all_metrics_small_case():
     recs = [Rec("a", 1, 2.5), Rec("a", 4, 0.5), Rec("b", 7, 1.0)]
     ds = PartitionedDataset.from_records(recs, 2)
-    spec = AggSpec(
-        "t",
-        ("k",),
-        lambda r: r.k,
-        [Metric("count"), Metric("sum", "v"), Metric("mean", "w"), Metric("median", "v"),
-         Metric("min", "w"), Metric("max", "v")],
-    )
-    t = group_aggregate(ds, spec)
+    metrics = [Metric("count"), Metric("sum", "v"), Metric("mean", "w"), Metric("median", "v"),
+               Metric("min", "w"), Metric("max", "v")]
+    t = group_aggregate(ds, ("k",), metrics)
     assert t.columns == ("k", "count", "sum_v", "mean_w", "median_v", "min_w", "max_v")
     assert_rows_identical(t.rows, [("a", 2, 5, 1.5, 2.5, 0.5, 4), ("b", 1, 7, 1.0, 7, 1.0, 7)])
 
@@ -89,7 +80,7 @@ def test_all_metrics_small_case():
 def test_int_sum_stays_exact_past_float_precision():
     big = 2**60 + 1
     ds = PartitionedDataset.from_records([KV(0, big), KV(0, big)], 2)
-    t = group_aggregate(ds, _spec([Metric("sum", "v")]))
+    t = group_aggregate(ds, ("k",), [Metric("sum", "v")])
     assert t.rows == [(0, 2 * big)]
     assert t.rows[0][1].__class__ is int
 
@@ -98,7 +89,7 @@ def test_float_sum_uses_exact_accumulation():
     # 0.1 added ten times in float drifts; exact accumulation must not
     vals = [0.1] * 10
     ds = PartitionedDataset.from_records([KV(0, v) for v in vals], 3)
-    t = group_aggregate(ds, _spec([Metric("sum", "v")]))
+    t = group_aggregate(ds, ("k",), [Metric("sum", "v")])
     from fractions import Fraction
 
     assert t.rows[0][1] == float(sum(Fraction(v) for v in vals))
@@ -106,20 +97,20 @@ def test_float_sum_uses_exact_accumulation():
 
 def test_mean_of_ints_is_float():
     ds = PartitionedDataset.from_records([KV(0, 1), KV(0, 2)], 1)
-    t = group_aggregate(ds, _spec([Metric("mean", "v")]))
+    t = group_aggregate(ds, ("k",), [Metric("mean", "v")])
     assert t.rows == [(0, 1.5)]
 
 
 def test_median_odd_keeps_int_class():
     ds = PartitionedDataset.from_records([KV(0, 3), KV(0, 1), KV(0, 2)], 2)
-    t = group_aggregate(ds, _spec([Metric("median", "v")]))
+    t = group_aggregate(ds, ("k",), [Metric("median", "v")])
     assert t.rows == [(0, 2)]
     assert t.rows[0][1].__class__ is int
 
 
 def test_median_even_averages_middle_pair():
     ds = PartitionedDataset.from_records([KV(0, v) for v in (4, 1, 3, 2)], 3)
-    t = group_aggregate(ds, _spec([Metric("median", "v")]))
+    t = group_aggregate(ds, ("k",), [Metric("median", "v")])
     assert t.rows == [(0, 2.5)]
 
 
@@ -128,21 +119,21 @@ def test_median_tie_between_int_and_float_is_order_independent():
     for perm in ([2, 2.0, 1], [2.0, 2, 1], [1, 2.0, 2]):
         for parts in (1, 2, 3):
             ds = PartitionedDataset.from_records([KV(0, v) for v in perm], parts)
-            t = group_aggregate(ds, _spec([Metric("median", "v")]))
+            t = group_aggregate(ds, ("k",), [Metric("median", "v")])
             rows.append((t.rows[0][1], t.rows[0][1].__class__))
     assert len(set(rows)) == 1
 
 
 def test_min_max_tie_prefers_int():
     ds = PartitionedDataset.from_records([KV(0, 2.0), KV(0, 2)], 2)
-    t = group_aggregate(ds, _spec([Metric("min", "v"), Metric("max", "v")]))
+    t = group_aggregate(ds, ("k",), [Metric("min", "v"), Metric("max", "v")])
     assert t.rows[0][1].__class__ is int
     assert t.rows[0][2].__class__ is int
 
 
 def test_negative_zero_normalizes():
     ds = PartitionedDataset.from_records([KV(0, -0.0)], 1)
-    t = group_aggregate(ds, _spec([Metric("min", "v"), Metric("sum", "v")]))
+    t = group_aggregate(ds, ("k",), [Metric("min", "v"), Metric("sum", "v")])
     assert math.copysign(1.0, t.rows[0][1]) == 1.0
     assert math.copysign(1.0, t.rows[0][2]) == 1.0
 
@@ -150,31 +141,32 @@ def test_negative_zero_normalizes():
 def test_bool_is_not_numeric():
     ds = PartitionedDataset.from_records([KV(0, True)], 1)
     with pytest.raises(QueryTypeError):
-        group_aggregate(ds, _spec([Metric("sum", "v")]))
+        group_aggregate(ds, ("k",), [Metric("sum", "v")])
 
 
 def test_inf_rejected():
     ds = PartitionedDataset.from_records([KV(0, math.inf)], 1)
     with pytest.raises(QueryTypeError):
-        group_aggregate(ds, _spec([Metric("mean", "v")]))
+        group_aggregate(ds, ("k",), [Metric("mean", "v")])
 
 
 def test_missing_field_is_a_query_type_error():
     ds = PartitionedDataset.from_records([K(0)], 1)
     with pytest.raises(QueryTypeError):
-        group_aggregate(ds, _spec([Metric("sum", "v")]))
+        group_aggregate(ds, ("k",), [Metric("sum", "v")])
 
 
 def test_scalar_key_and_tuple_key():
     ds = PartitionedDataset.from_records([Rec("a", 1, 1.0), Rec("a", 2, 2.0)], 1)
-    t1 = group_aggregate(ds, AggSpec("t", ("k",), lambda r: r.k, [Metric("count")]))
+    t1 = group_aggregate(ds, ("k",), [Metric("count")])
     assert t1.rows == [("a", 2)]
-    t2 = group_aggregate(ds, AggSpec("t", ("k", "v"), lambda r: (r.k, r.v), [Metric("count")]))
+    t2 = group_aggregate(ds, ("k", "v"), [Metric("count")])
+    assert t2.columns == ("k", "v", "count")
     assert t2.rows == [("a", 1, 1), ("a", 2, 1)]
 
 
 def test_empty_dataset_yields_empty_table():
-    t = group_aggregate(PartitionedDataset.from_records([], 4), _spec([Metric("count")]))
+    t = group_aggregate(PartitionedDataset.from_records([], 4), ("k",), [Metric("count")])
     assert t.rows == []
 
 
@@ -222,8 +214,7 @@ def test_oracle_equivalence_randomized_sweep():
     for case in range(150):
         recs, metrics, parts = random_dataset(rng)
         ds = PartitionedDataset.from_records(recs, parts)
-        spec = _spec(metrics)
-        got = group_aggregate(ds, spec)
+        got = group_aggregate(ds, ("k",), metrics)
         want = oracle_aggregate(recs, _key_k, [(m.kind, m.field) for m in metrics])
         assert_rows_identical(got.rows, want)
 
@@ -233,10 +224,9 @@ def test_partition_and_worker_invariance():
     recs, metrics, _ = random_dataset(rng)
     while not recs:
         recs, metrics, _ = random_dataset(rng)
-    spec = _spec(metrics)
-    baseline = group_aggregate(PartitionedDataset.from_records(recs, 1), spec)
+    baseline = group_aggregate(PartitionedDataset.from_records(recs, 1), ("k",), metrics)
     for parts in (2, 3, 7, 16):
-        t = group_aggregate(PartitionedDataset.from_records(recs, parts), spec)
+        t = group_aggregate(PartitionedDataset.from_records(recs, parts), ("k",), metrics)
         assert_rows_identical(t.rows, baseline.rows)
 
 
@@ -263,7 +253,7 @@ def test_error_names_the_field_and_lowest_failing_group_for_any_partition_count(
     recs[4] = KV(1, math.nan)
     for parts in (1, 2, 5, 16):
         with pytest.raises(QueryTypeError) as ei:
-            group_aggregate(PartitionedDataset.from_records(recs, parts), _spec([Metric("count"), Metric("sum", "v")]))
+            group_aggregate(PartitionedDataset.from_records(recs, parts), ("k",), [Metric("count"), Metric("sum", "v")])
         assert str(ei.value) == f"metric field 'v' of group 1 {why}", parts
 
 
@@ -295,9 +285,9 @@ def test_oracle_equivalence_property(pairs, parts, kind):
         want = oracle_aggregate(recs, _key_k, [(metric.kind, metric.field)])
     except QueryTypeError:
         with pytest.raises(QueryTypeError):
-            group_aggregate(PartitionedDataset.from_records(recs, parts), _spec([metric]))
+            group_aggregate(PartitionedDataset.from_records(recs, parts), ("k",), [metric])
         return
-    got = group_aggregate(PartitionedDataset.from_records(recs, parts), _spec([metric]))
+    got = group_aggregate(PartitionedDataset.from_records(recs, parts), ("k",), [metric])
     assert_rows_identical(got.rows, want)
 
 
@@ -319,4 +309,4 @@ def test_oracle_median_of_large_floats_is_finite():
 def test_result_outside_float_range_names_the_group(values, kind):
     recs = [KV("a", v) for v in values]
     with pytest.raises(QueryTypeError, match=f"{kind}_v of group 'a' is outside the float range"):
-        group_aggregate(PartitionedDataset.from_records(recs, 2), _spec([Metric(kind, "v")]))
+        group_aggregate(PartitionedDataset.from_records(recs, 2), ("k",), [Metric(kind, "v")])

@@ -25,22 +25,18 @@ def rect_boxes(svg_text):
     return out
 
 
-T = AggTable(
-    "per_year",
-    ("year", "source", "count"),
-    [(2019, "yelp", 1), (2020, "steam", 2), (2020, "yelp", 1)],
-)
+T = AggTable(("year", "source", "count"), [(2019, "yelp", 1), (2020, "steam", 2), (2020, "yelp", 1)])
 
 
 def test_csv_bytes_exact():
-    t = AggTable("t", ("k", "pct", "label"), [(3, -20.0, "a,b"), (4, 0.5, 'say "hi"')])
+    t = AggTable(("k", "pct", "label"), [(3, -20.0, "a,b"), (4, 0.5, 'say "hi"')])
     assert report.table_to_csv_bytes(t) == (
         b'k,pct,label\n3,-20.000000,"a,b"\n4,0.500000,"say ""hi"""\n'
     )
 
 
 def test_json_bytes_exact():
-    t = AggTable("t", ("k", "pct", "label"), [(3, -20.0, "a,b")])
+    t = AggTable(("k", "pct", "label"), [(3, -20.0, "a,b")])
     assert report.table_to_json_bytes(t) == (
         b'[\n  {"k":3,"pct":-20.000000,"label":"a,b"}\n]\n'
     )
@@ -50,17 +46,17 @@ def test_json_bytes_exact():
 
 
 def test_json_floats_round_to_six_places():
-    t = AggTable("t", ("v",), [(0.1234567891,)])
+    t = AggTable(("v",), [(0.1234567891,)])
     assert json.loads(report.table_to_json_bytes(t)) == [{"v": 0.123457}]
 
 
 def test_json_empty_table():
-    assert report.table_to_json_bytes(AggTable("t", ("v",), [])) == b"[]\n"
+    assert report.table_to_json_bytes(AggTable(("v",), [])) == b"[]\n"
 
 
 def test_table_compares_by_value():
-    assert AggTable("t", ("a",), [(1,)]) == AggTable("t", ("a",), [(1,)])
-    assert AggTable("t", ("a",), [(1,)]) != AggTable("t", ("a",), [(1,)], ("a note",))
+    assert AggTable(("a",), [(1,)]) == AggTable(("a",), [(1,)])
+    assert AggTable(("a",), [(1,)]) != AggTable(("a",), [(1,)], ("a note",))
 
 
 def test_emit_table_formats(tmp_path):
@@ -85,7 +81,7 @@ def test_chart_is_deterministic_and_wellformed():
     svg1 = report.chart_svg(spec_for(), T)
     svg2 = report.chart_svg(
         spec_for(),
-        AggTable(T.name, T.columns, list(T.rows)),
+        AggTable(T.columns, list(T.rows)),
     )
     assert svg1 == svg2
     ET.fromstring(svg1)  # must parse as XML
@@ -101,7 +97,7 @@ def test_bars_are_the_only_rects_and_sparse_cells_draw_none():
 
 
 def test_bar_heights_proportional_to_values():
-    t = AggTable("t", ("k", "v"), [("a", 10), ("b", 5), ("c", 1)])
+    t = AggTable(("k", "v"), [("a", 10), ("b", 5), ("c", 1)])
     svg = report.chart_svg(report.ChartSpec(x="k", y="v"), t)
     boxes = rect_boxes(svg)
     assert len(boxes) == 3
@@ -114,7 +110,7 @@ def test_bar_heights_proportional_to_values():
 
 
 def test_negative_bars_hang_below_zero():
-    t = AggTable("t", ("k", "v"), [("up", 30.0), ("down", -15.0)])
+    t = AggTable(("k", "v"), [("up", 30.0), ("down", -15.0)])
     svg = report.chart_svg(report.ChartSpec(x="k", y="v"), t)
     up, down = rect_boxes(svg)
     zero_y = up["y"] + up["height"]
@@ -141,13 +137,13 @@ def test_series_legend_and_palette():
 
 
 def test_no_series_chart_has_no_legend():
-    t = AggTable("t", ("k", "v"), [("a", 2)])
+    t = AggTable(("k", "v"), [("a", 2)])
     svg = report.chart_svg(report.ChartSpec(x="k", y="v"), t)
     assert [x.get("fill") for x in svg_elems(svg, "text") if x.get("fill")] == []
 
 
 def test_chart_of_a_value_near_the_float_max_stays_finite():
-    t = AggTable("t", ("k", "v"), [("a", float(UPVOTE_MAX)), ("b", 1.0)])
+    t = AggTable(("k", "v"), [("a", float(UPVOTE_MAX)), ("b", 1.0)])
     svg = report.chart_svg(report.ChartSpec(x="k", y="v"), t)
     assert "inf" not in svg and "nan" not in svg
     tall, short = rect_boxes(svg)
@@ -158,14 +154,14 @@ def test_chart_of_a_value_near_the_float_max_stays_finite():
 
 
 def test_empty_table_renders_no_data():
-    svg = report.chart_svg(spec_for(), AggTable(T.name, T.columns, []))
+    svg = report.chart_svg(spec_for(), AggTable(T.columns, []))
     assert "no data" in svg
     assert "<rect" not in svg
     ET.fromstring(svg)
 
 
 def test_title_and_labels_escaped():
-    t = AggTable("t", ("k", "v"), [('A<B & "C"', 1)])
+    t = AggTable(("k", "v"), [('A<B & "C"', 1)])
     svg = report.chart_svg(report.ChartSpec(x="k", y="v", title='T<&>"q"'), t)
     ET.fromstring(svg)
     texts = [x.text for x in svg_elems(svg, "text")]
@@ -174,17 +170,17 @@ def test_title_and_labels_escaped():
 
 
 def test_chart_rejects_non_numeric_y():
-    bad = AggTable("t", ("k", "v"), [("a", "tall")])
+    bad = AggTable(("k", "v"), [("a", "tall")])
     with pytest.raises(ConfigurationError):
         report.chart_svg(report.ChartSpec(x="k", y="v"), bad)
     with pytest.raises(ConfigurationError):
         report.chart_svg(
-            report.ChartSpec(x="k", y="v"), AggTable("t", ("k", "v"), [("a", True)])
+            report.ChartSpec(x="k", y="v"), AggTable(("k", "v"), [("a", True)])
         )
     with pytest.raises(ConfigurationError):
         report.chart_svg(
             report.ChartSpec(x="k", y="v"),
-            AggTable("t", ("k", "v"), [("a", float("nan"))]),
+            AggTable(("k", "v"), [("a", float("nan"))]),
         )
 
 
@@ -207,7 +203,7 @@ def test_yoy_chart_draws_the_overall_rows_without_the_median():
         ("steam", "2021", -5.0, "overall"),
         ("steam", "median", 7.5, "overall"),
     ]
-    t = AggTable("yoy", ("source", "year", "pct_change", "sentiment_split"), rows)
+    t = AggTable(("source", "year", "pct_change", "sentiment_split"), rows)
     svg = report.chart_svg(report.CHARTS["yoy"], t)
     assert len(rect_boxes(svg)) == 2
     labels = {x.text for x in svg_elems(svg, "text")}

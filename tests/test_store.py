@@ -3,9 +3,12 @@
 import collections
 import contextlib
 import datetime
+import errno
 import io
 import json
 import os
+import re
+import resource
 import shutil
 import signal
 import string
@@ -298,6 +301,113 @@ def test_a_commit_cut_short_anywhere_leaves_the_old_or_the_new_lake(
             assert cli.run(ingest) == 0, capsys.readouterr().err
             assert not aside.exists() and tree(lake) == new
     raise AssertionError(f"commit called os.{op} more than 19 times")
+
+
+def _run_child(argv, setup):
+    """Run ``cli.run(argv)`` in a forked child after ``setup()``; return its
+    exit code and what it printed on stderr."""
+    err_read, err_write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the test run
+        code, err = 3, io.StringIO()
+        try:
+            os.close(err_read)
+            signal.alarm(60)  # a child that hangs dies instead of holding up the suite
+            setup()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.run(argv)
+        finally:
+            os.write(err_write, err.getvalue().encode())
+            os._exit(code)
+    os.close(err_write)
+    with os.fdopen(err_read, "rb") as fh:
+        err = fh.read().decode()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), err
+
+
+def _file_size_limit(n):
+    """A child set-up under which a write past ``n`` bytes of a file fails with EFBIG."""
+
+    def setup():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (n, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    return setup
+
+
+def test_a_failed_write_names_its_file_and_leaves_the_lake_and_out_as_they_were(tmp_path):
+    assert cli.run(["gen-fixtures", "--out", str(tmp_path), "--seed", "5", "--rows", "200"]) == 0
+    lake, out = tmp_path / "lake", tmp_path / "out"
+    ingest = ["ingest", "--config", str(tmp_path / "config.json"), "--lake", str(lake)]
+    report = ["report", "--lake", str(lake), "--out", str(out)]
+    assert cli.run(ingest) == 0 and cli.run(report) == 0
+    (out / "notes.txt").write_text("keep", encoding="utf-8")
+    old_lake, old_out = tree(lake), tree(out)
+    limits = sorted({0, 100, 4096, *(len(data) - 1 for data in old_lake.values())})
+    runs = [(ingest + ["--threads", "1"], n) for n in limits]
+    # below 11 bytes a pool cannot make its semaphore, which fails before any lake write
+    runs += [(ingest + ["--threads", "2"], n) for n in limits if n > 10]
+    runs += [(report, n) for n in limits if n < max(map(len, old_out.values()))]
+    staging = os.path.join(os.path.realpath(tmp_path), ".lake-tmp-")
+    for argv, n in runs:
+        code, err = _run_child(argv, _file_size_limit(n))
+        named = re.fullmatch(r"error: File too large \((.+)\)\n", err)
+        assert code == 1 and named, (argv, n, err)
+        if argv is report:
+            assert os.path.dirname(named[1]) == str(out) and os.path.basename(named[1]).startswith("."), err
+        else:
+            assert named[1].startswith(staging), err
+        assert tree(lake) == old_lake and tree(out) == old_out, (argv, n)
+        assert not list(tmp_path.glob(".lake-tmp-*")), (argv, n)
+
+
+def _failing_fsync(k):
+    """A child set-up whose k-th ``os.fsync`` fails with EIO."""
+
+    def setup():
+        real_fsync, calls = os.fsync, []
+
+        def fsync(fd):
+            calls.append(fd)
+            if len(calls) == k:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_fsync(fd)
+
+        os.fsync = fsync
+
+    return setup
+
+
+def test_a_failed_fsync_exits_1_and_past_the_commit_point_leaves_the_new_lake(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    lake, aside, parent = tmp_path / "lake", tmp_path / ".lake.old", os.path.realpath(tmp_path)
+    ingest = steam_ingest(tmp_path, lake)  # one steam row: not the sample lake's records
+    assert cli.run(ingest) == 0
+    new = tree(lake)
+    # the three lake files, the staging directory, then the parent after the rename
+    fsyncs = 5
+    for k in range(1, fsyncs + 2):
+        for path in list(tmp_path.glob("*lake*")):
+            shutil.rmtree(path)
+        write_sample(lake)
+        old = tree(lake)
+        code, err = _run_child(ingest, _failing_fsync(k))
+        if k > fsyncs:
+            assert code == 0 and tree(lake) == new and not aside.exists(), err
+            break
+        named = re.fullmatch(rf"error: {os.strerror(errno.EIO)} \((.+)\)\n", err)
+        assert code == 1 and named, (k, err)
+        assert not list(tmp_path.glob(".lake-tmp-*")), k
+        if k < fsyncs:  # before the commit point: the old lake, nothing aside
+            assert named[1].startswith(os.path.join(parent, ".lake-tmp-")), (k, err)
+            assert tree(lake) == old and not aside.exists(), k
+            continue
+        # the new lake is in place, but not known to be durable: exit 1, the old lake still aside
+        assert named[1] == parent, err
+        assert tree(lake) == new and tree(aside) == old
+        store.read_lake(str(lake))
+        assert cli.run(ingest) == 0
+        assert tree(lake) == new and not aside.exists()
 
 
 def test_read_rejects_tampered_lines(tmp_path):
