@@ -49,7 +49,6 @@ class RunConfig(NamedTuple):
     sources: tuple[SourceSpec, ...] = ()
     lake_dir: str = "lake"
     out_dir: str = "out"
-    partitions: int = 1
     threads: int = 1
     format: str = "csv"
     stoplist: str | None = None
@@ -106,7 +105,6 @@ _SETTINGS = {
     "sources": _sources,
     "lake_dir": _path,
     "out_dir": _path,
-    "partitions": _positive_int,
     "threads": _positive_int,
     "format": _format,
     "stoplist": _path,
@@ -187,7 +185,13 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
                 # workers die on Pool.terminate's SIGTERM instead of raising
                 reset = functools.partial(signal.signal, signal.SIGTERM, signal.SIG_DFL)
-                with multiprocessing.get_context("fork").Pool(min(cfg.threads, len(jobs)), initializer=reset) as pool:
+                workers = min(cfg.threads, len(jobs))
+                try:
+                    pool = multiprocessing.get_context("fork").Pool(workers, initializer=reset)
+                except OSError as exc:  # a semaphore or a fork failed; the pool stopped what it started
+                    reason = exc.strerror or exc
+                    raise ReviewLakeError(f"cannot start {workers} ingest worker processes: {reason}") from None
+                with pool:
                     results = pool.map(work, jobs)
             else:
                 results = [work(j) for j in jobs]
@@ -228,8 +232,7 @@ def cmd_query(cfg: RunConfig, ids: list[str], charts: bool = False) -> int:
     # scanned once the collector resumes.
     with engine.gc_paused():
         records = store.read_lake(cfg.lake_dir)
-        # partitions never change a result, and each one costs memory: at most one per record
-        ds = engine.PartitionedDataset.from_records(records, max(1, min(cfg.partitions, len(records))))
+        ds = engine.PartitionedDataset.from_records(records, 1)
         del records
         cube = analytics.rollup(ds)
         del ds
@@ -288,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--threads", type=int, help="ingest worker count; query and report accept and ignore it")
     tables = argparse.ArgumentParser(add_help=False)
     tables.add_argument("--format", choices=report.TABLE_FORMATS, help="table format")
-    tables.add_argument("--partitions", type=int, help="dataset partition count")
+    tables.add_argument("--partitions", type=int, help="query and report accept and ignore it, as they do --threads")
 
     p = argparse.ArgumentParser(prog="reviewlake", description="review ETL and analytics")
     sub = p.add_subparsers(dest="command", required=True)

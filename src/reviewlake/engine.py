@@ -33,7 +33,7 @@ roll-up tables here and derives the six views from them.
 Records are read by attribute, as the NamedTuples the analytics module
 folds. Only record values come from outside, so only they are checked
 here. The key columns and metrics are the analytics module's own, and the
-CLI has checked the partition count before a dataset is built.
+partition count is the caller's: ``query`` and ``report`` fold one.
 """
 
 from __future__ import annotations

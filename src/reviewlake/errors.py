@@ -18,7 +18,7 @@ class ConfigurationError(ReviewLakeError):
 
 
 class MappingFileError(ReviewLakeError):
-    """A source mapping file is unreadable or structurally invalid."""
+    """A source mapping file is not valid JSON or not a valid mapping."""
 
 
 class CsvParseError(ReviewLakeError):
@@ -42,6 +42,9 @@ class QueryTypeError(ReviewLakeError):
 class naming:
     """``with naming(path):`` re-raises an OSError that names no file as
     the same error naming ``path``; one that names a file passes as it is.
+    But when the error's ``__context__`` chain holds an OSError that names
+    a file, the earliest one is raised: a failed write can make a flush at
+    close fail too, and the error line reports the first failure.
 
     A write, a flush at close or an ``os.fsync`` that fails raises an
     OSError without a file name, so the error line would not say where.
@@ -56,5 +59,14 @@ class naming:
         pass
 
     def __exit__(self, kind, exc, tb) -> None:
-        if isinstance(exc, OSError) and exc.filename is None:
+        if not isinstance(exc, OSError):
+            return
+        first, e = None, exc
+        while e is not None:
+            if isinstance(e, OSError) and e.filename is not None:
+                first = e
+            e = e.__context__
+        if first is None:
             raise OSError(exc.errno, exc.strerror, self.path) from exc
+        if first is not exc:
+            raise first

@@ -361,10 +361,8 @@ def _mapping_from_obj(obj, origin: str) -> SourceMapping:
 def load_mapping(path: str) -> SourceMapping:
     """Read and validate a mapping file; bad shape or values raise MappingFileError."""
     try:
-        with open(path, "rb") as fh:
+        with naming(path), open(path, "rb") as fh:
             obj = json.load(fh)
-    except OSError as exc:
-        raise MappingFileError(f"{path}: {exc}") from None
     except (ValueError, RecursionError) as exc:
         raise MappingFileError(f"{path}: not valid JSON: {exc}") from None
     return _mapping_from_obj(obj, path)

@@ -362,11 +362,7 @@ def _count(v, what: str, path: str) -> int:
 def _lines(path: str):
     """Number a lake line file's lines. latin-1 makes each byte one character,
     so a byte outside ASCII reaches the line pattern, which refuses it with its line number."""
-    try:
-        fh = open(path, encoding="latin-1", newline="\n")
-    except OSError as exc:
-        raise CorruptLakeError(f"{path}: unreadable: {exc}") from None
-    with fh:
+    with naming(path), open(path, encoding="latin-1", newline="\n") as fh:
         yield from enumerate(fh, start=1)
 
 

@@ -97,7 +97,7 @@ def test_exit_codes(lake_dir, tmp_path, capsys):
     assert cli.run(["ingest", "--lake", str(tmp_path / "l")]) == 2  # no sources
     assert cli.run(["query", "bogus", "--lake", str(lake_dir), "--out", str(tmp_path)]) == 2
     assert cli.run(["query", "--lake", str(tmp_path / "missing"), "--out", str(tmp_path)]) == 1
-    assert cli.run(["query", "--lake", str(lake_dir), "--out", str(tmp_path), "--partitions", "0"]) == 2
+    assert cli.run(["query", "--lake", str(lake_dir), "--out", str(tmp_path), "--partitions", "0"]) == 0  # ignored
     capsys.readouterr()
     with pytest.raises(SystemExit) as ei:
         cli.run(["query", "--format", "tsv"])
@@ -229,7 +229,6 @@ FILE_SETTINGS = {
     "sources": [{"source": "yelp", "path": "y.csv", "mapping": "m.json"}],
     "lake_dir": "l",
     "out_dir": "o",
-    "partitions": 2,
     "threads": 4,
     "format": "csv",
     "stoplist": "s.txt",
@@ -242,7 +241,6 @@ FILE_SETTINGS = {
         ("--lake", "flag_lake", "lake_dir", "flag_lake"),
         ("--out", "flag_out", "out_dir", "flag_out"),
         ("--format", "json", "format", "json"),
-        ("--partitions", "3", "partitions", 3),
         ("--threads", "5", "threads", 5),
     ],
 )
@@ -270,7 +268,6 @@ def test_the_readme_config_example_loads_as_documented(tmp_path):
         ),
         lake_dir=os.path.join(d, "lake"),
         out_dir=os.path.join(d, "out"),
-        partitions=8,
         threads=4,
         format="csv",
         stoplist=os.path.join(d, "stopwords.txt"),
@@ -455,17 +452,27 @@ def test_ingest_fsyncs_every_lake_file_and_both_directories(data_dir, tmp_path, 
 
 
 def test_partitions_do_not_change_tables(lake_dir, tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert cli.run(["query", "--lake", str(lake_dir), "--out", str(a), "--partitions", "2"]) == 0
-    assert cli.run(["query", "--lake", str(lake_dir), "--out", str(b), "--partitions", "5", "--threads", "2"]) == 0
-    assert sha_tree(a) == sha_tree(b)
-    # report writes the same tables as query, at any partition count
+    # query and report accept --partitions and ignore it, whatever its value
     for command in ("query", "report"):
-        for parts in ("1", "3"):
+        plain = tmp_path / command
+        assert cli.run([command, "--lake", str(lake_dir), "--out", str(plain)]) == 0
+        for parts in ("-1", "0", "2", "1000000000"):
             out = tmp_path / f"{command}{parts}"
-            assert cli.run([command, "--lake", str(lake_dir), "--out", str(out), "--partitions", parts]) == 0
-            tables = {name: digest for name, digest in sha_tree(out).items() if name.endswith(".csv")}
-            assert tables == sha_tree(a), (command, parts)
+            argv = [command, "--lake", str(lake_dir), "--out", str(out), "--partitions", parts, "--threads", "2"]
+            assert cli.run(argv) == 0
+            assert sha_tree(out) == sha_tree(plain), (command, parts)
+    # report writes the same tables as query
+    tables = {name: digest for name, digest in sha_tree(tmp_path / "report").items() if name.endswith(".csv")}
+    assert tables == sha_tree(tmp_path / "query")
+
+
+@pytest.mark.parametrize("command", ["ingest", "query", "report"])
+def test_the_partitions_key_is_refused_like_any_unknown_key(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sources": [{"source": "yelp", "path": "y.csv"}], "partitions": 2}))
+    assert cli.run([command, "--config", str(cfg), "--lake", str(tmp_path / "l"), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: config {cfg}: unknown keys ['partitions']\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_query_and_report_look_views_up_at_call_time(lake_dir, tmp_path, monkeypatch):
@@ -720,7 +727,7 @@ def _run_cli(args, env=None):
 
 
 def _exit_code_cases(data_dir, tmp_path, lake_dir):
-    """(name, CLI args, extra environment, documented exit code) per case."""
+    """(name, CLI args, extra environment, documented exit code, exact error line or None) per case."""
     bad_json = tmp_path / "bad.json"
     bad_json.write_text('{"sources": [')
     missing = tmp_path / "missing.json"
@@ -741,31 +748,44 @@ def _exit_code_cases(data_dir, tmp_path, lake_dir):
     extra = tmp_path / "extra"
     shutil.copytree(lake_dir, extra)
     (extra / "amazon.jsonl.bak").write_text("")
+    dir_file = tmp_path / "dir_file"
+    shutil.copytree(lake_dir, dir_file)
+    (dir_file / "amazon.jsonl").unlink()
+    (dir_file / "amazon.jsonl").mkdir()
+    nope = tmp_path / "nope.json"
+    no_mapping = tmp_path / "no_mapping.json"
+    no_mapping.write_text(json.dumps({"sources": [{"source": "yelp", "path": "y.csv", "mapping": str(nope)}]}))
     config = str(data_dir / "config.json")
     out = str(tmp_path / "out")
     return [
-        ("bad config JSON", ["ingest", "--config", str(bad_json)], {}, 2),
-        ("unknown query id", ["query", "bogus", "--lake", str(lake_dir), "--out", out], {}, 2),
+        ("bad config JSON", ["ingest", "--config", str(bad_json)], {}, 2, None),
+        ("unknown query id", ["query", "bogus", "--lake", str(lake_dir), "--out", out], {}, 2, None),
         ("malformed SOURCE_DATE_EPOCH", ["ingest", "--config", config, "--lake", str(tmp_path / "l1")],
-         {"SOURCE_DATE_EPOCH": "abc"}, 2),
-        ("missing source file", ["ingest", "--config", str(missing), "--lake", str(tmp_path / "l2")], {}, 1),
-        ("unterminated quote", ["ingest", "--config", str(open_quote), "--lake", str(tmp_path / "l3")], {}, 1),
-        ("corrupt manifest", ["query", "--lake", str(corrupt), "--out", out], {}, 1),
-        ("ingest into a --lake that is a file", ["ingest", "--config", config, "--lake", str(a_file)], {}, 2),
-        ("query a --lake that is a file", ["query", "--lake", str(a_file), "--out", out], {}, 1),
-        ("ingest into a foreign manifest.json", ["ingest", "--config", config, "--lake", str(foreign)], {}, 2),
-        ("ingest into a lake with an extra file", ["ingest", "--config", config, "--lake", str(extra)], {}, 2),
-        ("report --out inside the lake", ["report", "--lake", str(lake_dir), "--out", str(lake_dir / "o")], {}, 2),
+         {"SOURCE_DATE_EPOCH": "abc"}, 2, None),
+        ("missing mapping file", ["ingest", "--config", str(no_mapping), "--lake", str(tmp_path / "l4")], {}, 1,
+         f"error: No such file or directory ({nope})"),
+        ("missing source file", ["ingest", "--config", str(missing), "--lake", str(tmp_path / "l2")], {}, 1, None),
+        ("unterminated quote", ["ingest", "--config", str(open_quote), "--lake", str(tmp_path / "l3")], {}, 1, None),
+        ("corrupt manifest", ["query", "--lake", str(corrupt), "--out", out], {}, 1, None),
+        ("a record file that is a directory", ["query", "--lake", str(dir_file), "--out", out], {}, 1,
+         f"error: Is a directory ({dir_file / 'amazon.jsonl'})"),
+        ("ingest into a --lake that is a file", ["ingest", "--config", config, "--lake", str(a_file)], {}, 2, None),
+        ("query a --lake that is a file", ["query", "--lake", str(a_file), "--out", out], {}, 1, None),
+        ("ingest into a foreign manifest.json", ["ingest", "--config", config, "--lake", str(foreign)], {}, 2, None),
+        ("ingest into a lake with an extra file", ["ingest", "--config", config, "--lake", str(extra)], {}, 2, None),
+        ("report --out inside the lake", ["report", "--lake", str(lake_dir), "--out", str(lake_dir / "o")], {}, 2,
+         None),
     ]
 
 
 def test_exit_code_table(data_dir, lake_dir, tmp_path):
-    for name, args, extra, code in _exit_code_cases(data_dir, tmp_path, lake_dir):
+    for name, args, extra, code, line in _exit_code_cases(data_dir, tmp_path, lake_dir):
         proc = _run_cli(args, dict(os.environ, **extra))
         assert proc.returncode == code, (name, proc.stderr)
         assert "Traceback" not in proc.stderr, name
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (name, proc.stderr)
+        assert line is None or lines == [line], (name, proc.stderr)
 
 
 # Digests of the seed-1 500-rows-per-source lake, recorded before the row
@@ -946,20 +966,19 @@ def test_all_six_views_cost_two_folds_and_one_map(lake_dir, tmp_path, monkeypatc
     assert calls == {"group_aggregate": 2, "map": 1}
 
 
-def test_query_makes_at_most_one_partition_per_record(lake_dir, tmp_path, monkeypatch):
+def test_query_folds_one_partition(lake_dir, tmp_path, monkeypatch):
     from_records = PartitionedDataset.__dict__["from_records"].__func__
     counts = []
 
     def bounded(cls, records, partition_count):
-        if partition_count > len(records):  # fail before a billion partition lists are built
+        if partition_count > 1:  # fail before a billion partition lists are built
             raise AssertionError(f"{partition_count} partitions for {len(records)} records")
         counts.append(partition_count)
         return from_records(cls, records, partition_count)
 
     monkeypatch.setattr(PartitionedDataset, "from_records", classmethod(bounded))
     assert cli.run(["query", "--lake", str(lake_dir), "--out", str(tmp_path), "--partitions", "1000000000"]) == 0
-    manifest = json.loads((lake_dir / "manifest.json").read_text(encoding="utf-8"))
-    assert counts == [sum(st["accepted"] for st in manifest["per_source"].values())]
+    assert counts == [1]
 
 
 def test_overflow_through_the_rollup_names_the_group_and_writes_nothing(tmp_path, capsys):

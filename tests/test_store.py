@@ -344,19 +344,25 @@ def test_a_failed_write_names_its_file_and_leaves_the_lake_and_out_as_they_were(
     (out / "notes.txt").write_text("keep", encoding="utf-8")
     old_lake, old_out = tree(lake), tree(out)
     limits = sorted({0, 100, 4096, *(len(data) - 1 for data in old_lake.values())})
-    runs = [(ingest + ["--threads", "1"], n) for n in limits]
+    one_worker = ingest + ["--threads", "1"]
+    runs = [(one_worker, n) for n in limits]
     # below 11 bytes a pool cannot make its semaphore, which fails before any lake write
-    runs += [(ingest + ["--threads", "2"], n) for n in limits if n > 10]
+    runs += [(ingest + ["--threads", "2"], n) for n in (0, 5, *(n for n in limits if n > 10))]
     runs += [(report, n) for n in limits if n < max(map(len, old_out.values()))]
     staging = os.path.join(os.path.realpath(tmp_path), ".lake-tmp-")
     for argv, n in runs:
         code, err = _run_child(argv, _file_size_limit(n))
-        named = re.fullmatch(r"error: File too large \((.+)\)\n", err)
-        assert code == 1 and named, (argv, n, err)
-        if argv is report:
-            assert os.path.dirname(named[1]) == str(out) and os.path.basename(named[1]).startswith("."), err
+        if n <= 10 and argv[-1] == "2":
+            assert code == 1 and re.fullmatch(r"error: cannot start 2 ingest worker processes: \S.*\n", err), err
         else:
-            assert named[1].startswith(staging), err
+            named = re.fullmatch(r"error: File too large \((.+)\)\n", err)
+            assert code == 1 and named, (argv, n, err)
+            if argv is report:
+                assert os.path.dirname(named[1]) == str(out) and os.path.basename(named[1]).startswith("."), err
+            else:
+                assert named[1].startswith(staging), err
+            if argv is one_worker and n == 0:  # the first source's record file fails first, not its reject part
+                assert os.path.basename(named[1]) == "amazon.jsonl", err
         assert tree(lake) == old_lake and tree(out) == old_out, (argv, n)
         assert not list(tmp_path.glob(".lake-tmp-*")), (argv, n)
 
