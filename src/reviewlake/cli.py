@@ -10,9 +10,9 @@ directory, so a config can travel with its data; an empty path is refused.
 Exit codes: 0 on success, 1 on unreadable input or a corrupt mapping or
 lake, 2 on configuration errors (argparse uses 2 for bad flags already).
 Rejected rows are never fatal; they are tallied and land in the lake's
-reject file. A SIGTERM during ingest exits 1 and leaves any earlier lake
-as it was, unless it lands once the new lake is renamed into place: from
-that commit point on it is ignored, and ingest finishes and exits 0.
+reject file. ``store.LakeWriter`` holds the rule for a SIGTERM or SIGINT
+during ingest: exit 1 with any earlier lake as it was, or, once the new
+lake is renamed into place, ignore it and finish with exit 0.
 
 ``ingest --threads N`` forks its workers; there is no other start method.
 So the tool is POSIX-only: the one platform without ``fork``, Windows,
@@ -141,10 +141,7 @@ def resolve_config(args) -> RunConfig:
 
 
 def _ingest_source(writer: store.LakeWriter, stops, job) -> tuple[str, store.SourceStats]:
-    """Parse, adapt, and clean one (path, mapping) job into the staging directory.
-
-    Runs in the parent or in a forked worker.
-    """
+    """Parse, adapt, and clean one (path, mapping) job into the staging directory, in the parent or a worker."""
     from reviewlake import ingest  # already loaded by cmd_ingest
 
     path, mapping = job
@@ -152,8 +149,6 @@ def _ingest_source(writer: store.LakeWriter, stops, job) -> tuple[str, store.Sou
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    import signal
-
     # loaded here, before any fork, so pool workers inherit them compiled;
     # _ingest_source imports ingest again from sys.modules
     from reviewlake import clean, ingest
@@ -168,39 +163,14 @@ def cmd_ingest(cfg: RunConfig) -> int:
         if mapping.source != spec.source:
             raise MappingFileError(f"mapping {spec.mapping} is for {mapping.source!r}, not {spec.source!r}")
         jobs.append((spec.path, mapping))
-    writer = None
-
-    def on_sigterm(signum, frame):
-        # once commit has renamed the new lake into place, let it finish and exit 0
-        if writer is None or not writer.committed:
-            raise ReviewLakeError("ingest interrupted by SIGTERM")
-
-    previous = signal.signal(signal.SIGTERM, on_sigterm)
-    try:
-        writer = store.LakeWriter(cfg.lake_dir)
-        try:
-            work = functools.partial(_ingest_source, writer, stops)
-            if cfg.threads > 1 and len(jobs) > 1:
-                import multiprocessing  # only an ingest that fans out pays for the import
-
-                # workers die on Pool.terminate's SIGTERM instead of raising
-                reset = functools.partial(signal.signal, signal.SIGTERM, signal.SIG_DFL)
-                workers = min(cfg.threads, len(jobs))
-                try:
-                    pool = multiprocessing.get_context("fork").Pool(workers, initializer=reset)
-                except OSError as exc:  # a semaphore or a fork failed; the pool stopped what it started
-                    reason = exc.strerror or exc
-                    raise ReviewLakeError(f"cannot start {workers} ingest worker processes: {reason}") from None
-                with pool:
-                    results = pool.map(work, jobs)
-            else:
-                results = [work(j) for j in jobs]
-            manifest = writer.commit(dict(results), created_at, stops.checksum)
-        except BaseException:
-            writer.abort()
-            raise
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+    with store.LakeWriter(cfg.lake_dir) as writer:
+        work = functools.partial(_ingest_source, writer, stops)
+        if cfg.threads > 1 and len(jobs) > 1:
+            with writer.fork_pool(min(cfg.threads, len(jobs))) as pool:
+                results = pool.map(work, jobs)
+        else:
+            results = [work(j) for j in jobs]
+        manifest = writer.commit(dict(results), created_at, stops.checksum)
     print(store.manifest_to_json(manifest), end="")
     return 0
 

@@ -26,7 +26,6 @@ byte-identical for any partition count:
 
 Every :class:`QueryTypeError` names the metric and the lowest failing group
 in key order, so an error does not depend on the partition count either.
-A fan-out of forked folds per view measured slower than this on 20k rows.
 A query makes two aggregations in all: the analytics module builds its two
 roll-up tables here and derives the six views from them.
 

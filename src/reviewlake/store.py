@@ -4,9 +4,8 @@ distributed store at desk scale.
 Layout inside a lake directory: ``manifest.json``, one ``<source>.jsonl``
 per source that contributed accepted records, and ``rejects.jsonl``;
 :func:`load_manifest` holds that rule. :class:`LakeWriter` is the only
-writer: it builds the whole lake in a hidden temp directory next to the
-target, fsyncs it, and renames it into place, so readers never observe a
-partial lake, even after a crash.
+writer and owns its staging directory: it builds the whole lake there,
+fsyncs it and renames it into place, so a reader never sees part of a lake.
 
 A valid lake holds what :class:`LakeWriter` writes and nothing else.
 :func:`read_lake` also requires every record line to be exactly what
@@ -25,11 +24,11 @@ import json
 import os
 import re
 import shutil
-import tempfile
+import signal
 from itertools import zip_longest
 from typing import NamedTuple
 
-from reviewlake.errors import ConfigurationError, CorruptLakeError, naming
+from reviewlake.errors import ConfigurationError, CorruptLakeError, ReviewLakeError, naming
 from reviewlake.model import (
     DATE_WINDOW_HI,
     DATE_WINDOW_LO,
@@ -42,6 +41,7 @@ from reviewlake.model import (
     new_record,
 )
 
+_GUARDED = (signal.SIGTERM, signal.SIGINT)  # the signals a LakeWriter turns into an error
 MANIFEST_NAME = "manifest.json"
 REJECTS_NAME = "rejects.jsonl"
 
@@ -169,13 +169,16 @@ class LakeWriter:
 
     The target is resolved once, so a linked lake is replaced where it
     lives; it and its reserved aside ``.<lake>.old`` are checked before a
-    row is read. ``stage`` writes one source's records and reject part; it
-    changes no writer state, so forked workers can stage sources side by
-    side. ``commit`` finishes and fsyncs the staging directory, renames an
-    old lake onto the aside and the staging directory into place (the
-    commit point), fsyncs the parent and removes the aside. A crash leaves
-    at most the aside, which the next commit removes, and stranded
-    ``.lake-tmp-*`` directories.
+    row is read. Entered, it guards SIGTERM and SIGINT, then makes the
+    staging directory; on exit it removes that after an exception and
+    restores the handlers. ``stage`` writes one source's records and reject
+    part and changes no writer state, so forked workers can stage sources
+    side by side. ``commit`` finishes and fsyncs the staging directory,
+    renames an old lake onto the aside and the staging directory into place
+    (the commit point: a signal raises ``ReviewLakeError`` before it and is
+    ignored from it on), fsyncs the parent and removes the aside. A crash
+    leaves at most the aside, which the next commit removes (between the
+    renames, in place of the lake), and stranded ``.lake-tmp-*`` directories.
     """
 
     def __init__(self, target_dir: str):
@@ -185,7 +188,45 @@ class LakeWriter:
         _check_target(self.target)  # refuse before a row is read, not only at commit
         _check_target(self.aside)
         os.makedirs(self.parent, exist_ok=True)
-        self.tmp = tempfile.mkdtemp(prefix=".lake-tmp-", dir=self.parent)
+        self.tmp = os.path.join(self.parent, ".lake-tmp-" + os.urandom(8).hex())
+
+    def __enter__(self) -> LakeWriter:
+        self._previous = [(sig, signal.signal(sig, self._on_signal)) for sig in _GUARDED]
+        try:
+            os.mkdir(self.tmp)  # 0o777 less the umask, as for any directory mkdir makes
+        except BaseException as exc:
+            self.__exit__(type(exc), exc, None)
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is not None:  # after the commit point there is no staging directory
+                shutil.rmtree(self.tmp, ignore_errors=True)
+        finally:
+            for sig, previous in self._previous:
+                signal.signal(sig, previous)
+
+    def _on_signal(self, signum: int, frame) -> None:
+        if os.path.lexists(self.tmp):  # read from the file system, so it holds from inside the rename on
+            raise ReviewLakeError(f"ingest interrupted by {signal.Signals(signum).name}")
+
+    def __getstate__(self) -> dict:  # a pool task pickles the writer, but not the handlers it saved
+        return {k: v for k, v in self.__dict__.items() if k != "_previous"}
+
+    def fork_pool(self, workers: int):
+        """A fork pool whose threads leave SIGTERM and SIGINT to this thread, which waits in ``Pool.map``."""
+        import multiprocessing  # only an ingest that fans out pays for the import
+
+        # a thread that forked a worker could take the signal; threads and workers inherit the mask
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _GUARDED)
+        try:
+            return multiprocessing.get_context("fork").Pool(workers, _start_worker, (mask,))
+        except OSError as exc:  # a semaphore or a fork failed; the pool stopped what it started
+            reason = "the OS gave no reason" if exc.errno == 0 else exc.strerror or exc
+            raise ReviewLakeError(f"cannot start {workers} ingest worker processes: {reason}") from None
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     def _reject_part(self, source: str) -> str:
         return os.path.join(self.tmp, f"rejects-{source}.part")
@@ -255,19 +296,14 @@ class LakeWriter:
         os.rename(self.aside, self.tmp + "-old")
         shutil.rmtree(self.tmp + "-old")
 
-    @property
-    def committed(self) -> bool:
-        """Whether commit has renamed the staging directory into place
-        (or abort has removed it).
 
-        Read from the file system, so it is true from the rename on, even
-        when asked from a signal handler that interrupts the rename's caller.
-        """
-        return not os.path.lexists(self.tmp)
-
-    def abort(self) -> None:
-        """Remove the staging directory; after the commit point there is none."""
-        shutil.rmtree(self.tmp, ignore_errors=True)
+def _start_worker(mask) -> None:
+    """A worker dies of ``Pool.terminate``'s SIGTERM at once (a handler can miss one that lands as it
+    waits again for the task queue's lock) and leaves a Ctrl-C to the ingest (dying of it while it
+    holds that lock would leave ``Pool.terminate`` waiting); then it takes both signals again."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _check_target(path: str) -> bool:

@@ -7,14 +7,17 @@ import json
 import os
 import shutil
 import signal
+import stat
 import subprocess
 import sys
+import time
 
 import pytest
 
 from reviewlake import analytics, clean, cli, fixtures, ingest
 from reviewlake.engine import PartitionedDataset
 from reviewlake.errors import QueryTypeError
+from reviewlake.model import SOURCES
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
@@ -935,15 +938,16 @@ def test_a_full_run_loads_only_the_package_and_the_standard_library(tmp_path):
 
 
 def test_the_lake_code_loads_neither_the_engine_nor_the_views():
+    # nor tempfile or random; -S, so that no site hook preloads them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, reviewlake.store; print(' '.join(sorted(sys.modules)))"],
+        [sys.executable, "-S", "-c", "import sys, reviewlake.store; print(' '.join(sorted(sys.modules)))"],
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "reviewlake.store" in loaded
-    assert loaded & {"reviewlake.engine", "reviewlake.analytics"} == set()
+    assert loaded & {"reviewlake.engine", "reviewlake.analytics", "tempfile", "random"} == set()
 
 
 def test_all_six_views_cost_two_folds_and_one_map(lake_dir, tmp_path, monkeypatch):
@@ -1035,27 +1039,85 @@ def test_a_failed_write_leaves_every_output_file_as_it_was(lake_dir, tmp_path, m
 
 
 def test_sigterm_during_ingest_removes_staging_and_keeps_the_lake(data_dir, tmp_path, monkeypatch, capsys):
+    # SIGINT follows the same rule
     cfg = str(data_dir / "config.json")
     lake = tmp_path / "lake"
     assert cli.run(["ingest", "--config", cfg, "--lake", str(lake)]) == 0
     before = sha_tree(lake)
 
-    def terminated(*args):
-        os.kill(os.getpid(), signal.SIGTERM)
-        raise AssertionError("SIGTERM did not interrupt the ingest")
-
     def outer_handler(signum, frame):  # stands in for the default, which would end pytest
         pass
 
-    monkeypatch.setattr(cli, "_ingest_source", terminated)
-    previous = signal.signal(signal.SIGTERM, outer_handler)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+
+        def interrupted(*args):
+            os.kill(os.getpid(), signum)
+            raise AssertionError(f"{signum!r} did not interrupt the ingest")
+
+        monkeypatch.setattr(cli, "_ingest_source", interrupted)
+        previous = {sig: signal.signal(sig, outer_handler) for sig in (signal.SIGTERM, signal.SIGINT)}
+        try:
+            capsys.readouterr()
+            assert cli.run(["ingest", "--config", cfg, "--lake", str(lake)]) == 1
+            assert {sig: signal.getsignal(sig) for sig in previous} == dict.fromkeys(previous, outer_handler)
+        finally:
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)
+        err = capsys.readouterr().err
+        assert err == f"error: ingest interrupted by {signum.name}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["lake"]  # no .lake-tmp-* staging directory
+        assert sha_tree(lake) == before
+
+
+_SLOW_INGEST = """
+import sys, time
+from reviewlake import cli
+ingest_source, slow_sources = cli._ingest_source, sys.argv[1].split(",")
+
+def slow(writer, stops, job):
+    if job[1].source in slow_sources:
+        time.sleep(60)
+    return ingest_source(writer, stops, job)
+
+cli._ingest_source = slow
+sys.exit(cli.run(sys.argv[2:]))
+"""
+
+
+def test_a_signal_to_a_two_worker_ingest_and_its_workers_is_one_error_line(data_dir, tmp_path):
+    # a session of its own, so the signal reaches the workers too, as a Ctrl-C at a terminal does
+    cfg = str(data_dir / "config.json")
+    lake = tmp_path / "lake"
+    assert cli.run(["ingest", "--config", cfg, "--lake", str(lake)]) == 0
+    before = sha_tree(lake)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    argv = ["ingest", "--config", cfg, "--lake", str(lake), "--threads", "2"]
+    # a Ctrl-C while one worker is busy and the other idle; a SIGTERM while both are busy
+    for signum, slow_sources in ((signal.SIGINT, "amazon"), (signal.SIGTERM, ",".join(SOURCES))):
+        with subprocess.Popen([sys.executable, "-c", _SLOW_INGEST, slow_sources, *argv], env=env,
+                              start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) as proc:
+            try:
+                deadline = time.monotonic() + 10
+                while not list(tmp_path.glob(".lake-tmp-*")) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                time.sleep(1)  # the workers are forked and asleep, or done with the fast sources
+                os.killpg(proc.pid, signum)
+                out, err = proc.communicate(timeout=10)
+            finally:
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert (proc.returncode, out, err) == (1, "", f"error: ingest interrupted by {signum.name}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["lake"]  # no .lake-tmp-* staging directory
+        assert sha_tree(lake) == before
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o755), (0o077, 0o700)], ids=["umask022", "umask077"])
+def test_a_lake_gets_the_mode_mkdir_gives(data_dir, tmp_path, umask, mode):
+    lake = tmp_path / "lake"
+    previous = os.umask(umask)
     try:
-        capsys.readouterr()
-        assert cli.run(["ingest", "--config", cfg, "--lake", str(lake)]) == 1
-        assert signal.getsignal(signal.SIGTERM) is outer_handler
+        assert cli.run(["ingest", "--config", str(data_dir / "config.json"), "--lake", str(lake)]) == 0
     finally:
-        signal.signal(signal.SIGTERM, previous)
-    err = capsys.readouterr().err
-    assert err == "error: ingest interrupted by SIGTERM\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["lake"]  # no .lake-tmp-* staging directory
-    assert sha_tree(lake) == before
+        os.umask(previous)
+    assert stat.S_IMODE(lake.stat().st_mode) == mode
