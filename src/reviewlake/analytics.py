@@ -97,30 +97,29 @@ def reviews_per_month(cube: Rollup) -> AggTable:
     return AggTable(("month", "source", "count"), rows)
 
 
+def _summed_tuples(pairs) -> list[tuple]:
+    """Sum the tuples of (key, tuple) pairs position by position; (key, sums) pairs sorted by key."""
+    groups: dict = {}
+    for key, values in pairs:
+        groups.setdefault(key, []).append(values)
+    return [(key, tuple(map(sum, zip(*tuples)))) for key, tuples in sorted(groups.items())]
+
+
 def length_upvote_profile(cube: Rollup) -> AggTable:
     """Review count and mean upvotes per 50-character length bucket.
 
     The bucket column holds the bin's inclusive lower bound; lengths of
     2000+ characters share the final open bucket.
     """
-    sums: dict[int, list[int]] = {}
-    for _src, _sent, bucket, n, _length, upvotes in cube.lengths.rows:
-        acc = sums.setdefault(bucket, [0, 0])
-        acc[0] += n
-        acc[1] += upvotes
-    rows = [(bucket, n, upvotes / n) for bucket, (n, upvotes) in sorted(sums.items())]
+    pairs = ((bucket, (n, upvotes)) for _src, _sent, bucket, n, _length, upvotes in cube.lengths.rows)
+    rows = [(bucket, n, upvotes / n) for bucket, (n, upvotes) in _summed_tuples(pairs)]
     return AggTable(("bucket", "review_count", "mean_upvotes"), rows)
 
 
 def sentiment_profile(cube: Rollup) -> AggTable:
     """Mean cleaned-text length, mean upvotes, and count per (source, sentiment)."""
-    sums: dict[tuple[str, int], list[int]] = {}
-    for src, sent, _bucket, n, length, upvotes in cube.lengths.rows:
-        acc = sums.setdefault((src, sent), [0, 0, 0])
-        acc[0] += n
-        acc[1] += length
-        acc[2] += upvotes
-    rows = [key + (length / n, upvotes / n, n) for key, (n, length, upvotes) in sorted(sums.items())]
+    pairs = (((src, sent), (n, length, upvotes)) for src, sent, _bucket, n, length, upvotes in cube.lengths.rows)
+    rows = [key + (length / n, upvotes / n, n) for key, (n, length, upvotes) in _summed_tuples(pairs)]
     return AggTable(("source", "sentiment", "mean_length", "mean_upvotes", "count"), rows)
 
 
@@ -137,37 +136,23 @@ def yoy_percent_change(cube: Rollup) -> AggTable:
     "median" sorts after all 4-digit years.
     """
     base = _summed(((src, day.year, sent), n) for src, day, sent, n in cube.calendar.rows)
-    by_class: dict[tuple[str, int, int], int] = {}
-    totals: dict[tuple[str, int], int] = {}
-    years: dict[str, set[int]] = {}
-    for src, year, sent, n in base:
-        by_class[(src, year, sent)] = n
-        totals[(src, year)] = totals.get((src, year), 0) + n
-        years.setdefault(src, set()).add(year)
-
+    # (source, year) -> (overall, negative, positive) counts, in key order, which the notes follow
+    series = dict(_summed_tuples(((src, year), (n, 0, n) if sent else (n, n, 0)) for src, year, sent, n in base))
     rows: list[tuple] = []
     notes: list[str] = []
-    for src in sorted(years):
-        series: dict[str, list[float]] = {"negative": [], "overall": [], "positive": []}
-        for cur in sorted(years[src]):
-            prior = cur - 1
-            if prior not in years[src]:
+    pcts: dict[tuple[str, str], list[float]] = {}
+    for (src, year), counts in series.items():
+        priors = series.get((src, year - 1))
+        if priors is None:
+            continue
+        for split, cur, prior in zip(("overall", "negative", "positive"), counts, priors):
+            if prior == 0:
+                notes.append(f"{src} {year} {split}: prior-year count 0, pct undefined")
                 continue
-            pct = 100.0 * (totals[(src, cur)] - totals[(src, prior)]) / totals[(src, prior)]
-            rows.append((src, str(cur), pct, "overall"))
-            series["overall"].append(pct)
-            for sent, split in ((0, "negative"), (1, "positive")):
-                cp = by_class.get((src, prior, sent), 0)
-                cc = by_class.get((src, cur, sent), 0)
-                if cp == 0:
-                    notes.append(f"{src} {cur} {split}: prior-year count 0, pct undefined")
-                    continue
-                pct = 100.0 * (cc - cp) / cp
-                rows.append((src, str(cur), pct, split))
-                series[split].append(pct)
-        for split, pcts in series.items():
-            if pcts:
-                rows.append((src, "median", _median(pcts, False), split))
+            pct = 100.0 * (cur - prior) / prior
+            rows.append((src, str(year), pct, split))
+            pcts.setdefault((src, split), []).append(pct)
+    rows += [(src, "median", _median(p, False), split) for (src, split), p in pcts.items()]
     rows.sort(key=lambda r: (r[0], r[1], r[3]))
     return AggTable(("source", "year", "pct_change", "sentiment_split"), rows, tuple(notes))
 

@@ -260,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", dest="out_dir", help="output directory (overrides config)")
     shared.add_argument("--threads", type=int, help="ingest worker count; query and report accept and ignore it")
     tables = argparse.ArgumentParser(add_help=False)
-    tables.add_argument("--format", choices=report.TABLE_FORMATS, help="table format")
+    tables.add_argument("--format", help=f"table format: {' or '.join(report.TABLE_FORMATS)}")
     tables.add_argument("--partitions", type=int, help="query and report accept and ignore it, as they do --threads")
 
     p = argparse.ArgumentParser(prog="reviewlake", description="review ETL and analytics")

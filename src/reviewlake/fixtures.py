@@ -1,11 +1,12 @@
 """Deterministic synthetic source files with exact ground truth.
 
 Given a seed, this writes one export per source (three CSVs and one JSON
-lines file) plus ground_truth.json and a ready-to-use config.json. Every
-row's fate is decided while writing, so the ground truth is an exact
-tally, not an estimate: accepted counts, per-reason reject counts, blank
-lines, and per-class totals all come from the same pass that produced the
-bytes.
+lines file) plus ground_truth.json and a ready-to-use config.json. Each
+file's rows are planned before any is written, then one ``emit`` chosen
+per file writes them: a list as a CSV row or JSON object, a str as a raw
+line. So the ground truth is an exact tally, not an estimate: accepted
+counts, per-reason reject counts, blank lines and per-class totals all
+follow from the plan.
 
 The "paper_shaped" profile plants the structure the analytic views are
 expected to surface: weekend-heavy posting for yelp and imdb with an
@@ -14,12 +15,12 @@ of review length with negative reviews running longer (imdb swapped), and
 upvotes that grow with length and lean negative. It is the only profile.
 
 Each source's rows come from its own stream, ``random.Random(f"{seed}:{source}")``,
-so the four files are independent tasks: forked worker processes write
-them, one per usable core up to four, and the bytes do not depend on how
-many workers there are. The ground truth is assembled in source order
-once every worker has finished. The workers fork, as every worker pool in
-reviewlake does, so the generator is POSIX-only like the rest of the tool:
-Windows, the one platform without ``fork``, could not commit a lake either.
+so each file is an independent task, one ``_write_source`` call: forked
+workers run them, one per usable core up to four, and the bytes do not
+depend on how many workers there are. The ground truth is assembled in
+source order once every worker has finished. The workers fork, as every
+worker pool in reviewlake does, so the generator is POSIX-only like the
+rest of the tool: Windows, without ``fork``, could not commit a lake either.
 
 Review text is assembled from a stopword-free vocabulary so that its
 cleaned length equals a planted target exactly, then dressed with noise
@@ -302,29 +303,35 @@ def _sentiment_label(source: str, cls: int, rng: random.Random) -> str:
 
 _NEUTRAL_LABEL = {"amazon": "3", "yelp": "neutral", "imdb": "neutral"}
 
+#: A JSON value that drops its key from the row's object (missing_column).
+_ABSENT = object()
 
-#: "\udcff" is a lone surrogate: a source file's surrogateescape encoding
-#: writes it as the byte 0xff, which is not valid UTF-8.
-_BROKEN_BYTE = "\udcff"
+#: The raw bad_encoding line of each file format, formatted with the row's
+#: date and label. "\udcff" is a lone surrogate: a source file's
+#: surrogateescape encoding writes it as the byte 0xff, which is not valid UTF-8.
+_BAD_ENCODING = {"csv": "Mystery Item,{},{},2,br\udcffoken text", "jsonl": '{{"movie": "M\udcff"}}'}
 
 
-def _generate_source(source: str, rng: random.Random, n: int, out) -> dict:
-    """Write one source's rows to the text file out; returns its ground truth."""
+def _write_source(out_dir: str, seed: int, rows: int, source: str) -> dict:
+    """Write one source's file from its own seeded stream; returns its ground truth.
+
+    The one unit of work of ``generate``, run in a forked worker process.
+    """
+    rng = random.Random(f"{seed}:{source}")
     is_jsonl = source == "imdb"
+    fmt = "jsonl" if is_jsonl else "csv"
     reasons = _JSONL_REASONS if is_jsonl else _CSV_REASONS
-    has_neutral = source in _NEUTRAL_LABEL
-    p_neg = _P_NEG[source]
 
     # phase 1: decide every row's fate so the class totals are known
     plan: list[tuple] = []
     n_by_class = [0, 0]
-    for i in range(1, n + 1):
+    for i in range(1, rows + 1):
         if i % 53 == 0:
             plan.append(("bad", reasons[(i // 53 - 1) % len(reasons)]))
-        elif has_neutral and rng.random() < 0.045:
+        elif source in _NEUTRAL_LABEL and rng.random() < 0.045:
             plan.append(("neutral",))
         else:
-            cls = 0 if rng.random() < p_neg else 1
+            cls = 0 if rng.random() < _P_NEG[source] else 1
             n_by_class[cls] += 1
             plan.append(("norm", cls))
 
@@ -337,114 +344,87 @@ def _generate_source(source: str, rng: random.Random, n: int, out) -> dict:
     names = _NAMES[source]
     header = _HEADERS[source]
     eol = _EOL.get(source, "\n")
-
-    write = out.write
-    writerow = csv.writer(out, lineterminator=eol).writerow
-    if not is_jsonl:
-        writerow(header)
-
     tallies: dict[str, int] = {}
-    by_sent = [0, 0]
     accepted = 0
-    blanks = 0
-    norm_seen = 0
 
-    for i, entry in enumerate(plan, start=1):
-        day = days[bisect_right(cum, rand() * total, 0, hi)]  # rng.choices(days, cum_weights=cum)[0]
-        date_s = _format_date(source, day, i % 7 == 3, rng)
-        name = names[_below(rng, len(names))]
-        kind = entry[0]
+    path = os.path.join(out_dir, _FILES[source])
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as out:
+        write = out.write
+        if is_jsonl:
 
-        if kind == "bad":
-            reason = entry[1]
-            label = _sentiment_label(source, 1, rng)
-            vals = {"name": name, "date": date_s, "label": label, "up": "2", "text": "fox dog amazing tale"}
-            if reason == "bad_date":
-                vals["date"] = _BAD_DATE[source]
-            elif reason == "date_out_of_range":
-                vals["date"] = _RANGE_DATE[source]
-            elif reason == "bad_label":
-                vals["label"] = _BAD_LABEL[source]
-            elif reason == "bad_upvotes":
-                vals["up"] = ("-3", "many")[i % 2]
-            elif reason == "null_field":
-                vals["text"] = ""
-            elif reason == "empty_after_clean":
-                vals["text"] = "The AND of!!! 123 under OVER"
-            ordered = [vals["name"], vals["date"], vals["label"], vals["up"], vals["text"]]
-            if is_jsonl:
-                if reason == "bad_json":
-                    write('{"movie": "Broken Record", "review_date": ' + eol)
-                elif reason == "unsupported_shape":
-                    obj = dict(zip(header, ordered))
-                    obj["helpful"] = {"up": 2}
-                    write(json.dumps(obj, ensure_ascii=False) + eol)
-                elif reason == "missing_column":
-                    obj = dict(zip(header, ordered))
-                    del obj["helpful"]
-                    write(json.dumps(obj, ensure_ascii=False) + eol)
-                elif reason == "bad_encoding":
-                    write('{"movie": "M' + _BROKEN_BYTE + '"}' + eol)
-                else:
-                    write(json.dumps(dict(zip(header, ordered)), ensure_ascii=False) + eol)
-            elif reason == "ragged_row":
-                writerow(ordered[:-1])
-            elif reason == "bad_encoding":
-                write(f"Mystery Item,{date_s},{label},2,br{_BROKEN_BYTE}oken text{eol}")
-            else:
-                writerow(ordered)
-            tallies[reason] = tallies.get(reason, 0) + 1
-        elif kind == "neutral":
-            row = [name, date_s, _NEUTRAL_LABEL[source], "1", "fine middling stuff overall"]
-            if is_jsonl:
-                write(json.dumps(dict(zip(header, row)), ensure_ascii=False) + eol)
-            else:
-                writerow(row)
-            tallies["neutral_dropped"] = tallies.get("neutral_dropped", 0) + 1
+            def write_row(row):
+                write(json.dumps({k: v for k, v in zip(header, row) if v is not _ABSENT}, ensure_ascii=False) + eol)
+
         else:
-            cls = entry[1]
-            norm_seen += 1
-            length = pools[cls].pop()
-            text = _build_text(rng, length)
-            up = length // 10 + (15 if cls == 0 else 0) + _below(rng, 2)
-            label = _sentiment_label(source, cls, rng)
-            if not is_jsonl and norm_seen % 97 == 0:
-                name = name + "\nsecond line"
-            row = [name, date_s, label, str(up), text]
-            if is_jsonl:
-                obj = dict(zip(header, row))
-                if rand() < 0.5:
-                    obj["helpful"] = up  # exercise the numeric JSON path
-                write(json.dumps(obj, ensure_ascii=False) + eol)
-            else:
-                writerow(row)
-            accepted += 1
-            by_sent[cls] += 1
-        if i % 211 == 0:
-            write(eol)
-            blanks += 1
+            write_row = csv.writer(out, lineterminator=eol).writerow
+            write_row(header)
 
-    truth = {
+        def emit(row):
+            if row.__class__ is str:
+                write(row + eol)
+            else:
+                write_row(row)
+
+        for i, entry in enumerate(plan, start=1):
+            day = days[bisect_right(cum, rand() * total, 0, hi)]  # rng.choices(days, cum_weights=cum)[0]
+            date_s = _format_date(source, day, i % 7 == 3, rng)
+            name = names[_below(rng, len(names))]
+            kind = entry[0]
+
+            if kind == "bad":
+                reason = entry[1]
+                row = [name, date_s, _sentiment_label(source, 1, rng), "2", "fox dog amazing tale"]
+                if reason == "bad_date":
+                    row[1] = _BAD_DATE[source]
+                elif reason == "date_out_of_range":
+                    row[1] = _RANGE_DATE[source]
+                elif reason == "bad_label":
+                    row[2] = _BAD_LABEL[source]
+                elif reason == "bad_upvotes":
+                    row[3] = ("-3", "many")[i % 2]
+                elif reason == "unsupported_shape":
+                    row[3] = {"up": 2}
+                elif reason == "missing_column":
+                    row[3] = _ABSENT
+                elif reason == "null_field":
+                    row[4] = ""
+                elif reason == "empty_after_clean":
+                    row[4] = "The AND of!!! 123 under OVER"
+                elif reason == "ragged_row":
+                    del row[4]
+                elif reason == "bad_json":
+                    row = '{"movie": "Broken Record", "review_date": '
+                elif reason == "bad_encoding":
+                    row = _BAD_ENCODING[fmt].format(date_s, row[2])
+                emit(row)
+                tallies[reason] = tallies.get(reason, 0) + 1
+            elif kind == "neutral":
+                emit([name, date_s, _NEUTRAL_LABEL[source], "1", "fine middling stuff overall"])
+                tallies["neutral_dropped"] = tallies.get("neutral_dropped", 0) + 1
+            else:
+                cls = entry[1]
+                accepted += 1
+                length = pools[cls].pop()
+                text = _build_text(rng, length)
+                up = length // 10 + (15 if cls == 0 else 0) + _below(rng, 2)
+                if not is_jsonl and accepted % 97 == 0:
+                    name = name + "\nsecond line"
+                row = [name, date_s, _sentiment_label(source, cls, rng), str(up), text]
+                if is_jsonl and rand() < 0.5:
+                    row[3] = up  # exercise the numeric JSON path
+                emit(row)
+            if i % 211 == 0:
+                emit("")
+
+    return {
         "file": _FILES[source],
-        "format": "jsonl" if is_jsonl else "csv",
-        "rows": n,
-        "blank_lines": blanks,
+        "format": fmt,
+        "rows": rows,
+        "blank_lines": rows // 211,
         "accepted": accepted,
-        "accepted_by_sentiment": {"negative": by_sent[0], "positive": by_sent[1]},
+        "accepted_by_sentiment": {"negative": n_by_class[0], "positive": n_by_class[1]},
         "rejected_by_reason": dict(sorted(tallies.items())),
     }
-    return truth
-
-
-def _write_source(out_dir: str, seed: int, rows: int, source: str) -> dict:
-    """Write one source's file from its own seeded stream; returns its ground truth.
-
-    The one unit of work of ``generate``, run in a forked worker process.
-    """
-    rng = random.Random(f"{seed}:{source}")
-    path = os.path.join(out_dir, _FILES[source])
-    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        return _generate_source(source, rng, rows, fh)
 
 
 def _usable_cores() -> int:

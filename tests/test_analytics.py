@@ -161,6 +161,29 @@ def test_yoy_median_even_series():
     assert abs(by[("median", "overall")] - 75.0) < 1e-9
 
 
+def test_yoy_whole_table_is_pinned():
+    # a gap (no 2020), a negative class with a zero prior-year count, and two
+    # changes in the overall and positive series, so their medians are means
+    recs = years("imdb", {
+        (2018, 1): 6, (2018, 0): 2,
+        (2019, 1): 9, (2019, 0): 1,
+        (2021, 1): 8,
+        (2022, 1): 14, (2022, 0): 2,
+    })
+    t = analytics.yoy_percent_change(analytics.rollup(PartitionedDataset.from_records(recs, 3)))
+    assert t.rows == [
+        ("imdb", "2019", -50.0, "negative"),
+        ("imdb", "2019", 25.0, "overall"),
+        ("imdb", "2019", 50.0, "positive"),
+        ("imdb", "2022", 100.0, "overall"),
+        ("imdb", "2022", 75.0, "positive"),
+        ("imdb", "median", -50.0, "negative"),
+        ("imdb", "median", 62.5, "overall"),
+        ("imdb", "median", 62.5, "positive"),
+    ]
+    assert t.notes == ("imdb 2022 negative: prior-year count 0, pct undefined",)
+
+
 def test_empty_dataset_all_views():
     ds = PartitionedDataset.from_records([], 2)
     for qid, table in run_all(ds).items():

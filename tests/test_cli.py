@@ -102,9 +102,8 @@ def test_exit_codes(lake_dir, tmp_path, capsys):
     assert cli.run(["query", "--lake", str(tmp_path / "missing"), "--out", str(tmp_path)]) == 1
     assert cli.run(["query", "--lake", str(lake_dir), "--out", str(tmp_path), "--partitions", "0"]) == 0  # ignored
     capsys.readouterr()
-    with pytest.raises(SystemExit) as ei:
-        cli.run(["query", "--format", "tsv"])
-    assert ei.value.code == 2
+    assert cli.run(["query", "--format", "tsv"]) == 2  # the format check, not argparse's usage error
+    assert capsys.readouterr().err == "error: format must be one of ('csv', 'json'), got 'tsv'\n"
 
 
 def test_seed_belongs_to_gen_fixtures_only(lake_dir, tmp_path):
@@ -778,6 +777,8 @@ def _exit_code_cases(data_dir, tmp_path, lake_dir):
         ("ingest into a lake with an extra file", ["ingest", "--config", config, "--lake", str(extra)], {}, 2, None),
         ("report --out inside the lake", ["report", "--lake", str(lake_dir), "--out", str(lake_dir / "o")], {}, 2,
          None),
+        ("query --format xml", ["query", "--format", "xml", "--lake", str(lake_dir), "--out", out], {}, 2,
+         "error: format must be one of ('csv', 'json'), got 'xml'"),
     ]
 
 

@@ -126,6 +126,16 @@ PINNED_DIGESTS = {
         "steam.csv": "978d3ca472a5c5267c7c21cf388d248743e7f82f65d679a03c4b79c08839f31b",
         "yelp.csv": "05c127f48477747077770d4170679d49d57814974317054c90738de5e01f69c0",
     },
+    # recorded before each file got one emit; it writes every row form,
+    # imdb's tenth bad row (bad_encoding, row 530) included
+    (2, 600): {
+        "amazon.csv": "67c73b915826301dee6761180d0fd84caa4f390a46a5c0b36ec525cd4cb3fa38",
+        "config.json": "5c636f770eacba2f17467de5f2f5df34036833681b45e0ae7cfb16de6260dd91",
+        "ground_truth.json": "d435259e2b509c695fc98694881426b72e9ca2c16b417324ab7070d742ffcce1",
+        "imdb.jsonl": "c0d94fb73678e3cb9c6693c6adf5c9c0f137ff7806e11f4296e18685402d4a9e",
+        "steam.csv": "bd9f77ee08a91e880217768d6b3865a1428e4f05f44247aad5095cc66a66f8c3",
+        "yelp.csv": "f5a7fc92b4410b478007cf04f9860f1653a02f478b8fdaa849b9bf7685146e3e",
+    },
 }
 
 
