@@ -6,9 +6,9 @@ combine before a shuffle:
 
 * calendar counts, keyed by (source, creation_date, sentiment), give
   per_year, yoy, per_weekday and per_month;
-* a length profile, keyed by (source, sentiment, 50-character bucket) and
-  holding the count and the sums of text lengths and upvotes, gives
-  length_upvotes and sentiment_profile.
+* a length profile, keyed by (source, sentiment, bucket of ``BUCKET_WIDTH``
+  characters, open from ``BUCKET_CAP``) with the count and the sums of
+  text lengths and upvotes, gives length_upvotes and sentiment_profile.
 
 Each table is one engine fold over the records, named by the key columns
 above and its metrics, so a query of all six views folds over every
@@ -30,12 +30,9 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from reviewlake.engine import Metric, PartitionedDataset, _median, group_aggregate
-from reviewlake.model import AggTable, new_record
+from reviewlake.model import BUCKET_CAP, BUCKET_WIDTH, AggTable, new_record
 
 WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
-
-BUCKET_WIDTH = 50
-BUCKET_CAP = 2000
 
 
 class ProfileRow(NamedTuple):

@@ -71,6 +71,11 @@ def _positive_int(v, name: str, base: str = "") -> int:
     return v
 
 
+def _flag_int(text: str) -> int | str:
+    """The int that ASCII digits name, after an optional minus; other text as it is, for its setting's check."""
+    return int(text) if text.isascii() and text.removeprefix("-").isdigit() else text
+
+
 def _format(v, name: str, base: str = "") -> str:
     if v not in report.TABLE_FORMATS:
         raise ConfigurationError(f"{name} must be one of {report.TABLE_FORMATS}, got {v!r}")
@@ -197,6 +202,7 @@ def cmd_query(cfg: RunConfig, ids: list[str], charts: bool = False) -> int:
     lake = os.path.realpath(cfg.lake_dir)
     if os.path.commonpath([lake, os.path.realpath(cfg.out_dir)]) == lake:
         raise ConfigurationError(f"out_dir {cfg.out_dir!r} is the lake {cfg.lake_dir!r} or a directory in it")
+    store.directory_exists(cfg.out_dir)
     # records and group states are acyclic: the collector would only rescan
     # them. They are freed inside the pause; left alive, they would be
     # scanned once the collector resumes.
@@ -240,6 +246,7 @@ def cmd_query(cfg: RunConfig, ids: list[str], charts: bool = False) -> int:
 def cmd_gen_fixtures(out_dir: str, seed: int, rows: int) -> int:
     from reviewlake import fixtures  # the generator is not loaded by the other commands
 
+    store.directory_exists(out_dir)
     truth = fixtures.generate(out_dir, seed=seed, rows_per_source=rows)
     for source in sorted(truth["per_source"]):
         t = truth["per_source"][source]
@@ -258,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help="JSON config file")
     shared.add_argument("--lake", dest="lake_dir", help="lake directory (overrides config)")
     shared.add_argument("--out", dest="out_dir", help="output directory (overrides config)")
-    shared.add_argument("--threads", type=int, help="ingest worker count; query and report accept and ignore it")
+    shared.add_argument("--threads", type=_flag_int, help="ingest worker count; query and report accept and ignore it")
     tables = argparse.ArgumentParser(add_help=False)
     tables.add_argument("--format", help=f"table format: {' or '.join(report.TABLE_FORMATS)}")
     tables.add_argument("--partitions", type=int, help="query and report accept and ignore it, as they do --threads")

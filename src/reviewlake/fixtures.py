@@ -58,7 +58,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from reviewlake.clean import MONTH_NAMES
 from reviewlake.errors import ConfigurationError, ReviewLakeError
-from reviewlake.model import SOURCES
+from reviewlake.model import BUCKET_WIDTH, SOURCES
 
 FIRST_YEAR = 2018
 LAST_YEAR = 2022
@@ -110,7 +110,7 @@ _P_NEG = {"amazon": 0.30, "yelp": 0.35, "steam": 0.40, "imdb": 0.50}
 #: reviews on average; negatives run longer everywhere except imdb.
 _DECAY = {0: 0.82, 1: 0.74}
 _DECAY_IMDB = {0: 0.74, 1: 0.82}
-_N_BUCKETS = 31  # lengths up to 1549, so the open 2000+ bucket stays empty
+_N_BUCKETS = 31  # _N_BUCKETS * BUCKET_WIDTH <= BUCKET_CAP: no planted length reaches the open bucket
 
 _YEAR_W = {
     "amazon": (0.6, 0.8, 1.0, 1.25, 1.5),
@@ -191,9 +191,9 @@ def _length_pool(rng: random.Random, n: int, q: float) -> list[int]:
         counts[b] += 1
     pool = []
     for b, c in enumerate(counts):
-        lo = 3 if b == 0 else 50 * b
+        lo = 3 if b == 0 else BUCKET_WIDTH * b
         for _ in range(c):
-            pool.append(lo + _below(rng, 50 * b + 50 - lo))
+            pool.append(lo + _below(rng, BUCKET_WIDTH * (b + 1) - lo))
     rng.shuffle(pool)
     return pool
 

@@ -127,18 +127,12 @@ def _scan_records(stream, dl: int, caps: list[int]):
             return
         if not discard and len(buf) - rstart > caps[0]:  # no LF ends this record yet
             discard = True
-        if discard:
-            # keep one byte of context so the field-start test stays valid
-            keep = spos - 1 if spos > 0 else 0
-            base += keep
-            buf = buf[keep:]
-            spos -= keep
-            rstart = 0
-        elif rstart > 0:
-            base += rstart
-            buf = buf[rstart:]
-            spos -= rstart
-            rstart = 0
+        # drop all before the record; while discarding, all but one byte of context for the field-start test
+        keep = max(spos - 1, 0) if discard else rstart
+        base += keep
+        buf = buf[keep:]  # a full slice of bytes is the object itself, not a copy
+        spos -= keep
+        rstart = 0
         chunk = read(_CHUNK)
         if chunk:
             buf += chunk
@@ -183,25 +177,27 @@ def parse_csv(stream, delimiter: str = ",", *, source: str):
     """
     dlb = delimiter.encode("ascii")
     caps = [2 * FIELD_CAP + 65536]
-    header: tuple[str, ...] | None = None
-    ncols = 0
+    records = _scan_records(stream, dlb[0], caps)
+    for kind, rec, quotes in records:
+        if kind != "blank":
+            break
+        yield None
+    else:
+        raise CsvParseError("empty input: a header row is required")
+    if kind == "big":
+        raise CsvParseError(f"header record exceeds {caps[0]} bytes")
+    try:
+        header = tuple(f.decode("utf-8") for f in _fields(rec, quotes, dlb))
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"header is not valid UTF-8: {exc}") from None
+    if len(set(header)) != len(header):
+        raise CsvParseError("duplicate column names in header")
+    ncols = len(header)
+    caps[0] = ncols * (2 * FIELD_CAP + 3) + 65536  # worst case: all-quote fields
     row = 0
-    for kind, rec, quotes in _scan_records(stream, dlb[0], caps):
+    for kind, rec, quotes in records:
         if kind == "blank":
             yield None
-            continue
-        if header is None:
-            if kind == "big":
-                raise CsvParseError(f"header record exceeds {caps[0]} bytes")
-            fields = _fields(rec, quotes, dlb)
-            try:
-                header = tuple(f.decode("utf-8") for f in fields)
-            except UnicodeDecodeError as exc:
-                raise CsvParseError(f"header is not valid UTF-8: {exc}") from None
-            if len(set(header)) != len(header):
-                raise CsvParseError("duplicate column names in header")
-            ncols = len(header)
-            caps[0] = ncols * (2 * FIELD_CAP + 3) + 65536  # worst case: all-quote fields
             continue
         row += 1
         if kind == "big":
@@ -221,8 +217,6 @@ def parse_csv(stream, delimiter: str = ",", *, source: str):
             yield RejectRecord(source, row, "bad_encoding", str(exc)[:120])
             continue
         yield new_record(RawRecord, (source, row, values))
-    if header is None:
-        raise CsvParseError("empty input: a header row is required")
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +314,10 @@ class SourceMapping(NamedTuple):
 def _mapping_from_obj(obj, origin: str) -> SourceMapping:
     if not isinstance(obj, dict):
         raise MappingFileError(f"{origin}: mapping must be a JSON object")
-    allowed = {"source", "column_map", "sentiment_scheme", "date_formats", "delimiter"}
-    unknown = set(obj) - allowed
+    unknown = set(obj) - set(SourceMapping._fields)
     if unknown:
         raise MappingFileError(f"{origin}: unknown keys {sorted(unknown)}")
-    missing = {"source", "column_map", "sentiment_scheme", "date_formats"} - set(obj)
+    missing = set(SourceMapping._fields) - set(SourceMapping._field_defaults) - set(obj)
     if missing:
         raise MappingFileError(f"{origin}: missing keys {sorted(missing)}")
     source = obj["source"]

@@ -1,4 +1,4 @@
-"""Shared domain records: raw rows, unified reviews, rejects, result tables.
+"""Shared domain records (raw rows, unified reviews, rejects, result tables) and bounds.
 
 Every record, result tables included, is a NamedTuple: immutable, cheap to
 construct, and compared by value. Records stay in the process that made
@@ -112,6 +112,10 @@ UPVOTE_MAX = int(sys.float_info.max)
 
 #: Digits in UPVOTE_MAX: a longer count is out of bounds before any int().
 UPVOTE_MAX_DIGITS = len(str(UPVOTE_MAX))
+
+#: Review-length buckets: BUCKET_WIDTH characters each, the last open from BUCKET_CAP on.
+BUCKET_WIDTH = 50
+BUCKET_CAP = 2000
 
 
 class AggTable(NamedTuple):

@@ -47,10 +47,8 @@ def table_to_csv_bytes(table: AggTable) -> bytes:
 
 
 def _json_value(v) -> str:
-    if v.__class__ is float:
-        return f"{v:.6f}"
-    if v.__class__ is int:
-        return str(v)
+    if v.__class__ is int or v.__class__ is float:
+        return _cell(v)
     return json.dumps(v)
 
 
@@ -121,19 +119,14 @@ def chart_svg(spec: ChartSpec, table: AggTable) -> str:
     if spec.where is not None:
         rows = [r for r in rows if spec.where(dict(zip(cols, r)))]
 
-    xvals: list = []
-    svals: list = []
-    cells: dict[tuple, float | int] = {}
+    cells: dict[tuple, float | int] = {}  # (x, series) -> y, the last row's for a repeated pair
     for row in rows:
         v = row[yi]
         if v.__class__ is not int and (v.__class__ is not float or not isfinite(v)):
             raise ConfigurationError(f"chart y column {spec.y!r} has non-numeric value {v!r}")
-        x, s = row[xi], row[si] if si is not None else None
-        if x not in xvals:
-            xvals.append(x)
-        if s not in svals:
-            svals.append(s)
-        cells[(x, s)] = v
+        cells[(row[xi], row[si] if si is not None else None)] = v
+    xvals = dict.fromkeys(x for x, _ in cells)  # in first-appearance order, as the keys keep it
+    svals = dict.fromkeys(s for _, s in cells)
 
     w, h = WIDTH, HEIGHT
     out = [

@@ -306,19 +306,24 @@ def _start_worker(mask) -> None:
     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
+def directory_exists(path: str, follow_links: bool = True) -> bool:
+    """Whether path exists, refused unless it is a directory or, with ``follow_links``, a link to one."""
+    exists = os.path.lexists(path)
+    if exists and (not os.path.isdir(path) or not follow_links and os.path.islink(path)):
+        raise ConfigurationError(f"{path}: exists and is not a directory")
+    return exists
+
+
 def _check_target(path: str) -> bool:
     """Refuse what a commit must not replace or remove: anything but an empty
     directory or a lake as :func:`load_manifest` defines it. Return whether it exists."""
-    if not os.path.lexists(path):
-        return False
-    if os.path.islink(path) or not os.path.isdir(path):
-        raise ConfigurationError(f"{path}: exists and is not a directory")
-    if os.listdir(path):
+    exists = directory_exists(path, follow_links=False)
+    if exists and os.listdir(path):
         try:
             load_manifest(path)
         except CorruptLakeError as exc:
             raise ConfigurationError(f"refusing to replace what is not a lake: {exc}") from None
-    return True
+    return exists
 
 
 def _fsync(path: str) -> None:

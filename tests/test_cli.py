@@ -104,6 +104,9 @@ def test_exit_codes(lake_dir, tmp_path, capsys):
     capsys.readouterr()
     assert cli.run(["query", "--format", "tsv"]) == 2  # the format check, not argparse's usage error
     assert capsys.readouterr().err == "error: format must be one of ('csv', 'json'), got 'tsv'\n"
+    for text, shown in (("1.5", "'1.5'"), ("", "''"), ("0", "0"), ("-3", "-3")):
+        assert cli.run(["ingest", "--lake", str(tmp_path / "l"), "--threads", text]) == 2  # one check, not argparse's
+        assert capsys.readouterr().err == f"error: threads must be a positive integer, got {shown}\n", text
 
 
 def test_seed_belongs_to_gen_fixtures_only(lake_dir, tmp_path):
@@ -779,6 +782,14 @@ def _exit_code_cases(data_dir, tmp_path, lake_dir):
          None),
         ("query --format xml", ["query", "--format", "xml", "--lake", str(lake_dir), "--out", out], {}, 2,
          "error: format must be one of ('csv', 'json'), got 'xml'"),
+        ("ingest --threads abc", ["ingest", "--config", config, "--lake", str(tmp_path / "l5"), "--threads", "abc"],
+         {}, 2, "error: threads must be a positive integer, got 'abc'"),
+        ("query --out a file", ["query", "--lake", str(lake_dir), "--out", str(a_file)], {}, 2,
+         f"error: {a_file}: exists and is not a directory"),
+        ("report --out a file", ["report", "--lake", str(lake_dir), "--out", str(a_file)], {}, 2,
+         f"error: {a_file}: exists and is not a directory"),
+        ("gen-fixtures --out a file", ["gen-fixtures", "--out", str(a_file), "--rows", "5"], {}, 2,
+         f"error: {a_file}: exists and is not a directory"),
     ]
 
 

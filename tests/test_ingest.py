@@ -104,6 +104,15 @@ def test_header_errors():
         rows_of(b"a,a\n1,2\n")
     with pytest.raises(CsvParseError):
         rows_of(b"a,\xff\n1,2\n")
+    with pytest.raises(CsvParseError, match="^header record exceeds 2162688 bytes$"):  # 2 * FIELD_CAP + 65536
+        rows_of(b"h" * (2 * FIELD_CAP + 65537) + b"\n1\n")
+
+
+def test_blank_lines_before_no_header_yield_one_none_each():
+    items = parse_csv(io.BytesIO(b"\n\r\n\n"), source="steam")
+    assert [next(items) for _ in range(3)] == [None, None, None]
+    with pytest.raises(CsvParseError, match="^empty input: a header row is required$"):
+        next(items)
 
 
 def test_delimiter_validation():

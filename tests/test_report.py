@@ -136,6 +136,20 @@ def test_series_legend_and_palette():
     assert bar_fills == {report.PALETTE[0], report.PALETTE[1]}
 
 
+def test_a_repeated_pair_draws_its_last_value_in_first_appearance_order():
+    # x "a" and series "s1" appear first and again after "b" and "s2"; the pair
+    # ("a", "s1") repeats, and its last row wins
+    repeated = AggTable(T.columns, [("a", "s1", 2), ("b", "s2", 1), ("b", "s1", 3), ("a", "s1", 9)])
+    once = AggTable(T.columns, [("a", "s1", 9), ("b", "s2", 1), ("b", "s1", 3)])
+    svg = report.chart_svg(spec_for(), repeated)
+    assert svg == report.chart_svg(spec_for(), once)
+    labels = [t.text for t in svg_elems(svg, "text") if t.get("font-size") == "11" and t.get("text-anchor") == "middle"]
+    assert labels == ["a", "b"]
+    assert [t.text for t in svg_elems(svg, "text") if t.get("fill")] == ["s1", "s2"]
+    heights = sorted(b["height"] for b in rect_boxes(svg))
+    assert len(heights) == 3 and abs(heights[-1] - 3 * heights[-2]) <= 0.5  # 9 drawn, not 2
+
+
 def test_no_series_chart_has_no_legend():
     t = AggTable(("k", "v"), [("a", 2)])
     svg = report.chart_svg(report.ChartSpec(x="k", y="v"), t)
